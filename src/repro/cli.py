@@ -645,30 +645,6 @@ def _cmd_lint_codes(args) -> int:
     return 0
 
 
-def _cmd_experiments(args) -> int:
-    from repro.experiments.report import main as report_main
-
-    argv = ["--mode", args.mode, "--out", args.out]
-    argv += ["--jobs", str(args.jobs), "--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.timeout is not None:
-        argv += ["--timeout", str(args.timeout)]
-    if args.retries:
-        argv += ["--retries", str(args.retries)]
-    if args.checkpoint:
-        argv += ["--checkpoint", args.checkpoint]
-    if args.resume:
-        argv.append("--resume")
-    if args.trace:
-        argv += ["--trace", args.trace]
-    if args.log_level:
-        argv += ["--log-level", args.log_level]
-    if args.ledger:
-        argv += ["--ledger", args.ledger]
-    return report_main(argv)
-
-
 def _cmd_trace_summary(args) -> int:
     from repro.obs.summary import load_trace, render_summary
 
@@ -1083,57 +1059,16 @@ def main(argv=None) -> int:
     )
     p_codes.set_defaults(func=_cmd_lint_codes)
 
-    p_exp = sub.add_parser(
-        "experiments",
-        help="run the paper's evaluation",
-        parents=[obs_flags],
+    from repro.experiments import report
+
+    p_exp = report.add_arguments(
+        sub.add_parser(
+            "experiments",
+            help="run the paper's evaluation",
+            parents=[obs_flags],
+        )
     )
-    p_exp.add_argument("--mode", choices=("quick", "full"), default="quick")
-    p_exp.add_argument("--out", default="EXPERIMENTS.md")
-    p_exp.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="simulation worker processes (default 1: in-process)",
-    )
-    p_exp.add_argument(
-        "--cache-dir",
-        default=".sim-cache",
-        help="simulation result cache directory (default .sim-cache)",
-    )
-    p_exp.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the simulation result cache",
-    )
-    p_exp.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-simulation timeout in seconds (terminates the worker)",
-    )
-    p_exp.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retries per failed simulation before quarantining it",
-    )
-    p_exp.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="FILE",
-        help="JSONL progress checkpoint "
-        "(default <cache-dir>/checkpoint.jsonl when the cache is enabled)",
-    )
-    p_exp.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume from the checkpoint instead of starting fresh",
-    )
-    p_exp.set_defaults(func=_cmd_experiments)
+    p_exp.set_defaults(func=lambda args: report.run(args, p_exp.error))
 
     p_ts = sub.add_parser(
         "trace-summary",

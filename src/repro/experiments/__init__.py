@@ -28,22 +28,6 @@ claims against the fresh numbers.  ``repro.experiments.report`` runs
 everything and rewrites EXPERIMENTS.md.
 """
 
-from repro.experiments.harness import (
-    Claim,
-    ExperimentResult,
-    Series,
-    ascii_chart,
-    ascii_table,
-)
-
-__all__ = [
-    "ExperimentResult",
-    "Series",
-    "Claim",
-    "ascii_table",
-    "ascii_chart",
-]
-
 #: Registry of experiment module names, in presentation order.
 ALL_EXPERIMENTS = (
     "overview",

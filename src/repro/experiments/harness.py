@@ -11,22 +11,24 @@ an experiment needs is described as a picklable :class:`SimTask`
 (code name, version key, sizes, machine, passes, seed — CodeVersion
 closures themselves do not cross process boundaries; workers rebuild the
 version from the deterministic factory registry in :mod:`repro.codes`).
-The runner fans cache misses out over per-task worker processes when
-``jobs > 1`` and memoizes results in a content-addressed on-disk cache
-keyed by the task plus a fingerprint of the simulation engine's own
-sources, so a re-run of an unchanged figure costs zero simulations while
-any engine change transparently invalidates every cached point.
+The runner fans cache misses out over the shared crash-only worker pool
+(:mod:`repro.resilience.pool`) when ``jobs > 1`` and memoizes results in
+a content-addressed on-disk cache keyed by the task plus a fingerprint
+of the simulation engine's own sources, so a re-run of an unchanged
+figure costs zero simulations while any engine change transparently
+invalidates every cached point.
 
-The execution engine is *fault-isolated* (DESIGN.md §12): each worker
-process runs exactly one task, so a crash, hang, or injected fault takes
-down one task, never the run.  Failed tasks are retried with exponential
-backoff and deterministic jitter up to ``retry.retries`` times; a task
-that keeps failing is **quarantined** — recorded with its full identity
-(code, mapping, sizes, seed, machine) in the runner telemetry and the
-checkpoint file — rather than poisoning the batch.  ``timeout_s``
-terminates an overrunning worker; ``checkpoint_path`` appends one JSONL
-record per completed simulation so a killed run resumes
-(``repro report --resume``) with zero redundant simulations.
+The execution engine is *fault-isolated* (DESIGN.md §12): a crash,
+hang, or injected fault in a pool worker takes down one task, never the
+run — the pool respawns the worker and the batch goes on.  Failed tasks
+are retried with exponential backoff and deterministic jitter up to
+``retry.retries`` times; a task that keeps failing is **quarantined** —
+recorded with its full identity (code, mapping, sizes, seed, machine) in
+the runner telemetry and the checkpoint file — rather than poisoning
+the batch.  ``timeout_s`` is the pool's per-task deadline;
+``checkpoint_path`` appends one JSONL record per completed simulation so
+a killed run resumes (``repro report --resume``) with zero redundant
+simulations.
 """
 
 from __future__ import annotations
@@ -35,13 +37,12 @@ import hashlib
 import heapq
 import json
 import logging
-import multiprocessing
 import os
 import time
 from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -51,6 +52,7 @@ from repro.machine.configs import MachineConfig
 from repro.machine.hierarchy import AccessStats
 from repro.resilience.checkpoint import CheckpointWriter, load_checkpoint
 from repro.resilience.faults import maybe_fault
+from repro.resilience.pool import JobFailed, WorkerCrash, WorkerPool, WorkerTimeout
 from repro.resilience.quarantine import QuarantineRecord
 from repro.resilience.retry import RetryPolicy
 from repro.store.core import Store
@@ -248,71 +250,50 @@ class TaskFailure(RuntimeError):
         super().__init__("\n".join(lines))
 
 
-def _run_sim_task(task: SimTask) -> SimResult:
-    """Worker entry point: rebuild the version locally, simulate it.
+def _run_sim_task(task: SimTask) -> tuple[SimResult, float, int]:
+    """Rebuild the version locally and simulate it; also return the wall
+    time and the id of the process that ran it.
 
-    Top-level (not a closure) so worker processes can pickle it;
+    The harness's pool handler: top-level (not a closure) so it pickles,
     imports deferred so a fresh worker process pays them once.
     """
     from repro.codes import get_version
     from repro.execution.simulator import simulate
 
+    t0 = time.perf_counter()
     maybe_fault("harness.worker", label=task.label)
     version = get_version(task.code_name, task.version_key)
-    return simulate(
+    result = simulate(
         version,
         task.sizes_dict,
         task.machine,
         seed=task.seed,
         passes=task.passes,
     )
-
-
-def _run_sim_task_timed(task: SimTask) -> tuple[SimResult, float, int]:
-    """``_run_sim_task`` plus the telemetry the parent wants back.
-
-    Worker processes have their own metrics registry whose contents die
-    with the pool, so the wall time and worker id travel with the result
-    and the parent-side runner folds them into *its* registry.
-    """
-    t0 = time.perf_counter()
-    result = _run_sim_task(task)
     return result, time.perf_counter() - t0, os.getpid()
 
 
-def _subprocess_worker(task: SimTask, conn) -> None:
-    """One-task worker process: send back ``("ok", ...)`` or ``("err", ...)``.
+def _run_inline(task: SimTask) -> Future:
+    """Run ``task`` here and now, reporting it as a pool future would.
 
-    A worker that dies before sending anything (hard crash, OOM kill,
-    injected ``kill`` fault) is detected by the parent as EOF on the
-    pipe — the crash-isolation path the chaos suite exercises.
-
-    The ``ok`` message carries the worker's whole observability state —
-    the full metrics snapshot (not just ``machine.*``) and the
-    ``warn_once`` dedup keys — so the parent's registry ends up exactly
-    as if the task had run in-process, and a warning the worker already
-    surfaced is not repeated for every later task.
+    The in-process path: no fork, so it also serves callers that are
+    themselves daemonic pool workers (which cannot have children).
     """
-    from repro import obs
-
+    future: Future = Future()
     try:
-        # A forked worker inherits the parent registry — including
-        # counts merged back from *earlier* workers.  Start from zero so
-        # the snapshot sent home is exactly this task's contribution.
-        obs.reset_metrics()
-        result, wall, pid = _run_sim_task_timed(task)
-        obs_payload = {
-            "metrics": obs.get_metrics().snapshot(),
-            "dedup": list(obs.seen_keys()),
-        }
-        conn.send(("ok", result, wall, pid, obs_payload))
-    except BaseException as exc:  # noqa: BLE001 - report, parent classifies
-        try:
-            conn.send(("err", type(exc).__name__, str(exc)))
-        except Exception:
-            pass
-    finally:
-        conn.close()
+        future.set_result(_run_sim_task(task))
+    except Exception as exc:  # noqa: BLE001 - classified like a worker's
+        future.set_exception(JobFailed(type(exc).__name__, str(exc)))
+    return future
+
+
+def _failure(exc: Exception) -> tuple[str, str]:
+    """A failed attempt's quarantine kind and message."""
+    if isinstance(exc, WorkerCrash):
+        return "crash", f"worker died (exit code {exc.exitcode})"
+    if isinstance(exc, WorkerTimeout):
+        return "timeout", f"timed out after {exc.deadline_s:g}s"
+    return "exception", str(exc)
 
 
 # ``engine_fingerprint`` lives in :mod:`repro.store.fingerprint` now
@@ -324,15 +305,16 @@ def _subprocess_worker(task: SimTask, conn) -> None:
 class SimulationRunner:
     """Runs :class:`SimTask` batches with caching and fault isolation.
 
-    ``jobs > 1`` dispatches cache misses to per-task worker processes
-    (one process per task: a crash or hang is contained to that task);
-    ``cache_dir`` enables the content-addressed result cache (one JSON
-    file per point, digest-verified and self-healing).  ``simulated``
-    and ``cache_hits`` count what actually happened — the warm-cache
-    experiment test asserts ``simulated == 0`` on a second run.
+    ``jobs > 1`` dispatches cache misses to a pool of up to ``jobs``
+    crash-only worker processes (a crash or hang is contained to its
+    task); ``cache_dir`` enables the content-addressed result cache
+    (one JSON file per point, digest-verified and self-healing).
+    ``simulated`` and ``cache_hits`` count what actually happened — the
+    warm-cache experiment test asserts ``simulated == 0`` on a second
+    run.
 
     Resilience knobs: ``timeout_s`` terminates an overrunning worker
-    (forces the process engine even at ``jobs=1``); ``retry`` (an int
+    (forces the pool even at ``jobs=1``); ``retry`` (an int
     or a :class:`~repro.resilience.retry.RetryPolicy`) bounds retries
     with exponential backoff + deterministic jitter; tasks that exhaust
     retries are quarantined, not fatal (unless ``strict``, when a
@@ -510,21 +492,7 @@ class SimulationRunner:
                     misses.append(i)
             batch_quarantined: list[QuarantineRecord] = []
             if misses:
-                # The process engine is required for true timeouts
-                # (only a separate process can be terminated) and for
-                # crash isolation; plain sequential runs stay in
-                # process to keep single-point latency minimal.
-                use_processes = self.timeout_s is not None or (
-                    self.jobs > 1 and len(misses) > 1
-                )
-                if use_processes:
-                    self._execute_in_processes(
-                        tasks, misses, results, batch_quarantined, sp
-                    )
-                else:
-                    self._execute_in_process(
-                        tasks, misses, results, batch_quarantined, sp
-                    )
+                self._execute(tasks, misses, results, batch_quarantined, sp)
             done = sum(1 for i in misses if results[i] is not None)
             sp.set(
                 simulated=done,
@@ -542,9 +510,9 @@ class SimulationRunner:
             raise TaskFailure(batch_quarantined)
         return results  # type: ignore[return-value]
 
-    # -- the fault-isolated execution engines ---------------------------
+    # -- the fault-isolated execution engine ----------------------------
 
-    def _execute_in_process(
+    def _execute(
         self,
         tasks: Sequence[SimTask],
         misses: Sequence[int],
@@ -552,153 +520,74 @@ class SimulationRunner:
         batch_quarantined: list,
         sp,
     ) -> None:
-        """Sequential engine: retries inline, exceptions contained."""
-        for i in misses:
-            task = tasks[i]
-            key = self.task_key(task)
-            history: list[str] = []
-            for attempt in range(self.retry.retries + 1):
-                try:
-                    result, wall_s, worker = _run_sim_task_timed(task)
-                except Exception as exc:  # noqa: BLE001 - classified below
-                    history.append(f"{type(exc).__name__}: {exc}")
-                    if attempt < self.retry.retries:
-                        self._note_retry(task, attempt, key, sp)
-                        time.sleep(self.retry.delay(attempt, key))
-                        continue
-                    self._quarantine(
-                        task,
-                        "exception",
-                        f"{type(exc).__name__}: {exc}",
-                        attempt + 1,
-                        history,
-                        batch_quarantined,
-                        sp,
-                    )
-                    break
-                self._complete(i, task, result, wall_s, worker, results, sp)
-                break
+        """Run the misses, retrying failures and quarantining the rest.
 
-    def _execute_in_processes(
-        self,
-        tasks: Sequence[SimTask],
-        misses: Sequence[int],
-        results: list,
-        batch_quarantined: list,
-        sp,
-    ) -> None:
-        """Per-task worker processes: timeout, crash, and retry aware.
-
-        Each task gets its own process and pipe, so a hard crash is an
-        EOF on that task's pipe and a hang is a terminate() of that
-        task's process — neither touches any other in-flight task (the
-        pool-based engine this replaces lost the whole pool on one
-        crash and could not time out at all).
+        A batch that needs processes — ``timeout_s`` (only a separate
+        process can be stopped) or ``jobs > 1`` with several misses —
+        runs on a worker pool that lives as long as the batch; any other
+        runs inline, keeping single-point latency minimal.  Either way
+        one loop over futures applies the retry policy.
         """
-        ctx = multiprocessing.get_context()
-        pending: deque = deque((i, 0, []) for i in misses)
+        pool = None
+        if self.timeout_s is not None or (self.jobs > 1 and len(misses) > 1):
+            pool = WorkerPool(
+                _run_sim_task,
+                workers=min(self.jobs, len(misses)),
+                deadline_s=self.timeout_s,
+                name="harness",
+            )
+            pool.start()
+        submit = pool.submit if pool is not None else _run_inline
+        width = pool.size if pool is not None else 1
+        # (task index, attempt, failure history) in submission order;
+        # backed-off retries wait in ``delayed`` (a heap on ready time).
+        queue: deque = deque((i, 0, []) for i in misses)
         delayed: list[tuple[float, int, int, list]] = []
-        # receiving pipe end -> (process, task index, attempt, history,
-        # absolute deadline or None)
-        running: dict = {}
-
-        def spawn(i: int, attempt: int, history: list) -> None:
-            task = tasks[i]
-            recv_conn, send_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_subprocess_worker, args=(task, send_conn), daemon=True
-            )
-            proc.start()
-            send_conn.close()  # parent keeps only the receiving end
-            deadline = (
-                time.monotonic() + self.timeout_s
-                if self.timeout_s is not None
-                else None
-            )
-            running[recv_conn] = (proc, i, attempt, history, deadline)
-
-        def fail(i: int, attempt: int, history: list, kind: str, msg: str):
-            task = tasks[i]
-            key = self.task_key(task)
-            history.append(f"{kind}: {msg}")
-            if attempt < self.retry.retries:
-                self._note_retry(task, attempt, key, sp)
-                ready = time.monotonic() + self.retry.delay(attempt, key)
-                heapq.heappush(delayed, (ready, i, attempt + 1, history))
-            else:
-                self._quarantine(
-                    task, kind, msg, attempt + 1, history,
-                    batch_quarantined, sp,
+        running: dict[Future, tuple[int, int, list]] = {}
+        try:
+            while queue or delayed or running:
+                now = time.monotonic()
+                while delayed and delayed[0][0] <= now:
+                    queue.append(heapq.heappop(delayed)[1:])
+                while queue and len(running) < width:
+                    i, attempt, history = queue.popleft()
+                    running[submit(tasks[i])] = (i, attempt, history)
+                backoff = max(0.0, delayed[0][0] - now) if delayed else None
+                if not running:
+                    time.sleep(backoff)
+                    continue
+                done, _ = wait(
+                    running, timeout=backoff, return_when=FIRST_COMPLETED
                 )
-
-        while pending or delayed or running:
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _, i, attempt, history = heapq.heappop(delayed)
-                pending.append((i, attempt, history))
-            while pending and len(running) < self.jobs:
-                i, attempt, history = pending.popleft()
-                spawn(i, attempt, history)
-            if not running:
-                if delayed:
-                    time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
-                continue
-            wait_for = 0.25
-            for _, (_, _, _, _, deadline) in running.items():
-                if deadline is not None:
-                    wait_for = min(wait_for, max(0.0, deadline - now))
-            if delayed:
-                wait_for = min(wait_for, max(0.0, delayed[0][0] - now))
-            ready = _connection_wait(list(running), timeout=wait_for)
-            for conn in ready:
-                proc, i, attempt, history, _ = running.pop(conn)
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    # The worker died before reporting: a hard crash
-                    # (segfault, OOM kill, injected ``kill`` fault).
-                    proc.join()
-                    fail(
-                        i, attempt, history, "crash",
-                        f"worker died (exit code {proc.exitcode})",
-                    )
-                else:
-                    proc.join()
-                    if message[0] == "ok":
-                        _, result, wall_s, worker, obs_payload = message
-                        self._complete(
-                            i, tasks[i], result, wall_s, worker, results, sp
-                        )
-                        # Worker-process registries die with the worker:
-                        # merge the *whole* snapshot (machine.*, engine
-                        # counters, resilience events — everything the
-                        # task recorded) plus its warning-dedup keys.
-                        obs.merge_snapshot(obs_payload["metrics"])
-                        obs.merge_dedup(obs_payload["dedup"])
-                    else:
-                        _, exc_type, exc_msg = message
-                        fail(
-                            i, attempt, history, "exception",
-                            f"{exc_type}: {exc_msg}",
-                        )
-                finally:
-                    conn.close()
-            now = time.monotonic()
-            for conn, (proc, i, attempt, history, deadline) in list(
-                running.items()
-            ):
-                if deadline is not None and now >= deadline:
-                    running.pop(conn)
-                    proc.terminate()
-                    proc.join(1.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join()
-                    conn.close()
-                    fail(
-                        i, attempt, history, "timeout",
-                        f"timed out after {self.timeout_s:g}s",
-                    )
+                for future in done:
+                    i, attempt, history = running.pop(future)
+                    task = tasks[i]
+                    try:
+                        result, wall_s, worker = future.result()
+                    except (JobFailed, WorkerCrash, WorkerTimeout) as exc:
+                        kind, message = _failure(exc)
+                        history.append(f"{kind}: {message}")
+                        key = self.task_key(task)
+                        if attempt < self.retry.retries:
+                            self._note_retry(task, attempt, key, sp)
+                            ready = time.monotonic() + self.retry.delay(
+                                attempt, key
+                            )
+                            heapq.heappush(
+                                delayed, (ready, i, attempt + 1, history)
+                            )
+                        else:
+                            self._quarantine(
+                                task, kind, message, attempt + 1, history,
+                                batch_quarantined, sp,
+                            )
+                        continue
+                    self._complete(i, task, result, wall_s, worker, results, sp)
+        finally:
+            if pool is not None:
+                # Idle once the batch is done; on an exception (an
+                # interrupt included) nothing in flight is worth waiting for.
+                pool.shutdown(grace_s=0.0)
 
     def _complete(
         self,

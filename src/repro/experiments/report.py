@@ -19,19 +19,22 @@ import importlib
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.harness import (
-    ExperimentResult,
-    SimulationRunner,
-    ascii_table,
-    get_runner,
-    interruption_guard,
-    set_runner,
-)
+
+if TYPE_CHECKING:
+    from repro.experiments.harness import ExperimentResult, SimulationRunner
+
+# The harness (and the simulator behind it) is imported where it is
+# used: ``repro-uov`` declares its ``experiments`` flags from this module
+# at startup, and every other subcommand must not pay for the import.
 
 __all__ = [
+    "add_arguments",
+    "main",
+    "run",
     "run_all",
     "write_report",
     "telemetry_appendix",
@@ -57,6 +60,8 @@ Overall: **{passed}/{total} claims hold.**
 
 def run_all(mode: str = "quick", progress=print) -> list[ExperimentResult]:
     """Every experiment's result, each tagged with its runner telemetry."""
+    from repro.experiments.harness import get_runner
+
     runner = get_runner()
     results = []
     for name in ALL_EXPERIMENTS:
@@ -110,6 +115,8 @@ def telemetry_appendix(
     trace_path: str | None = None,
 ) -> str:
     """The "Telemetry" section: what the instrumentation layer saw."""
+    from repro.experiments.harness import ascii_table
+
     out = [
         "## Telemetry",
         "",
@@ -205,6 +212,7 @@ def memory_behavior_appendix(mode: str = "quick") -> str:
     the reuse distances, valid for *any* cache size at once.
     """
     from repro.codes import get_versions
+    from repro.experiments.harness import ascii_table
     from repro.obs.reuse import profile_version
 
     line_bytes = 32
@@ -287,8 +295,12 @@ def write_report(
         fh.write(telemetry_appendix(results, runner, trace_path))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Declare the report's run flags on ``parser`` and return it.
+
+    The single declaration: ``repro-uov experiments`` adds the same
+    flags to its subcommand through this function.
+    """
     parser.add_argument("--mode", choices=("quick", "full"), default="quick")
     parser.add_argument("--out", default="EXPERIMENTS.md")
     parser.add_argument(
@@ -308,12 +320,6 @@ def main(argv=None) -> int:
         "--no-cache",
         action="store_true",
         help="disable the simulation result cache",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write a structured JSONL trace of the whole run",
     )
     parser.add_argument(
         "--timeout",
@@ -343,6 +349,17 @@ def main(argv=None) -> int:
         action="store_true",
         help="resume from the checkpoint instead of starting fresh",
     )
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = add_arguments(argparse.ArgumentParser(description=__doc__))
+    parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="FILE",
+        help="write a structured JSONL trace of the whole run",
+    )
     parser.add_argument(
         "--log-level",
         default=None,
@@ -356,7 +373,19 @@ def main(argv=None) -> int:
         help="append one run-ledger entry per experiment "
         "(also: REPRO_LEDGER env; query with repro-uov stats)",
     )
-    args = parser.parse_args(argv)
+    return run(parser.parse_args(argv), parser.error)
+
+
+def run(args: argparse.Namespace, error: Callable[[str], None]) -> int:
+    """Run the report for parsed ``args``: :func:`add_arguments`' flags
+    plus ``trace``, ``log_level`` and ``ledger``.  ``error`` reports a
+    usage error and does not return (``ArgumentParser.error``)."""
+    from repro.experiments.harness import (
+        SimulationRunner,
+        interruption_guard,
+        set_runner,
+    )
+
     checkpoint = args.checkpoint
     if checkpoint is None and not args.no_cache:
         from repro.store.backend import SQLITE_SUFFIXES
@@ -369,7 +398,7 @@ def main(argv=None) -> int:
         else:
             checkpoint = str(Path(args.cache_dir) / "checkpoint.jsonl")
     if args.resume and checkpoint is None:
-        parser.error("--resume with --no-cache needs an explicit --checkpoint")
+        error("--resume with --no-cache needs an explicit --checkpoint")
     try:
         runner = SimulationRunner(
             jobs=args.jobs,
@@ -380,9 +409,9 @@ def main(argv=None) -> int:
             resume=args.resume,
         )
     except OSError as exc:
-        parser.error(f"unusable --cache-dir {args.cache_dir!r}: {exc}")
+        error(f"unusable --cache-dir {args.cache_dir!r}: {exc}")
     except ValueError as exc:
-        parser.error(str(exc))
+        error(str(exc))
     set_runner(runner)
     # The repro-uov CLI may already own a live tracer for this exact
     # path; only open (and later close) our own when nobody else has.

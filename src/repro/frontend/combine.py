@@ -241,6 +241,10 @@ def compile_combine(combine: Mapping, n_sources: int) -> CompiledCombine:
         name = combine.get("name")
         if not isinstance(name, str) or not name:
             raise ValueError("hook combine needs a 'name' string")
+        # Hooks register when their code's module is imported, which a
+        # spec read from a file or a request body never does by itself.
+        import repro.codes  # noqa: F401
+
         hook = COMBINE_HOOKS.get(name)  # raises UnknownNameError
         ir_combine = hook.ir_combine or (
             lambda *vals: hook.combine(vals, None, None)

@@ -58,6 +58,7 @@ __all__ = [
     "Tracer",
     "configure",
     "configure_ledger",
+    "detach_tracer",
     "enabled",
     "event",
     "get_ledger",
@@ -150,6 +151,16 @@ def _close_trace(write_snapshot: bool) -> None:
         _TRACE_FILE.close()
     _TRACER = None
     _TRACE_FILE = None
+
+
+def detach_tracer() -> None:
+    """Stop tracing in a forked worker, leaving the inherited file alone.
+
+    The parent owns the trace file: closing (or collecting) the child's
+    copy would flush the parent's buffered records into it a second time.
+    """
+    global _TRACER
+    _TRACER = None
 
 
 def enabled() -> bool:

@@ -10,9 +10,8 @@ appends as the final record of a trace file.
 Hot loops should accumulate into locals and flush once (see
 :mod:`repro.core.search`); the registry is for *aggregates*, not for
 per-element updates.  Worker processes get their own registry — the
-experiment harness folds what matters (wall times, cache stats,
-:class:`~repro.machine.hierarchy.AccessStats`) back into the parent's
-registry from the returned results.
+worker pool (:mod:`repro.resilience.pool`) ships each job's snapshot
+home, where :func:`merge_snapshot` folds it into the parent's registry.
 """
 
 from __future__ import annotations

@@ -31,7 +31,9 @@ Kinds:
   (see :func:`maybe_corrupt`), exercising digest-verified reads.
 
 Keys: ``times=N`` (max injections, default 1), ``after=N`` (skip the
-first N matching calls in each process), ``match=substr`` (only calls
+first N matching calls in each process — a persistent pool worker
+counts across all the tasks it runs, and starts from zero when it is
+replaced), ``match=substr`` (only calls
 whose label contains the substring), ``p=0.x`` (per-call probability
 drawn from a per-rule ``random.Random(seed)`` — deterministic within a
 process), ``delay=S`` (timeout sleep seconds).

@@ -7,7 +7,8 @@ Layers, bottom up:
   hard caps (never lets a malformed request near the app);
 - :mod:`repro.serve.protocol` — request validation/canonicalisation and
   the success/error JSON envelopes;
-- :mod:`repro.serve.workers` — the crash-only subprocess worker pool;
+- :mod:`repro.serve.workers` — the job handlers its crash-only worker
+  pool (:mod:`repro.resilience.pool`) runs;
 - :mod:`repro.serve.admission` — token-bucket / queue-depth / RSS gate;
 - :mod:`repro.serve.coalesce` — single-flight coalescing on content hash;
 - :mod:`repro.serve.breaker` — circuit breakers (per-spec quarantine
@@ -29,13 +30,7 @@ from repro.serve.protocol import (
     normalize_compile_request,
     normalize_experiment_request,
 )
-from repro.serve.workers import (
-    JobFailed,
-    WorkerCrash,
-    WorkerPool,
-    WorkerTimeout,
-    execute_job,
-)
+from repro.serve.workers import execute_job
 
 __all__ = [
     "ERROR_CODES",
@@ -44,13 +39,9 @@ __all__ = [
     "BreakerBoard",
     "CircuitBreaker",
     "Coalescer",
-    "JobFailed",
     "RequestError",
     "ServeApp",
     "ServeError",
-    "WorkerCrash",
-    "WorkerPool",
-    "WorkerTimeout",
     "compile_request_key",
     "execute_job",
     "experiment_request_key",

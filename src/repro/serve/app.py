@@ -28,12 +28,14 @@ the run ledger, exit 0.
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 import signal
 import time
 from typing import Awaitable, Callable, Optional
 
 from repro import obs
+from repro.resilience.pool import JobFailed, WorkerCrash, WorkerPool, WorkerTimeout
 from repro.serve.admission import AdmissionGate
 from repro.serve.breaker import BreakerBoard, CircuitBreaker
 from repro.serve.coalesce import Coalescer
@@ -54,7 +56,7 @@ from repro.serve.protocol import (
     normalize_experiment_request,
     success_body,
 )
-from repro.serve.workers import JobFailed, WorkerCrash, WorkerPool, WorkerTimeout
+from repro.serve.workers import serve_job
 from repro.store.core import Store
 
 __all__ = ["ServeApp", "serve_main"]
@@ -98,7 +100,10 @@ class ServeApp:
     ) -> None:
         self.cache_dir = cache_dir
         self.pool = WorkerPool(
-            workers=workers, cache_dir=cache_dir, deadline_s=deadline_s
+            functools.partial(serve_job, cache_dir=cache_dir),
+            workers=workers,
+            deadline_s=deadline_s,
+            name="serve",
         )
         self.admission = AdmissionGate(
             rate_per_s=rate_per_s,

@@ -1,25 +1,9 @@
-"""The crash-only worker pool: subprocess workers that may die at any
-instant without taking a request — let alone the daemon — with them.
+"""The serve daemon's job handlers: what its pool workers run.
 
-Same scheduler idiom as the experiment harness (DESIGN.md §12): worker
-*processes* connected by pipes, multiplexed with
-``multiprocessing.connection.wait``.  The differences fit the serve
-workload:
-
-- workers are **persistent** (a compile costs milliseconds; a fork plus
-  imports costs more) but **crash-only**: a worker holds no state that
-  matters — results live in the shared store, requests in the parent —
-  so recovery from segfault, OOM kill, injected ``kill``, or a wedged
-  toolchain is always the same: reap, respawn, re-dispatch.  There is
-  no worker "shutdown protocol" beyond a sentinel; ``kill -9`` is an
-  equally valid exit.
-- a worker that exceeds its per-job **deadline** is terminated (then
-  killed) and respawned; only the one overdue job fails, every other
-  in-flight job keeps its worker.
-- the scheduler runs on a daemon *thread* (the daemon's main thread is
-  the asyncio event loop); ``submit`` returns a
-  :class:`concurrent.futures.Future` the loop awaits via
-  ``asyncio.wrap_future``.
+The workers themselves are the shared crash-only
+:class:`~repro.resilience.pool.WorkerPool` (DESIGN.md §12); the daemon
+builds it with :func:`serve_job` as the handler, so every request a
+worker takes first passes the ``serve.worker`` fault site.
 
 Fault sites (chaos grammar, DESIGN.md §12): ``serve.worker`` fires in
 the worker as a job starts — ``REPRO_FAULTS=serve.worker:kill:times=2``
@@ -30,51 +14,25 @@ deterministically reproducible.
 
 from __future__ import annotations
 
-import collections
-import itertools
-import multiprocessing
 import os
-import threading
-import time
-from concurrent.futures import Future
-from multiprocessing.connection import wait as _connection_wait
-from typing import Any, Optional
+from typing import Optional
 
-__all__ = ["JobFailed", "WorkerCrash", "WorkerPool", "WorkerTimeout", "execute_job"]
+from repro.resilience.faults import maybe_fault
+
+__all__ = ["execute_job", "serve_job"]
 
 
-class WorkerCrash(RuntimeError):
-    """The worker process died mid-job (segfault/OOM/injected kill)."""
-
-    def __init__(self, exitcode: Optional[int]):
-        self.exitcode = exitcode
-        super().__init__(f"worker died mid-job (exit code {exitcode})")
-
-
-class WorkerTimeout(RuntimeError):
-    """The job exceeded its deadline; the worker was killed."""
-
-    def __init__(self, deadline_s: float):
-        self.deadline_s = deadline_s
-        super().__init__(f"job exceeded its {deadline_s:g}s deadline")
-
-
-class JobFailed(RuntimeError):
-    """The job raised in the worker (the worker itself survived)."""
-
-    def __init__(self, error_type: str, message: str):
-        self.error_type = error_type
-        super().__init__(f"{error_type}: {message}")
-
-
-# -- worker-side execution ----------------------------------------------------
+def serve_job(job: dict, cache_dir: Optional[str] = None) -> dict:
+    """The pool handler: the ``serve.worker`` fault site, then the job."""
+    maybe_fault("serve.worker", label=job.get("label", job.get("kind", "")))
+    return execute_job(job, cache_dir)
 
 
 def execute_job(job: dict, cache_dir: Optional[str]) -> dict:
     """Run one job dict (a normalised request) to a JSON-able result.
 
     Top-level so the chaos/unit suites can call it in-process; the
-    worker loop below calls it after firing the ``serve.worker`` site.
+    pool's workers call it through :func:`serve_job`.
     """
     kind = job.get("kind")
     if kind == "compile":
@@ -90,7 +48,6 @@ def _execute_compile(job: dict, cache_dir: Optional[str]) -> dict:
     from repro.frontend.spec import StencilSpec
     from repro.pipeline.cache import ArtifactCache
     from repro.pipeline.driver import compile_spec
-    from repro.resilience.faults import maybe_fault
 
     spec = StencilSpec.from_json(job["spec"])
     if job["engine"] == "native":
@@ -107,13 +64,14 @@ def _execute_compile(job: dict, cache_dir: Optional[str]) -> dict:
         engine=job["engine"],
     )
     execute = next((r for r in result.records if r.name == "execute"), None)
+    artifact = execute.artifact if execute is not None else None
     return {
         "spec": result.spec.name,
         "sizes": dict(result.sizes),
         "seed": result.seed,
         "engine": job["engine"],
         "engine_used": (
-            getattr(execute.artifact, "engine_used", job["engine"])
+            getattr(artifact, "engine_used", job["engine"])
             if execute is not None
             else None
         ),
@@ -127,16 +85,8 @@ def _execute_compile(job: dict, cache_dir: Optional[str]) -> dict:
             for r in result.records
         ],
         "cached": bool(result.records) and not result.stages_run,
-        "degradation": (
-            getattr(execute.artifact, "degradation", None)
-            if execute is not None
-            else None
-        ),
-        "outputs_sha256": (
-            getattr(execute.artifact, "outputs_sha256", None)
-            if execute is not None
-            else None
-        ),
+        "degradation": getattr(artifact, "degradation", None),
+        "outputs_sha256": getattr(artifact, "outputs_sha256", None),
     }
 
 
@@ -167,404 +117,3 @@ def _execute_experiment(job: dict, cache_dir: Optional[str]) -> dict:
         }
     finally:
         runner.close()
-
-
-def _worker_main(conn, cache_dir: Optional[str]) -> None:
-    """Persistent worker loop: recv job, execute, send outcome, repeat.
-
-    Crash-only by construction: nothing here needs to run on the way
-    out.  A fault, a segfault, or the parent's ``kill()`` all leave the
-    shared store consistent (its writes are atomic) and the parent
-    replans from EOF on the pipe.
-    """
-    from repro import obs
-    from repro.resilience.faults import maybe_fault, reset_plan
-
-    # The fork inherited the parent's armed plan object; re-arm from the
-    # environment so per-process state (after=, p= RNGs) starts fresh
-    # while cross-process injection counts stay in REPRO_FAULTS_DIR.
-    reset_plan()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:
-            break
-        job_id, job = message
-        try:
-            # A fresh registry per job: the snapshot shipped home is
-            # exactly this job's contribution (same idiom as harness).
-            obs.reset_metrics()
-            maybe_fault("serve.worker", label=job.get("label", job.get("kind", "")))
-            result = execute_job(job, cache_dir)
-            payload = {
-                "metrics": obs.get_metrics().snapshot(),
-                "dedup": list(obs.seen_keys()),
-            }
-            conn.send((job_id, "ok", result, payload))
-        except BaseException as exc:  # noqa: BLE001 - parent classifies
-            try:
-                conn.send((job_id, "err", type(exc).__name__, str(exc)))
-            except Exception:
-                pass
-    conn.close()
-
-
-# -- parent-side pool ---------------------------------------------------------
-
-
-def _fail_future(future: Future, exc: BaseException) -> None:
-    """Fail ``future`` unless it already resolved (races the scheduler
-    thread delivering a result between our done() check and set)."""
-    if future.done():
-        return
-    try:
-        future.set_exception(exc)
-    except Exception:  # InvalidStateError: the result won the race
-        pass
-
-
-class _Worker:
-    """Parent-side record of one worker process."""
-
-    __slots__ = ("proc", "conn", "job_id", "future", "deadline", "started_at")
-
-    def __init__(self, proc, conn):
-        self.proc = proc
-        self.conn = conn
-        self.job_id: Optional[int] = None
-        self.future: Optional[Future] = None
-        self.deadline: Optional[float] = None
-        self.started_at = time.monotonic()
-
-    @property
-    def busy(self) -> bool:
-        return self.future is not None
-
-
-class WorkerPool:
-    """N crash-only workers behind a ``connection.wait`` scheduler thread."""
-
-    def __init__(
-        self,
-        workers: int = 2,
-        cache_dir: Optional[str] = None,
-        deadline_s: Optional[float] = None,
-    ) -> None:
-        self.size = max(1, int(workers))
-        self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.deadline_s = deadline_s
-        self._ctx = multiprocessing.get_context()
-        self._lock = threading.Lock()
-        self._pending: collections.deque = collections.deque()
-        self._workers: list[_Worker] = []
-        self._job_ids = itertools.count(1)
-        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
-        self._closing = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self.restarts = 0
-        self.completed = 0
-        self.crashes = 0
-        self.timeouts = 0
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> None:
-        if self._thread is not None:
-            raise RuntimeError("pool already started")
-        for _ in range(self.size):
-            self._workers.append(self._spawn())
-        self._thread = threading.Thread(
-            target=self._scheduler, name="serve-pool", daemon=True
-        )
-        self._thread.start()
-
-    def _spawn(self) -> _Worker:
-        recv_ours, send_theirs = self._ctx.Pipe(duplex=False)
-        recv_theirs, send_ours = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_worker_loop_entry,
-            args=(recv_theirs, send_theirs, self.cache_dir),
-            daemon=True,
-        )
-        proc.start()
-        send_theirs.close()
-        recv_theirs.close()
-        worker = _Worker(proc, _DuplexPair(recv_ours, send_ours))
-        return worker
-
-    def shutdown(self, grace_s: float = 10.0) -> None:
-        """Stop accepting, let in-flight jobs finish within ``grace_s``,
-        then take the pool down (kill anything still running).
-
-        While ``_closing`` is set the scheduler keeps dispatching the
-        already-accepted queue and delivering results; it only refuses
-        *new* submissions.  So the grace loop here normally observes the
-        pool go idle with every future resolved, and the failure path
-        below only fires for jobs that truly outlived the grace window.
-        """
-        self._closing.set()
-        self._wake()
-        deadline = time.monotonic() + grace_s
-        while time.monotonic() < deadline:
-            with self._lock:
-                idle = not self._pending and not any(
-                    w.busy for w in self._workers
-                )
-            if idle:
-                break
-            time.sleep(0.05)
-        with self._lock:
-            workers, self._workers = self._workers, []
-            pending, self._pending = list(self._pending), collections.deque()
-        for _, _, future, _ in pending:
-            _fail_future(future, RuntimeError("pool shut down"))
-        for worker in workers:
-            try:
-                worker.conn.send(None)
-            except (OSError, ValueError):
-                pass
-            if worker.future is not None:
-                _fail_future(worker.future, RuntimeError("pool shut down"))
-        for worker in workers:
-            worker.proc.join(1.0)
-            if worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join()
-            worker.conn.close()
-        if self._thread is not None:
-            self._thread.join(2.0)
-            self._thread = None
-
-    # -- submission ------------------------------------------------------
-
-    def submit(self, job: dict, deadline_s: Optional[float] = None) -> Future:
-        """Queue one job; the future resolves to the worker's result dict
-        or raises :class:`WorkerCrash` / :class:`WorkerTimeout` /
-        :class:`JobFailed`."""
-        if self._closing.is_set():
-            raise RuntimeError("pool is shutting down")
-        future: Future = Future()
-        job_id = next(self._job_ids)
-        if deadline_s is None:
-            deadline_s = self.deadline_s
-        with self._lock:
-            self._pending.append((job_id, job, future, deadline_s))
-        self._wake()
-        return future
-
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send(b"x")
-        except (OSError, ValueError):
-            pass
-
-    # -- the scheduler thread -------------------------------------------
-
-    def _scheduler(self) -> None:
-        while True:
-            self._dispatch()
-            closing = self._closing.is_set()
-            waitables: list[Any] = [self._wake_r]
-            timeout = 0.5
-            now = time.monotonic()
-            with self._lock:
-                busy = sum(1 for w in self._workers if w.busy)
-                pending = len(self._pending)
-                alive = len(self._workers)
-                for worker in self._workers:
-                    waitables.append(worker.conn.recv_conn)
-                    if worker.busy and worker.deadline is not None:
-                        timeout = min(timeout, max(0.0, worker.deadline - now))
-            if closing and busy == 0 and (pending == 0 or alive == 0):
-                # Draining is done: every dispatched job delivered its
-                # result (or its worker died and the future failed), and
-                # nothing dispatchable remains.  shutdown() fails whatever
-                # is left and reaps the processes.
-                break
-            try:
-                ready = _connection_wait(waitables, timeout=timeout)
-            except OSError:
-                # A connection was torn down under us (shutdown race or a
-                # worker dying between snapshot and wait): just rescan.
-                continue
-            for conn in ready:
-                if conn is self._wake_r:
-                    try:
-                        while self._wake_r.poll():
-                            self._wake_r.recv()
-                    except (EOFError, OSError):
-                        pass
-                    continue
-                self._on_worker_message(conn)
-            self._reap_overdue()
-
-    def _dispatch(self) -> None:
-        # Loop of passes: each pass assigns pending jobs under the lock;
-        # workers found dead are replaced *after* the lock is released
-        # (_replace takes the lock itself, and mutates self._workers),
-        # then one more pass lets the replacements pick up requeued jobs.
-        while True:
-            dead: list[_Worker] = []
-            with self._lock:
-                for worker in self._workers:
-                    if not self._pending:
-                        break
-                    if worker.busy:
-                        continue
-                    job_id, job, future, deadline_s = self._pending.popleft()
-                    if future.cancelled():
-                        continue
-                    try:
-                        worker.conn.send((job_id, job))
-                    except (OSError, ValueError):
-                        # Worker died while idle: requeue the job and
-                        # respawn once we are outside the lock.
-                        self._pending.appendleft(
-                            (job_id, job, future, deadline_s)
-                        )
-                        dead.append(worker)
-                        continue
-                    worker.job_id = job_id
-                    worker.future = future
-                    worker.deadline = (
-                        time.monotonic() + deadline_s
-                        if deadline_s is not None
-                        else None
-                    )
-            if not dead:
-                return
-            for worker in dead:
-                self._replace(worker, count_restart=True)
-
-    def _on_worker_message(self, conn) -> None:
-        from repro import obs
-
-        with self._lock:
-            worker = next(
-                (w for w in self._workers if w.conn.recv_conn is conn), None
-            )
-        if worker is None:
-            return
-        try:
-            message = worker.conn.recv()
-        except (EOFError, OSError):
-            self._worker_died(worker)
-            return
-        future = worker.future
-        with self._lock:
-            worker.job_id = None
-            worker.future = None
-            worker.deadline = None
-        if future is None or future.done():
-            return
-        if message[1] == "ok":
-            _, _, result, payload = message
-            obs.merge_snapshot(payload["metrics"])
-            obs.merge_dedup(payload["dedup"])
-            self.completed += 1
-            obs.get_metrics().counter("serve.jobs.completed").inc()
-            future.set_result(result)
-        else:
-            _, _, exc_type, exc_msg = message
-            obs.get_metrics().counter("serve.jobs.failed").inc()
-            future.set_exception(JobFailed(exc_type, exc_msg))
-
-    def _worker_died(self, worker: _Worker) -> None:
-        worker.proc.join(1.0)
-        exitcode = worker.proc.exitcode
-        future = worker.future
-        self._replace(worker, count_restart=True)
-        if future is not None and not future.done():
-            self.crashes += 1
-            _fail_future(future, WorkerCrash(exitcode))
-
-    def _reap_overdue(self) -> None:
-        now = time.monotonic()
-        with self._lock:
-            overdue = [
-                w
-                for w in self._workers
-                if w.busy and w.deadline is not None and now >= w.deadline
-            ]
-        for worker in overdue:
-            worker.proc.terminate()
-            worker.proc.join(1.0)
-            if worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join()
-            future = worker.future
-            deadline_s = self.deadline_s
-            self._replace(worker, count_restart=True)
-            if future is not None and not future.done():
-                self.timeouts += 1
-                _fail_future(future, WorkerTimeout(deadline_s or 0.0))
-
-    def _replace(self, worker: _Worker, count_restart: bool) -> None:
-        # Takes self._lock (non-reentrant): callers MUST NOT hold it —
-        # collect dead workers under the lock, replace after releasing.
-        from repro import obs
-
-        try:
-            worker.conn.close()
-        except Exception:
-            pass
-        if worker.proc.is_alive():
-            worker.proc.kill()
-            worker.proc.join()
-        with self._lock:
-            if worker in self._workers:
-                self._workers.remove(worker)
-                if not self._closing.is_set():
-                    self._workers.append(self._spawn())
-        if count_restart:
-            self.restarts += 1
-            obs.get_metrics().counter("serve.worker_restarts").inc()
-            obs.event("serve.worker_restart", exitcode=worker.proc.exitcode)
-
-    # -- introspection ---------------------------------------------------
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            busy = sum(1 for w in self._workers if w.busy)
-            alive = sum(1 for w in self._workers if w.proc.is_alive())
-            queued = len(self._pending)
-        return {
-            "size": self.size,
-            "alive": alive,
-            "busy": busy,
-            "queued": queued,
-            "completed": self.completed,
-            "restarts": self.restarts,
-            "crashes": self.crashes,
-            "timeouts": self.timeouts,
-            "deadline_s": self.deadline_s,
-        }
-
-
-class _DuplexPair:
-    """The two one-way pipes of one worker, presented as one endpoint."""
-
-    __slots__ = ("recv_conn", "send_conn")
-
-    def __init__(self, recv_conn, send_conn):
-        self.recv_conn = recv_conn
-        self.send_conn = send_conn
-
-    def send(self, obj) -> None:
-        self.send_conn.send(obj)
-
-    def recv(self):
-        return self.recv_conn.recv()
-
-    def close(self) -> None:
-        for conn in (self.recv_conn, self.send_conn):
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-def _worker_loop_entry(recv_conn, send_conn, cache_dir) -> None:
-    _worker_main(_DuplexPair(recv_conn, send_conn), cache_dir)

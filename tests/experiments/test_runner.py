@@ -211,8 +211,8 @@ class TestWorkerObservability:
             ]
             SimulationRunner(jobs=2).run_tasks(tasks)
             counters = obs.get_metrics().snapshot()["counters"]
-            # One worker process per task; each worker's full registry
-            # merges back: exactly 3 runs, no double count.
+            # Each task's worker registry merges back: exactly 3 runs,
+            # no double count.
             assert counters["simulate.runs"] == 3
             assert counters["machine.accesses"] > 0
             assert counters["simulate.iterations"] > 0  # non-machine.* too

@@ -121,6 +121,29 @@ class TestValidation:
         )
         assert "SPEC005" in codes_of(findings)
 
+    def test_hook_spec_compiles_in_a_fresh_interpreter(self, tmp_path):
+        # In-process this would pass regardless: the suite has already
+        # imported repro.codes, which registers PSM's hook.  A fresh
+        # ``repro compile`` of the psm spec file must find it too.
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        spec_path = tmp_path / "psm.json"
+        spec_path.write_text(json.dumps(get_spec("psm").to_json()))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "compile", str(spec_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
     def test_bad_input_rule(self):
         findings = findings_for(minimal_doc(inputs={"kind": "telepathy"}))
         assert "SPEC006" in codes_of(findings)

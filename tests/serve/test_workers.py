@@ -1,4 +1,5 @@
-"""The crash-only worker pool: crashes, timeouts, retirement, telemetry.
+"""The crash-only worker pool under serve's handler: crashes, timeouts,
+restarts, telemetry.
 
 Uses cheap ``probe`` jobs plus the ``serve.worker`` fault site, so every
 failure mode is deterministic and each test stays fast.
@@ -12,13 +13,8 @@ import pytest
 
 from repro import obs
 from repro.resilience.faults import FaultPlan, install_plan
-from repro.serve.workers import (
-    JobFailed,
-    WorkerCrash,
-    WorkerPool,
-    WorkerTimeout,
-    execute_job,
-)
+from repro.resilience.pool import JobFailed, WorkerCrash, WorkerPool, WorkerTimeout
+from repro.serve.workers import execute_job, serve_job
 
 PROBE = {"kind": "probe", "label": "probe"}
 
@@ -38,7 +34,9 @@ def make_pool():
     pools = []
 
     def factory(workers=2, deadline_s=None):
-        pool = WorkerPool(workers=workers, deadline_s=deadline_s)
+        pool = WorkerPool(
+            serve_job, workers=workers, deadline_s=deadline_s, name="serve"
+        )
         pool.start()
         pools.append(pool)
         return pool
@@ -120,7 +118,7 @@ class TestCrashOnly:
         # idle-dead worker failed — wedging the scheduler thread forever.
         # Drive _dispatch directly against a pre-killed idle worker and
         # require it to return and respawn.
-        pool = WorkerPool(workers=1)
+        pool = WorkerPool(serve_job, workers=1, name="serve")
         try:
             victim = pool._spawn()
             pool._workers.append(victim)
@@ -166,10 +164,20 @@ class TestCrashOnly:
         # The replacement worker is live.
         assert pool.submit(dict(PROBE)).result(timeout=30)["pid"]
 
+    def test_timeout_reports_the_jobs_own_deadline(self, make_pool, tmp_path):
+        # Regression: the reaper reported the pool's default deadline
+        # (here none, rendered "0s"), not the one the job was submitted
+        # with.
+        arm("serve.worker:timeout:times=1,delay=60", tmp_path)
+        pool = make_pool(workers=1)
+        with pytest.raises(WorkerTimeout, match="its 0.5s deadline") as excinfo:
+            pool.submit(dict(PROBE), deadline_s=0.5).result(timeout=30)
+        assert excinfo.value.deadline_s == 0.5
+
 
 class TestShutdown:
     def test_shutdown_fails_pending_futures(self):
-        pool = WorkerPool(workers=1)
+        pool = WorkerPool(serve_job, workers=1, name="serve")
         pool.start()
         future = pool.submit(dict(PROBE))
         future.result(timeout=30)
@@ -184,7 +192,7 @@ class TestShutdown:
         # grace, then failed an already-completed job with "pool shut
         # down".  Now the scheduler keeps draining while closing.
         arm("serve.worker:timeout:times=1,delay=0.4", tmp_path)
-        pool = WorkerPool(workers=1)
+        pool = WorkerPool(serve_job, workers=1, name="serve")
         pool.start()
         try:
             slow = pool.submit(dict(PROBE))
@@ -199,7 +207,7 @@ class TestShutdown:
     def test_shutdown_dispatches_queued_jobs_within_grace(self):
         # Jobs accepted before shutdown but not yet dispatched are still
         # run and delivered inside the grace window.
-        pool = WorkerPool(workers=1)
+        pool = WorkerPool(serve_job, workers=1, name="serve")
         pool.start()
         try:
             futures = [pool.submit(dict(PROBE)) for _ in range(4)]

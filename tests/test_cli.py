@@ -422,3 +422,34 @@ class TestLintCodes:
         assert main(["lint-codes"]) == 0
         out = capsys.readouterr().out
         assert "SYM001" in out and "RACE002" in out
+
+
+class TestExperiments:
+    def test_runner_flags_reach_the_installed_runner(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.experiments import harness, report
+
+        seen = {}
+
+        def fake_run_all(mode, progress=print):
+            seen["mode"], seen["runner"] = mode, harness.get_runner()
+            return []
+
+        monkeypatch.setattr(report, "run_all", fake_run_all)
+        monkeypatch.setattr(report, "write_report", lambda *a, **k: None)
+        # The command installs its runner globally; put the old one back.
+        monkeypatch.setattr(harness, "_RUNNER", harness.get_runner())
+        out = tmp_path / "EXPERIMENTS.md"
+        argv = [
+            "experiments", "--mode", "full", "--out", str(out),
+            "--jobs", "3", "--timeout", "2.5", "--retries", "4", "--no-cache",
+        ]
+        assert main(argv) == 0
+        runner = seen["runner"]
+        assert seen["mode"] == "full"
+        assert runner.jobs == 3
+        assert runner.timeout_s == 2.5
+        assert runner.retry.retries == 4
+        assert runner.cache_dir is None and runner.checkpoint_path is None
+        assert f"wrote {out}: 0/0 claims hold" in capsys.readouterr().out
