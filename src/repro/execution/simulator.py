@@ -8,19 +8,34 @@ hierarchy and combines the stall cycles with the instruction cost model:
 
 which is the quantity on the y-axis of every performance figure in the
 paper (Figures 7–14).
+
+The trace arrives as int64 blocks (:func:`~repro.execution.trace.
+line_blocks`) and plays through the C hierarchy kernel
+(:mod:`repro.machine.hierarchy_kernel`).  When no kernel can be built or
+loaded, a :class:`~repro.resilience.budget.Degradation` is recorded and
+the Python :class:`~repro.machine.hierarchy.MemoryHierarchy` (the
+kernel's oracle) runs instead; results are exact either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from repro import obs
 from repro.codes.base import CodeVersion
-from repro.execution.trace import line_trace
+from repro.execution.trace import line_blocks
 from repro.machine.configs import MachineConfig
 from repro.machine.cost import IterationCost
 from repro.machine.hierarchy import AccessStats
+from repro.machine.hierarchy_kernel import (
+    KernelHierarchy,
+    KernelUnavailable,
+    UnsupportedTrace,
+    load_kernel,
+)
+from repro.resilience.budget import Degradation, record_degradation
 
 __all__ = ["SimResult", "simulate"]
 
@@ -76,25 +91,31 @@ def simulate(
         sizes=dict(sizes),
         passes=passes,
     ) as sp:
-        hierarchy = machine.build_hierarchy()
-        for _warm in range(passes - 1):
-            for line in line_trace(
-                version, sizes, machine.l1.line_bytes, seed=seed
-            ):
-                hierarchy.access_line(line)
-        before = hierarchy.stall_cycles
-        trace = line_trace(version, sizes, machine.l1.line_bytes, seed=seed)
-        for line in trace:
-            hierarchy.access_line(line)
-        stats = hierarchy.stats()
-        if passes > 1:
-            from dataclasses import replace as _replace
-
-            stats = _replace(stats, stall_cycles=stats.stall_cycles - before)
-        sp.set(iterations=iterations, accesses=stats.accesses)
+        oracle = machine.build_hierarchy()
+        ran, played = "kernel", None
+        kernel = _kernel_for(oracle)
+        if kernel is not None:
+            try:
+                played = _play(kernel, kernel.feed, version, sizes, machine,
+                               seed, passes)
+            except UnsupportedTrace as exc:
+                _degrade("unsupported-trace", str(exc))
+        if played is None:
+            ran = "python"
+            played = _play(oracle, _python_feed(oracle), version, sizes,
+                           machine, seed, passes)
+        stats, trace_s, hierarchy_s = played
+        sp.set(
+            iterations=iterations,
+            accesses=stats.accesses,
+            hierarchy=ran,
+            trace_s=round(trace_s, 6),
+            hierarchy_s=round(hierarchy_s, 6),
+        )
 
     metrics = obs.get_metrics()
     metrics.counter("simulate.runs").inc()
+    metrics.counter(f"simulate.hierarchy.{ran}").inc()
     metrics.counter("simulate.iterations").inc(iterations)
     stats.record(metrics, prefix="machine")
 
@@ -125,3 +146,57 @@ def simulate(
         stats=stats,
         storage_elements=version.storage(sizes),
     )
+
+
+def _degrade(reason: str, detail: str) -> None:
+    record_degradation(
+        "execution.simulate",
+        Degradation(reason=reason, detail=detail, fallback="python-hierarchy"),
+    )
+
+
+def _kernel_for(oracle) -> KernelHierarchy | None:
+    """A kernel twin of ``oracle``, or None (degradation recorded)."""
+    try:
+        return KernelHierarchy(load_kernel(), oracle)
+    except KernelUnavailable as exc:
+        _degrade(exc.reason, exc.detail)
+        return None
+
+
+def _python_feed(hierarchy):
+    access = hierarchy.access_line
+
+    def feed(block) -> None:
+        for line in block.tolist():
+            access(line)
+
+    return feed
+
+
+def _play(hierarchy, feed, version, sizes, machine, seed, passes):
+    """Feed ``passes`` traces through ``hierarchy``, block by block.
+
+    Returns ``(stats, trace_s, hierarchy_s)``: only the last pass's
+    stalls count, and the wall time splits into making blocks and
+    feeding them.
+    """
+    trace_s = hierarchy_s = 0.0
+    before = 0
+    for done in range(passes):
+        if done == passes - 1:
+            before = hierarchy.stall_cycles
+        t0 = time.perf_counter()
+        for block in line_blocks(
+            version, sizes, machine.l1.line_bytes, seed=seed
+        ):
+            t1 = time.perf_counter()
+            feed(block)
+            t2 = time.perf_counter()
+            trace_s += t1 - t0
+            hierarchy_s += t2 - t1
+            t0 = t2
+        trace_s += time.perf_counter() - t0
+    stats = hierarchy.stats()
+    stats = replace(stats, stall_cycles=stats.stall_cycles - before)
+    return stats, trace_s, hierarchy_s

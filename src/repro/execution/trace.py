@@ -12,11 +12,21 @@ mapping.  Addresses are divided down to line granularity immediately;
 ``collapse=True`` additionally merges *consecutive identical* lines, which
 is exact for every LRU level (a repeated line can neither miss nor change
 any LRU order beyond its first access) and shrinks unit-stride stencil
-traces several-fold before they reach the Python simulation loop.
+traces several-fold before they reach the simulator.
+
+Two paths produce the same sequence.  The *array path*
+(:func:`line_blocks`) computes the addresses of a block of up to
+:data:`BLOCK_POINTS` iteration points at once with NumPy and yields
+int64 arrays; it needs only the code's batch address hooks, because a
+trace needs the schedule's order, not dependence-free batches.  The
+*scalar walk* visits one point at a time; it is the oracle the array
+path is tested against, and the only path for codes without batch
+address hooks.  :func:`line_trace` yields Python ints from either.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
@@ -24,10 +34,21 @@ import numpy as np
 
 from repro.codes.base import CodeVersion, Context
 
-__all__ = ["TraceLayout", "line_trace", "trace_length"]
+__all__ = [
+    "BLOCK_POINTS",
+    "TraceLayout",
+    "line_blocks",
+    "line_trace",
+    "trace_length",
+]
 
 ELEMENT_BYTES = 8
 _PAGE_ALIGN = 1 << 16
+
+#: Iteration points per array-path block.  Large enough that NumPy's
+#: per-call overhead vanishes, small enough that a block's address
+#: matrix stays in cache and a simulation's peak memory stays flat.
+BLOCK_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -73,21 +94,79 @@ def line_trace(
 ) -> Iterator[int]:
     """Yield the line-granular address trace of one full run.
 
-    When the version's schedule exposes dependence-free batches and the
-    code carries batched address semantics, the per-iteration address
-    tuples are computed for a whole batch at once with NumPy and flattened
-    back into the exact per-point load/extra/store order of the scalar
-    walk — the emitted sequence is identical either way (the trace tests
-    assert it).  ``batched`` forces the fast path on (``True``, raising
-    if unavailable), off (``False``), or picks automatically (``None``).
+    A flattening wrapper over the array path of :func:`line_blocks` when
+    the code carries batch address hooks; the emitted sequence is the
+    scalar walk's either way (the trace tests assert it).  ``batched``
+    forces the array path on (``True``, raising if unavailable), off
+    (``False``, the scalar walk), or picks automatically (``None``).
     """
-    code = version.code
     if ctx is None:
-        ctx = code.make_context(sizes, seed)
+        ctx = version.code.make_context(sizes, seed)
+    if batched is not False:
+        if _has_array_path(version.code, sizes, ctx):
+            for block in _array_blocks(
+                version, sizes, line_bytes, collapse, ctx
+            ):
+                yield from block.tolist()
+            return
+        if batched is True:
+            raise ValueError(
+                f"no batched trace path for {version} "
+                f"(code {version.code.name} has no batch address hooks)"
+            )
+    yield from _scalar_walk(version, sizes, line_bytes, collapse, ctx)
+
+
+def line_blocks(
+    version: CodeVersion,
+    sizes: Mapping[str, int],
+    line_bytes: int,
+    seed: int = 0,
+    collapse: bool = True,
+    ctx: Context | None = None,
+) -> Iterator[np.ndarray]:
+    """The trace of :func:`line_trace`, as consecutive int64 arrays.
+
+    Concatenating the blocks gives exactly ``list(line_trace(...))``;
+    collapsing carries the last line over block boundaries.  Codes
+    without batch address hooks get the scalar walk, chunked.
+    """
+    if ctx is None:
+        ctx = version.code.make_context(sizes, seed)
+    if _has_array_path(version.code, sizes, ctx):
+        return _array_blocks(version, sizes, line_bytes, collapse, ctx)
+    return _chunked(
+        _scalar_walk(version, sizes, line_bytes, collapse, ctx)
+    )
+
+
+def _has_array_path(code, sizes, ctx) -> bool:
+    """Whether the code can compute a block of addresses at once."""
+    if code.input_offsets_batch is None:
+        return False
+    q0 = tuple(lo for lo, _ in code.bounds(sizes))
+    return (
+        not code.extra_read_offsets(q0, ctx)
+        or code.extra_read_offsets_batch is not None
+    )
+
+
+def _chunked(lines: Iterator[int]) -> Iterator[np.ndarray]:
+    while True:
+        block = np.fromiter(
+            itertools.islice(lines, BLOCK_POINTS), dtype=np.int64
+        )
+        if not block.size:
+            return
+        yield block
+
+
+def _scalar_walk(version, sizes, line_bytes, collapse, ctx) -> Iterator[int]:
+    """The trace one iteration point at a time: the oracle."""
+    code = version.code
     layout = TraceLayout.for_version(version, sizes)
     bounds = code.bounds(sizes)
     mapping_fn = version.mapping(sizes).compiled()
-    schedule = version.schedule(sizes)
     distances = code.source_distances
     input_offset = code.input_offset
     extra_reads = code.extra_read_offsets
@@ -96,29 +175,8 @@ def line_trace(
     highs = tuple(hi for _, hi in bounds)
     sbase, ibase, tbase = layout.storage_base, layout.input_base, layout.table_base
 
-    if batched is not False:
-        batches = _batchable(code, ctx, bounds, schedule)
-        if batches is not None:
-            yield from _batched_line_trace(
-                code,
-                ctx,
-                sizes,
-                batches,
-                mapping_fn,
-                bounds,
-                line_bytes,
-                collapse,
-                layout,
-            )
-            return
-        if batched is True:
-            raise ValueError(
-                f"no batched trace path for {version} "
-                f"(schedule {schedule.name})"
-            )
-
     last = -1
-    for q in schedule.order(bounds):
+    for q in version.schedule(sizes).order(bounds):
         # source loads
         for d in distances:
             p = tuple(q[k] - d[k] for k in range(dim))
@@ -142,37 +200,55 @@ def line_trace(
             last = line
 
 
-def _batchable(code, ctx, bounds, schedule):
-    """The schedule's batch iterator, if the batched tracer can run."""
-    if code.input_offsets_batch is None:
-        return None
-    q0 = tuple(lo for lo, _ in bounds)
-    if code.extra_read_offsets(q0, ctx) and code.extra_read_offsets_batch is None:
-        return None
-    return schedule.batches(bounds, code.stencil)
+def _point_blocks(schedule, bounds, stencil) -> Iterator[np.ndarray]:
+    """The schedule's points in execution order, as ``(n, dim)`` int64
+    blocks of at most :data:`BLOCK_POINTS` points.
+
+    Regroups ``schedule.batches`` when the schedule has them (only the
+    order matters here, not their independence); otherwise chunks
+    ``schedule.order``.
+    """
+    batches = schedule.batches(bounds, stencil)
+    if batches is None:
+        dim = len(bounds)
+        coords = itertools.chain.from_iterable(schedule.order(bounds))
+        while True:
+            flat = np.fromiter(
+                itertools.islice(coords, BLOCK_POINTS * dim), dtype=np.int64
+            )
+            if not flat.size:
+                return
+            yield flat.reshape(-1, dim)
+    pending: list[np.ndarray] = []
+    held = 0
+    for batch in batches:
+        pending.append(batch)
+        held += len(batch)
+        if held >= BLOCK_POINTS:
+            block = np.concatenate(pending)
+            for start in range(0, held, BLOCK_POINTS):
+                yield block[start : start + BLOCK_POINTS]
+            pending, held = [], 0
+    if pending:
+        yield np.concatenate(pending)
 
 
-def _batched_line_trace(
-    code,
-    ctx,
-    sizes,
-    batches,
-    mapping_fn,
-    bounds,
-    line_bytes,
-    collapse,
-    layout,
-):
-    """Batched twin of the scalar walk: same line sequence, array math.
+def _array_blocks(
+    version, sizes, line_bytes, collapse, ctx
+) -> Iterator[np.ndarray]:
+    """Array twin of the scalar walk: same line sequence, block math.
 
-    Builds one ``(points, refs-per-iteration)`` address matrix per batch
+    Builds one ``(points, refs-per-iteration)`` address matrix per block
     — source-load columns, extra-read columns, store column — so that
     row-major flattening reproduces the scalar per-point emission order
     exactly, then collapses consecutive duplicate lines across the whole
-    stream (carrying the last line over batch boundaries).
+    stream (carrying the last line over block boundaries).
     """
+    code = version.code
+    layout = TraceLayout.for_version(version, sizes)
+    bounds = code.bounds(sizes)
+    mapping_fn = version.mapping(sizes).compiled()
     distances = code.source_distances
-    dim = len(bounds)
     lows = tuple(lo for lo, _ in bounds)
     highs = tuple(hi for _, hi in bounds)
     sbase, ibase, tbase = (
@@ -180,14 +256,13 @@ def _batched_line_trace(
         layout.input_base,
         layout.table_base,
     )
-    q0 = tuple(lo for lo, _ in bounds)
-    n_extras = len(code.extra_read_offsets(q0, ctx))
+    n_extras = len(code.extra_read_offsets(lows, ctx))
     refs = len(distances) + n_extras + 1
 
     last = -1
-    for batch in batches:
-        n = batch.shape[0]
-        cols = tuple(batch[:, k] for k in range(dim))
+    for points in _point_blocks(version.schedule(sizes), bounds, code.stencil):
+        n = points.shape[0]
+        cols = tuple(points[:, k] for k in range(len(bounds)))
         addrs = np.empty((n, refs), dtype=np.int64)
         for col, d in enumerate(distances):
             pcols = tuple(c - dk for c, dk in zip(cols, d))
@@ -216,7 +291,7 @@ def _batched_line_trace(
             )
         addrs[:, -1] = sbase + ELEMENT_BYTES * np.asarray(mapping_fn(*cols))
 
-        lines = (addrs // line_bytes).reshape(-1)
+        lines = np.floor_divide(addrs, line_bytes, out=addrs).reshape(-1)
         if collapse:
             keep = np.empty(lines.size, dtype=bool)
             keep[0] = lines[0] != last
@@ -224,7 +299,7 @@ def _batched_line_trace(
             lines = lines[keep]
             if lines.size:
                 last = int(lines[-1])
-        yield from lines.tolist()
+        yield lines
 
 
 def trace_length(

@@ -165,10 +165,18 @@ def telemetry_appendix(
         f"retries {counters.get('resilience.retries', 0)}",
         f"quarantines {counters.get('resilience.quarantines', 0)}",
         f"corrupt cache entries {counters.get('resilience.cache.corrupt', 0)}",
-        f"degraded searches {counters.get('resilience.degradations', 0)}",
         f"checkpoint-resumed {counters.get('resilience.checkpoint.resumed', 0)}",
     ]
     out.append(f"- resilience (DESIGN.md §12): {', '.join(resilience)}")
+    # Searches, the native engine and the simulator all degrade through
+    # record_degradation; its per-reason counters say which happened.
+    prefix = "resilience.degradations."
+    by_reason = [
+        f"{name[len(prefix):]} {value}"
+        for name, value in sorted(counters.items())
+        if name.startswith(prefix) and value
+    ]
+    out.append(f"- degradations by reason: {', '.join(by_reason) or 'none'}")
     if runner is not None:
         for record in runner.telemetry()["quarantined"]:
             out.append(
@@ -182,7 +190,10 @@ def telemetry_appendix(
     out.append(
         f"- simulations run in-process or in workers: "
         f"{counters.get('simulate.runs', 0)} "
-        f"(parent-process registry view)"
+        f"(parent-process registry view): "
+        f"{counters.get('simulate.hierarchy.kernel', 0)} on the C hierarchy "
+        f"kernel, {counters.get('simulate.hierarchy.python', 0)} on the "
+        f"Python hierarchy"
     )
     if trace_path:
         out.append(

@@ -16,6 +16,8 @@ cliff, and the branch-cost/memory-cost balance modelled here.
 - :mod:`repro.machine.tlb` — fully-associative LRU TLB.
 - :mod:`repro.machine.hierarchy` — L1/L2/TLB/memory with a paging last
   level (the "falls out of memory" cliff).
+- :mod:`repro.machine.hierarchy_kernel` — the same hierarchy in C, fed
+  int64 blocks of line numbers; ``hierarchy`` is its oracle.
 - :mod:`repro.machine.cost` — instruction cost model.
 - :mod:`repro.machine.configs` — the three machines, full-size and scaled.
 """

@@ -19,7 +19,7 @@ size by ``factor`` while keeping line size, page size, latencies, and the
 cost model fixed.  Because every capacity shrinks together, the *order* of
 the knees (L1, L2, TLB, paging) and the relative behaviour of the code
 versions are preserved while exact simulation becomes affordable at
-problem sizes a Python trace simulator can sweep.  The experiment harness
+problem sizes an exact trace simulator can sweep.  The experiment harness
 uses ``scaled(64)`` by default and records the factor next to every
 result.
 """

@@ -18,10 +18,14 @@ the pipelined L1 hit (whose cost belongs to the compute side of the model):
   per fresh page.
 - TLB miss adds ``tlb_stall`` on top of whatever else happened.
 
-The inner loop is deliberately flat, dictionary-based Python: exact LRU at
-every level, no sampling.  Experiments keep it affordable by using the
-*scaled* machine configs (caches, TLB reach, and memory shrunk together so
-the knees appear at simulation-sized problems — see
+This class is the *oracle*: flat, dictionary-based Python, exact LRU at
+every level, no sampling.  :func:`repro.execution.simulator.simulate`
+normally runs its C twin, :mod:`repro.machine.hierarchy_kernel`, which
+must match it counter for counter; this class runs there only when the
+kernel cannot be built or refuses a trace (and it is what tests, the
+reuse profiler and the benchmark's per-layer pass drive directly).  Experiments still use the
+*scaled* machine configs (caches, TLB reach, and memory shrunk together
+so the knees appear at simulation-sized problems — see
 :mod:`repro.machine.configs`).
 """
 

@@ -155,11 +155,19 @@ class TestBatchedTrace:
             assert scalar == auto
 
     def test_batched_true_raises_when_unavailable(self):
+        # The array path needs the code's batch address hooks (not
+        # dependence-free batches): without them only the scalar walk
+        # remains.
         from repro.execution import line_trace
 
         v = MAKERS["psm"]()["natural"]
+        stripped = dataclasses.replace(
+            v, code=dataclasses.replace(v.code, input_offsets_batch=None)
+        )
         with pytest.raises(ValueError, match="no batched trace path"):
-            list(line_trace(v, SIZES["psm"], 32, batched=True))
+            list(line_trace(stripped, SIZES["psm"], 32, batched=True))
+        scalar = list(line_trace(v, SIZES["psm"], 32, batched=False))
+        assert list(line_trace(stripped, SIZES["psm"], 32)) == scalar
 
     def test_stencil5_trace_is_batched(self):
         from repro.execution import line_trace

@@ -116,6 +116,36 @@ class TestTelemetryAppendix:
         assert "vectorization fallbacks" in text
         assert "`/tmp/t.jsonl`" in text
 
+    def test_degradations_by_reason_and_hierarchy_counts(self):
+        from repro import obs
+        from repro.experiments.report import telemetry_appendix
+        from repro.resilience.budget import Degradation, record_degradation
+
+        obs.reset()
+        try:
+            assert "- degradations by reason: none" in telemetry_appendix([])
+            for site, reason in (
+                ("execution.native", "no-toolchain"),
+                ("execution.simulate", "no-toolchain"),
+                ("core.search", "wall-budget"),
+            ):
+                record_degradation(site, Degradation(reason=reason))
+            metrics = obs.get_metrics()
+            metrics.counter("simulate.runs").inc(5)
+            metrics.counter("simulate.hierarchy.kernel").inc(3)
+            metrics.counter("simulate.hierarchy.python").inc(2)
+            text = telemetry_appendix([])
+        finally:
+            obs.reset()
+        assert "degraded searches" not in text
+        assert (
+            "- degradations by reason: no-toolchain 2, wall-budget 1" in text
+        )
+        assert (
+            "5 (parent-process registry view): 3 on the C hierarchy kernel, "
+            "2 on the Python hierarchy" in text
+        )
+
     def test_hit_rate_formatting(self):
         from repro.experiments.report import _pct
 
