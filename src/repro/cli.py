@@ -688,9 +688,14 @@ def _cmd_stats(args) -> int:
     if args.store:
         from repro.store.cli import render_store_stats
 
+        try:
+            text = render_store_stats(args.store)
+        except FileNotFoundError as exc:
+            print(f"stats: {exc}", file=sys.stderr)
+            return 2
         if path:
             print()
-        print(render_store_stats(args.store))
+        print(text)
     return 0
 
 
@@ -1279,6 +1284,7 @@ def main(argv=None) -> int:
             log_level=args.log_level,
             program=f"repro-uov {args.command}",
         )
+    was_profiling = obs.profiling()
     if args.profile:
         # Arm kernel-level profiling too: the native engine compiles its
         # instrumented variant and reports real kernel time.
@@ -1291,6 +1297,9 @@ def main(argv=None) -> int:
         return args.func(args)
     finally:
         if args.profile:
+            # Disarm, or every later native run in this process would
+            # compile and time the instrumented kernel.
+            obs.set_profiling(was_profiling)
             print("-- metrics --", file=sys.stderr)
             print(obs.render_profile(), file=sys.stderr)
         if own_obs and args.trace:

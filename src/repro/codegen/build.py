@@ -19,7 +19,7 @@ non-portable parts:
   a cache directory, installed atomically (unique temp + ``os.replace``)
   so concurrent builders never observe a torn object, and self-healing:
   a ``.so`` that fails to *load* is quarantined to ``.corrupt/`` (the
-  :mod:`repro.resilience.cachesafe` idiom) and rebuilt once.
+  store's :func:`~repro.store.backend.quarantine_file`) and rebuilt once.
 
 Flags are ``-O2 -march=native -fPIC -shared -ffp-contract=off`` — the
 paper's ``gcc -O2`` plus modern arch tuning; ``-ffp-contract=off`` is
@@ -394,6 +394,6 @@ def _record_compile_provenance(
 
 def quarantine_so(so_path: os.PathLike, problem: str) -> None:
     """Move an unloadable object aside so the next run rebuilds it."""
-    from repro.resilience.cachesafe import quarantine_file
+    from repro.store.backend import quarantine_file
 
     quarantine_file(so_path, site="native.so-cache", problem=problem)

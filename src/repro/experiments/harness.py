@@ -33,9 +33,7 @@ simulations.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 import logging
 import os
 import time
@@ -717,8 +715,7 @@ class SimulationRunner:
             "seed": task.seed,
             "engine": engine_fingerprint(),
         }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return content_hash(payload)
 
     @staticmethod
     def _decode_result(body) -> SimResult | None:

@@ -6,19 +6,20 @@ which toolchain* (engine fingerprint), *how long* it took, and a metrics
 snapshot slice.  The file is plain JSONL so it appends in O(1), tails
 cleanly, and survives concurrent writers (each line is a single
 ``write`` of under PIPE_BUF bytes); each line carries the same
-``{"schema": 1, "digest": ..., "body": ...}`` wrapper the artifact
-caches use (:mod:`repro.resilience.cachesafe`), so a torn or corrupted
+``{"schema": 1, "digest": ..., "body": ...}`` wrapper the store's
+entries use (:func:`repro.store.backend.wrap`), so a torn or corrupted
 line is *detected and skipped* on read — the ledger self-heals by
 ignoring damage rather than dying on it.
 
 The ledger is the durable half of observability: traces and metrics die
 with the process, the ledger accumulates across runs and feeds
 ``repro stats`` (engine comparison, top-k slowest, cache hit rates,
-trend-over-time) and — per ROADMAP — the future ``repro serve``
-daemon's telemetry backbone.
+trend-over-time, store maintenance).
 
 Opt-in: nothing writes a ledger unless ``--ledger PATH`` or the
-``REPRO_LEDGER`` environment variable names one.
+``REPRO_LEDGER`` environment variable names one.  The store is imported
+only when a ledger is written or read, so ``import repro.obs`` never
+loads it (or sqlite).
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ import os
 import time
 from pathlib import Path
 from typing import Any, Iterable, Optional
-
-from repro.resilience.cachesafe import (
-    CACHE_WRAPPER_SCHEMA,
-    body_digest,
-)
 
 __all__ = [
     "LEDGER_ENV",
@@ -70,15 +66,11 @@ class RunLedger:
     def record(self, kind: str, **fields: Any) -> dict:
         """Append one entry; returns the body that was written."""
         from repro import obs
+        from repro.store.backend import wrap
 
         body = {"ts": round(time.time(), 3), "kind": kind}
         body.update(fields)
-        wrapper = {
-            "schema": CACHE_WRAPPER_SCHEMA,
-            "digest": body_digest(body),
-            "body": body,
-        }
-        self._fh.write(json.dumps(wrapper, sort_keys=True) + "\n")
+        self._fh.write(json.dumps(wrap(body), sort_keys=True) + "\n")
         self.entries_written += 1
         obs.get_metrics().counter("ledger.entries").inc()
         return body
@@ -142,6 +134,7 @@ def read_entries(path: os.PathLike) -> tuple[list[dict], int]:
     per file, so a ledger shared by a crashing fleet still reads.
     """
     from repro import obs
+    from repro.store.backend import unwrap
 
     path = Path(path)
     entries: list[dict] = []
@@ -155,20 +148,13 @@ def read_entries(path: os.PathLike) -> tuple[list[dict], int]:
         if not line:
             continue
         try:
-            wrapper = json.loads(line)
+            body, problem = unwrap(json.loads(line))
         except ValueError:
+            problem = "bad JSON"
+        if problem is not None:
             corrupt += 1
             continue
-        if (
-            not isinstance(wrapper, dict)
-            or wrapper.get("schema") != CACHE_WRAPPER_SCHEMA
-            or "digest" not in wrapper
-            or "body" not in wrapper
-            or body_digest(wrapper["body"]) != wrapper["digest"]
-        ):
-            corrupt += 1
-            continue
-        entries.append(wrapper["body"])
+        entries.append(body)
     if corrupt:
         obs.get_metrics().counter("ledger.corrupt_lines").inc(corrupt)
         obs.warn_once(

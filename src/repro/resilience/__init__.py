@@ -17,9 +17,9 @@ The cross-cutting robustness layer (DESIGN.md §12).  Four pillars:
 - **Fault injection** (:mod:`repro.resilience.faults`): a
   deterministic, seedable :class:`FaultPlan` (env/CLI-armed, inherited
   by worker processes) that proves every recovery path in the chaos
-  suite; plus **cache self-healing**
-  (:mod:`repro.resilience.cachesafe`): digest-verified reads, atomic
-  writes, and ``.corrupt/`` quarantine for every on-disk cache.
+  suite, including the store's cache self-healing (digest-verified
+  reads, atomic writes, ``.corrupt/`` quarantine; see
+  :mod:`repro.store.backend`).
 
 Everything reports through obs as ``resilience.*`` counters: retries,
 quarantines, degradations, corrupt-cache hits, injected faults,
@@ -32,12 +32,6 @@ from repro.resilience.budget import (
     Degradation,
     record_degradation,
     rss_mb,
-)
-from repro.resilience.cachesafe import (
-    atomic_write_json,
-    body_digest,
-    quarantine_file,
-    read_verified_json,
 )
 from repro.resilience.checkpoint import (
     Checkpoint,
@@ -73,14 +67,10 @@ __all__ = [
     "QuarantineRecord",
     "RetryPolicy",
     "active_plan",
-    "atomic_write_json",
-    "body_digest",
     "install_plan",
     "load_checkpoint",
     "maybe_corrupt",
     "maybe_fault",
-    "quarantine_file",
-    "read_verified_json",
     "record_degradation",
     "reset_plan",
     "rss_mb",

@@ -2,16 +2,15 @@
 
 One storage layer behind every cache in the repo — the pipeline
 artifact cache, the experiment harness's simulation-result cache, and
-the native ``.so`` cache — with pluggable backends (local directory,
-sqlite, in-memory), a provenance record per entry, the consolidated
-fingerprint module, the ``@op`` memoization decorator, and the
+the native ``.so`` cache — with two backends (local directory and
+sqlite) that share one digest-wrapped entry format, a provenance
+record per entry, the consolidated fingerprint module, and the
 ``repro store`` CLI group.
 """
 
 from repro.store.backend import (
     DirBackend,
     EntryInfo,
-    MemoryBackend,
     SqliteBackend,
     open_backend,
 )
@@ -23,13 +22,11 @@ from repro.store.fingerprint import (
     reset_engine_fingerprint,
     toolchain_fingerprint,
 )
-from repro.store.ops import get_default_store, op, set_default_store
 from repro.store.provenance import PROVENANCE_SCHEMA, Provenance
 
 __all__ = [
     "DirBackend",
     "EntryInfo",
-    "MemoryBackend",
     "PROVENANCE_SCHEMA",
     "Provenance",
     "SqliteBackend",
@@ -37,10 +34,7 @@ __all__ = [
     "canonical_json",
     "content_hash",
     "engine_fingerprint",
-    "get_default_store",
-    "op",
     "open_backend",
     "reset_engine_fingerprint",
-    "set_default_store",
     "toolchain_fingerprint",
 ]

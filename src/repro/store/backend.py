@@ -1,4 +1,18 @@
-"""Pluggable storage backends for the unified store (DESIGN.md §16).
+"""Storage backends for the unified store, and the one owner of the
+on-disk entry format (DESIGN.md §16).
+
+Directory entries and run-ledger lines carry one integrity wrapper::
+
+    {"schema": 1, "digest": content_hash(body, length=16), "body": body}
+
+and sqlite rows keep the same digest beside the body, so silent
+corruption (bit rot, a broken writer, an interrupted copy) is
+*detected*, not deserialised.  :func:`wrap` and :func:`unwrap` are the
+only code that knows this wrapper.  A present but unusable directory
+entry is moved into a ``.corrupt/`` sidecar beside it (evidence for
+debugging, never re-read), counted and warned about by
+:func:`note_corruption`, and read as a plain miss, so the value is
+recomputed and the cache heals itself.
 
 A backend stores digest-verified JSON bodies plus optional provenance
 sidecars under string keys.  The contract (duck-typed; every method
@@ -21,12 +35,10 @@ below) is:
 
 Backends:
 
-- :class:`MemoryBackend` — a dict; lifetime of the process.
 - :class:`DirBackend` — the repo's historical local-directory layout,
   byte-compatible with the three pre-store caches: one
-  ``<key>.json`` digest-wrapped file per entry (atomic temp +
-  ``os.replace`` writes, ``.corrupt/`` quarantine via
-  :mod:`repro.resilience.cachesafe`) plus a ``.prov/<key>.json``
+  ``<key>.json`` wrapped file per entry (atomic temp + ``os.replace``
+  writes, ``.corrupt/`` quarantine) plus a ``.prov/<key>.json``
   provenance sidecar.  Warm caches written before the unified store
   hit unchanged.
 - :class:`SqliteBackend` — one WAL-mode sqlite file, safe under
@@ -45,22 +57,19 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from repro.resilience.cachesafe import (
-    atomic_write_json,
-    body_digest,
-    note_corruption,
-    quarantine_file,
-    read_verified_json,
-)
 from repro.resilience.faults import maybe_corrupt, maybe_fault
+from repro.store.fingerprint import content_hash
 from repro.store.provenance import Provenance
 
 __all__ = [
+    "CORRUPT_DIR",
     "EntryInfo",
-    "MemoryBackend",
     "DirBackend",
     "SqliteBackend",
     "open_backend",
+    "quarantine_file",
+    "unwrap",
+    "wrap",
 ]
 
 #: File suffixes that select the sqlite backend in ``open_backend``.
@@ -68,6 +77,123 @@ SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 #: Name of the provenance sidecar directory inside a DirBackend root.
 PROV_DIR = ".prov"
+
+#: Name of the sidecar directory corrupt entries are moved into.
+CORRUPT_DIR = ".corrupt"
+
+WRAPPER_SCHEMA = 1
+
+#: Hex digits of the body digest a wrapper carries.
+DIGEST_LENGTH = 16
+
+
+def wrap(body: Any) -> dict:
+    """The integrity wrapper persisted around ``body``."""
+    return {
+        "schema": WRAPPER_SCHEMA,
+        "digest": content_hash(body, DIGEST_LENGTH),
+        "body": body,
+    }
+
+
+def unwrap(obj: Any) -> tuple[Any, Optional[str]]:
+    """``(body, None)`` for a valid wrapper, else ``(None, problem)``."""
+    if (
+        not isinstance(obj, dict)
+        or obj.get("schema") != WRAPPER_SCHEMA
+        or "digest" not in obj
+        or "body" not in obj
+    ):
+        return None, "missing digest wrapper"
+    body = obj["body"]
+    if content_hash(body, DIGEST_LENGTH) != obj["digest"]:
+        return None, "digest mismatch"
+    return body, None
+
+
+def note_corruption(site: str, entry: str, problem: str) -> None:
+    """Count and warn about one healed corrupt entry.
+
+    The single ``store.heal.*`` counter family every backend shares
+    (directory quarantine and sqlite row-deletion alike), plus the
+    historical ``resilience.cache.corrupt`` name dashboards pin.
+    """
+    from repro import obs
+
+    metrics = obs.get_metrics()
+    metrics.counter("resilience.cache.corrupt").inc()
+    metrics.counter("store.heal.quarantined").inc()
+    metrics.counter(f"store.heal.{site}").inc()
+    obs.warn_once(
+        ("cache-corrupt", site),
+        f"{site}: corrupt cache entry quarantined "
+        f"({entry}: {problem}); recomputing",
+        event="resilience.cache.corrupt",
+        counter="resilience.cache.corrupt_events",
+        site=site,
+        entry=entry,
+        problem=problem,
+    )
+
+
+def quarantine_file(path: os.PathLike, site: str, problem: str) -> None:
+    """Move a corrupt entry into ``.corrupt/`` beside it, and count it."""
+    path = Path(path)
+    sidecar = path.parent / CORRUPT_DIR
+    try:
+        sidecar.mkdir(exist_ok=True)
+        os.replace(path, sidecar / path.name)
+    except OSError:
+        try:  # quarantine failed (e.g. cross-device): delete instead
+            path.unlink(missing_ok=True)
+        except OSError:
+            return
+    note_corruption(site, entry=path.name, problem=problem)
+
+
+def _atomic_write(
+    path: Path, body: Any, indent: Optional[int] = None
+) -> None:
+    """Wrap ``body`` and write it to ``path`` through a temp file.
+
+    ``os.replace`` is atomic, so a reader never observes a torn file and
+    a SIGKILL mid-write leaves at worst an orphan ``*.tmp`` no reader
+    opens.  The temp name folds in the pid so concurrent writers (two
+    harness processes racing on the same key) never clobber each
+    other's half-written temp; the last ``os.replace`` wins with an
+    identical, fully-written file.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(wrap(body), sort_keys=True, indent=indent))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _read_verified(path: Path, site: str) -> Optional[Any]:
+    """The verified body of ``path``, or None (healed) on failure.
+
+    A missing file is an ordinary miss (no quarantine, no warning); any
+    *present but unusable* file is quarantined so the next run never
+    trips over it again.
+    """
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        quarantine_file(path, site, f"unreadable: {exc}")
+        return None
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        quarantine_file(path, site, f"bad JSON: {exc}")
+        return None
+    body, problem = unwrap(obj)
+    if problem is not None:
+        quarantine_file(path, site, problem)
+    return body
 
 
 @dataclass(frozen=True)
@@ -89,55 +215,6 @@ class EntryInfo:
             self.provenance.engine if self.provenance is not None
             else "unknown"
         )
-
-
-class MemoryBackend:
-    """Process-lifetime dict backend (no persistence, no healing)."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, tuple[Any, Optional[Provenance], float]] = {}
-
-    def get(self, key: str) -> Optional[Any]:
-        slot = self._entries.get(key)
-        return slot[0] if slot is not None else None
-
-    def put(
-        self,
-        key: str,
-        body: Any,
-        provenance: Optional[Provenance] = None,
-        label: str = "",
-    ) -> None:
-        self._entries[key] = (body, provenance, time.time())
-
-    def annotate(self, key: str, provenance: Provenance) -> None:
-        slot = self._entries.get(key)
-        if slot is not None:
-            self._entries[key] = (slot[0], provenance, slot[2])
-
-    def provenance(self, key: str) -> Optional[Provenance]:
-        slot = self._entries.get(key)
-        return slot[1] if slot is not None else None
-
-    def delete(self, key: str) -> bool:
-        return self._entries.pop(key, None) is not None
-
-    def keys(self) -> list[str]:
-        return sorted(self._entries)
-
-    def items(self) -> list[EntryInfo]:
-        return [
-            EntryInfo(
-                key=key,
-                nbytes=len(json.dumps(body, sort_keys=True)),
-                created_at=ts,
-                provenance=prov,
-            )
-            for key, (body, prov, ts) in sorted(self._entries.items())
-        ]
-
-    def close(self) -> None:
-        pass
 
 
 class DirBackend:
@@ -172,7 +249,7 @@ class DirBackend:
         return self.root / PROV_DIR / f"{key}.json"
 
     def get(self, key: str) -> Optional[Any]:
-        return read_verified_json(self._path(key), site=self.site)
+        return _read_verified(self._path(key), self.site)
 
     def put(
         self,
@@ -182,7 +259,7 @@ class DirBackend:
         label: str = "",
     ) -> None:
         path = self._path(key)
-        atomic_write_json(path, body, indent=self.indent)
+        _atomic_write(path, body, self.indent)
         if provenance is not None:
             self.annotate(key, provenance)
         # Fault-injection hook: the chaos suite corrupts the entry just
@@ -192,13 +269,13 @@ class DirBackend:
     def annotate(self, key: str, provenance: Provenance) -> None:
         prov_path = self._prov_path(key)
         prov_path.parent.mkdir(exist_ok=True)
-        atomic_write_json(prov_path, provenance.to_json())
+        _atomic_write(prov_path, provenance.to_json())
 
     def provenance(self, key: str) -> Optional[Provenance]:
         prov_path = self._prov_path(key)
         if not prov_path.exists():
             return None
-        body = read_verified_json(prov_path, site=f"{self.site}.prov")
+        body = _read_verified(prov_path, f"{self.site}.prov")
         return Provenance.from_json(body)
 
     def delete(self, key: str) -> bool:
@@ -245,10 +322,6 @@ class DirBackend:
                 )
             )
         return infos
-
-    def quarantine(self, key: str, problem: str) -> None:
-        """Move one entry to ``.corrupt/`` (the self-heal idiom)."""
-        quarantine_file(self._path(key), site=self.site, problem=problem)
 
     def close(self) -> None:
         pass
@@ -352,7 +425,7 @@ class SqliteBackend:
             body = json.loads(row[0])
         except ValueError:
             body = None
-        if body is None or body_digest(body) != row[1]:
+        if body is None or content_hash(body, DIGEST_LENGTH) != row[1]:
             self._heal(key, "digest mismatch")
             return None
         return body
@@ -386,7 +459,7 @@ class SqliteBackend:
                     (
                         key,
                         blob,
-                        body_digest(body),
+                        content_hash(body, DIGEST_LENGTH),
                         prov_blob,
                         (
                             provenance.created_at

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -29,16 +30,18 @@ from typing import Optional
 __all__ = ["add_store_parser", "parse_since", "render_store_stats"]
 
 
-def _pipesafe(fn):
-    """Output piped into head/less and truncated is not an error."""
+def _command(fn):
+    """A missing store is a usage error (exit 2); output piped into
+    head/less and truncated is not an error."""
 
     @functools.wraps(fn)
     def wrapper(args) -> int:
         try:
             return fn(args)
+        except FileNotFoundError as exc:
+            print(f"store {args.store_command}: {exc}", file=sys.stderr)
+            return 2
         except BrokenPipeError:
-            import os
-
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 0
 
@@ -64,14 +67,19 @@ def parse_since(text: str) -> float:
 
 
 def _open_store(path: str):
+    """Open an existing store.  ``Store.open`` would create a missing
+    one, so a mistyped PATH raises FileNotFoundError instead of being
+    created and reported empty."""
     from repro.store import Store
 
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no store at {path}")
     return Store.open(path, site="store.cli")
 
 
 def render_store_stats(path: str) -> str:
     """The text rendering of one store's stats (also used by
-    ``repro stats --store``)."""
+    ``repro stats --store``); FileNotFoundError if PATH is missing."""
     store = _open_store(path)
     try:
         stats = store.stats()
@@ -99,7 +107,7 @@ def render_store_stats(path: str) -> str:
     return "\n".join(lines)
 
 
-@_pipesafe
+@_command
 def _cmd_store_stats(args) -> int:
     if args.format == "json":
         store = _open_store(args.path)
@@ -113,7 +121,7 @@ def _cmd_store_stats(args) -> int:
     return 0
 
 
-@_pipesafe
+@_command
 def _cmd_store_query(args) -> int:
     if args.stale and args.current:
         print("store query: --stale and --current conflict", file=sys.stderr)
@@ -172,6 +180,7 @@ def _cmd_store_query(args) -> int:
     return 0
 
 
+@_command
 def _cmd_store_gc(args) -> int:
     from repro import obs
 
@@ -184,11 +193,7 @@ def _cmd_store_gc(args) -> int:
     store = _open_store(args.path)
     try:
         if args.dry_run:
-            # Same selection logic, no deletion: run against a throwaway
-            # view by asking gc for its victim list via a copy is not
-            # possible backend-agnostically, so preview by re-deriving.
-            infos = store.query()
-            doomed = _preview_gc(infos, args.keep_latest, args.max_bytes)
+            doomed = store.gc_victims(args.keep_latest, args.max_bytes)
             for key in doomed:
                 print(f"would remove {key}")
             print(f"store gc: would remove {len(doomed)} entries (dry run)")
@@ -207,34 +212,12 @@ def _cmd_store_gc(args) -> int:
     return 0
 
 
-def _preview_gc(infos, keep_latest, max_bytes) -> list[str]:
-    doomed = {}
-    if keep_latest is not None:
-        per_op: dict[str, int] = {}
-        for info in infos:
-            per_op[info.op] = per_op.get(info.op, 0) + 1
-            if per_op[info.op] > keep_latest:
-                doomed[info.key] = info
-    if max_bytes is not None:
-        survivors = [i for i in infos if i.key not in doomed]
-        total = sum(i.nbytes for i in survivors)
-        for info in reversed(survivors):
-            if total <= max_bytes:
-                break
-            doomed[info.key] = info
-            total -= info.nbytes
-    return sorted(doomed)
-
-
+@_command
 def _cmd_store_migrate(args) -> int:
     from repro import obs
     from repro.store.migrate import migrate_path
 
-    try:
-        report = migrate_path(args.path, into=args.into)
-    except FileNotFoundError as exc:
-        print(f"store migrate: {exc}", file=sys.stderr)
-        return 2
+    report = migrate_path(args.path, into=args.into)
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

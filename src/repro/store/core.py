@@ -1,7 +1,7 @@
 """The unified content-addressed store (DESIGN.md §16).
 
-One :class:`Store` instance fronts one backend (directory, sqlite, or
-in-memory) and is what every former cache in the repo now talks to: the
+One :class:`Store` instance fronts one backend (directory or sqlite)
+and is what every former cache in the repo now talks to: the
 pipeline's ``ArtifactCache``, the experiment harness's simulation-result
 cache, and the native ``.so`` cache.  It adds, on top of the raw
 backend:
@@ -10,14 +10,14 @@ backend:
   ``store.puts``) through :mod:`repro.obs`, shared by every cache;
 - provenance-aware :meth:`query` (by op, engine fingerprint, age,
   staleness vs. the current engine);
-- :meth:`gc` with ``keep_latest``-per-op and ``max_bytes`` budgets;
+- :meth:`gc` with ``keep_latest``-per-op and ``max_bytes`` budgets
+  (:meth:`gc_victims` previews it);
 - :meth:`stats` for ``repro store stats`` / ``repro stats --store``.
 
 Keys are caller-chosen strings: each legacy cache keeps its historical
 key scheme (and therefore its warm on-disk entries) and simply routes
-reads/writes through here.  New code should prefer the
-:func:`repro.store.ops.op` decorator, which derives keys from declared
-inputs automatically.
+reads/writes through here, attaching a :class:`Provenance` record to
+every ``put``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from typing import Any, Optional, Union
 
-from repro.store.backend import EntryInfo, MemoryBackend, open_backend
+from repro.store.backend import EntryInfo, open_backend
 from repro.store.fingerprint import engine_fingerprint
 from repro.store.provenance import Provenance
 
@@ -48,10 +48,6 @@ class Store:
         """Open a store at ``path`` — a directory, or a ``*.sqlite`` /
         ``*.db`` file for the sqlite backend."""
         return cls(open_backend(path, site=site, indent=indent))
-
-    @classmethod
-    def in_memory(cls) -> "Store":
-        return cls(MemoryBackend())
 
     # -- the core five -------------------------------------------------
 
@@ -118,41 +114,49 @@ class Store:
 
     # -- maintenance ---------------------------------------------------
 
-    def gc(
+    def gc_victims(
         self,
         keep_latest: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ) -> list[str]:
-        """Evict entries; returns the deleted keys.
+        """The sorted keys :meth:`gc` would evict; deletes nothing.
 
         ``keep_latest=N`` keeps only the N newest entries *per op*
         (pre-provenance entries group under op ``?``); ``max_bytes``
         then evicts oldest-first until the remaining total fits the
-        budget.  With no arguments this is a no-op — ``gc`` never
+        budget.  With no arguments nothing is selected — ``gc`` never
         guesses a policy.
         """
         infos = self.query()  # newest first
-        doomed: dict[str, EntryInfo] = {}
+        doomed: set[str] = set()
         if keep_latest is not None:
             per_op: dict[str, int] = {}
             for info in infos:
                 seen = per_op.get(info.op, 0) + 1
                 per_op[info.op] = seen
                 if seen > keep_latest:
-                    doomed[info.key] = info
+                    doomed.add(info.key)
         if max_bytes is not None:
             survivors = [i for i in infos if i.key not in doomed]
             total = sum(i.nbytes for i in survivors)
             for info in reversed(survivors):  # oldest first
                 if total <= max_bytes:
                     break
-                doomed[info.key] = info
+                doomed.add(info.key)
                 total -= info.nbytes
-        removed = []
-        for key in sorted(doomed):
-            if self.backend.delete(key):
-                removed.append(key)
-        return removed
+        return sorted(doomed)
+
+    def gc(
+        self,
+        keep_latest: Optional[int] = None,
+        max_bytes: Optional[int] = None,
+    ) -> list[str]:
+        """Evict :meth:`gc_victims`; returns the deleted keys."""
+        return [
+            key
+            for key in self.gc_victims(keep_latest, max_bytes)
+            if self.backend.delete(key)
+        ]
 
     def stats(self, current_engine: Optional[str] = None) -> dict:
         """Aggregate view for ``repro store stats``: entry counts and

@@ -22,17 +22,11 @@ fleet of workers onto one shared database.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.resilience.cachesafe import (
-    CACHE_WRAPPER_SCHEMA,
-    body_digest,
-    quarantine_file,
-)
 from repro.store.backend import DirBackend, open_backend
 from repro.store.provenance import Provenance
 
@@ -94,7 +88,9 @@ def migrate_path(
         if op is None:
             report["unrecognised"] += 1
             continue
-        body = _verified_body(path)
+        # A present entry that reads as None was quarantined (counted
+        # under ``store.heal.store.migrate``, never as a miss).
+        body = annotator.get(stem)
         if body is None:
             report["quarantined"] += 1
             continue
@@ -136,24 +132,3 @@ def migrate_path(
         target.close()
     return report
 
-
-def _verified_body(path: Path):
-    """The digest-verified body of a legacy entry, quarantining failures
-    (same policy as a read through the store, without counting a miss)."""
-    try:
-        wrapper = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        quarantine_file(path, site="store.migrate", problem=f"bad JSON: {exc}")
-        return None
-    if (
-        not isinstance(wrapper, dict)
-        or wrapper.get("schema") != CACHE_WRAPPER_SCHEMA
-        or "digest" not in wrapper
-        or "body" not in wrapper
-    ):
-        quarantine_file(path, site="store.migrate", problem="missing wrapper")
-        return None
-    if body_digest(wrapper["body"]) != wrapper["digest"]:
-        quarantine_file(path, site="store.migrate", problem="digest mismatch")
-        return None
-    return wrapper["body"]

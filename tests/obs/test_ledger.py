@@ -1,6 +1,7 @@
 """Run ledger: append/read roundtrip, self-healing, aggregation."""
 
 import json
+import time
 
 import pytest
 
@@ -45,6 +46,22 @@ class TestRoundtrip:
         ledger.close()
         wrapper = json.loads(path.read_text().splitlines()[0])
         assert set(wrapper) == {"schema", "digest", "body"}
+
+    def test_line_bytes_are_pinned(self, tmp_path, monkeypatch):
+        """Ledgers in the field must keep reading: one line, byte for
+        byte, as every earlier release wrote it."""
+        monkeypatch.setattr(time, "time", lambda: 1.0)
+        path = tmp_path / "runs.jsonl"
+        ledger = RunLedger(path)
+        ledger.record("execute", engine="vectorized", wall_s=0.1)
+        ledger.close()
+        line = (
+            '{"body": {"engine": "vectorized", "kind": "execute", '
+            '"ts": 1.0, "wall_s": 0.1}, "digest": "8c4d309934d0eb10", '
+            '"schema": 1}\n'
+        )
+        assert path.read_text() == line
+        assert read_entries(path)[0][0]["engine"] == "vectorized"
 
     def test_append_only_across_handles(self, tmp_path):
         path = tmp_path / "runs.jsonl"

@@ -15,13 +15,9 @@ from repro.codes import get_spec, get_version
 from repro.experiments.harness import SimTask, SimulationRunner
 from repro.machine.configs import PENTIUM_PRO
 from repro.pipeline import ArtifactCache, compile_spec
-from repro.resilience.cachesafe import (
-    CORRUPT_DIR,
-    atomic_write_json,
-    body_digest,
-    read_verified_json,
-)
 from repro.resilience.faults import FaultPlan, install_plan
+from repro.store import DirBackend, content_hash
+from repro.store.backend import CORRUPT_DIR
 
 SIZES = {"T": 4, "L": 12}
 MACHINE = PENTIUM_PRO.scaled(64)
@@ -29,15 +25,15 @@ MACHINE = PENTIUM_PRO.scaled(64)
 
 class TestPrimitives:
     def test_write_read_round_trip(self, tmp_path):
-        path = tmp_path / "entry.json"
+        backend = DirBackend(tmp_path, site="t")
         body = {"a": [1, 2, 3], "b": "x"}
-        atomic_write_json(path, body)
-        assert read_verified_json(path, site="t") == body
-        wrapper = json.loads(path.read_text())
-        assert wrapper["digest"] == body_digest(body)
+        backend.put("entry", body)
+        assert backend.get("entry") == body
+        wrapper = json.loads((tmp_path / "entry.json").read_text())
+        assert wrapper["digest"] == content_hash(body, length=16)
 
     def test_missing_file_is_a_silent_miss(self, tmp_path):
-        assert read_verified_json(tmp_path / "absent.json", site="t") is None
+        assert DirBackend(tmp_path, site="t").get("absent") is None
         assert not (tmp_path / CORRUPT_DIR).exists()
 
     @pytest.mark.parametrize(
@@ -54,13 +50,13 @@ class TestPrimitives:
         path = tmp_path / "entry.json"
         path.write_text(corruption)
         with pytest.warns(UserWarning, match="corrupt cache entry"):
-            assert read_verified_json(path, site="t") is None
+            assert DirBackend(tmp_path, site="t").get("entry") is None
         assert not path.exists()
         assert (tmp_path / CORRUPT_DIR / "entry.json").read_text() == corruption
 
     def test_no_tmp_droppings_after_write(self, tmp_path):
         path = tmp_path / "entry.json"
-        atomic_write_json(path, {"k": 1})
+        DirBackend(tmp_path, site="t").put("entry", {"k": 1})
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != path.name]
         assert leftovers == []
 

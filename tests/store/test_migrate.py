@@ -4,11 +4,12 @@ store: in-place annotation, idempotence, warm-hit preservation, and
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from repro.pipeline.cache import ArtifactCache
-from repro.resilience.cachesafe import CORRUPT_DIR, atomic_write_json
 from repro.store import SqliteBackend, Store
+from repro.store.backend import CORRUPT_DIR
 from repro.store.fingerprint import content_hash
 from repro.store.migrate import infer_op, migrate_path
 
@@ -35,13 +36,21 @@ class TestInferOp:
         assert infer_op("notes-abc") is None
 
 
+def write_legacy(path, body, indent=None):
+    """A pre-store cache entry, written by hand rather than by the
+    store, so the format the store reads is pinned independently."""
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
+    wrapper = {"schema": 1, "digest": digest.hexdigest()[:16], "body": body}
+    path.write_text(json.dumps(wrapper, sort_keys=True, indent=indent))
+
+
 def seed_legacy(root):
     """One entry per historical cache layout, written the legacy way."""
     root.mkdir(parents=True, exist_ok=True)
     # Harness result cache: compact JSON under the full 64-hex task key.
-    atomic_write_json(root / f"{SIM_KEY}.json", {"series": [1, 2, 3]})
+    write_legacy(root / f"{SIM_KEY}.json", {"series": [1, 2, 3]})
     # Pipeline artifact cache: indent=2 under <stage>-<24 hex>.
-    atomic_write_json(
+    write_legacy(
         root / f"execute-{STAGE_KEY}.json", {"verified": True}, indent=2
     )
     # Native object cache: a bare .so, no wrapper.
@@ -93,7 +102,7 @@ class TestInPlace:
     def test_skips_unrecognised_files(self, tmp_path):
         root = tmp_path / "legacy"
         seed_legacy(root)
-        atomic_write_json(root / "checkpoint-meta.json", {"x": 1})
+        write_legacy(root / "checkpoint-meta.json", {"x": 1})
         report = migrate_path(root)
         assert report["unrecognised"] >= 1
 

@@ -8,8 +8,9 @@ import sqlite3
 import pytest
 
 from repro import obs
-from repro.resilience.cachesafe import CORRUPT_DIR, atomic_write_json
 from repro.store import DirBackend, Provenance, SqliteBackend, Store
+from repro.store.backend import CORRUPT_DIR
+from tests.store.test_migrate import write_legacy
 
 
 def prov(op="simulate", engine="eng-a", created_at=100.0, **kw):
@@ -183,12 +184,12 @@ class TestHealing:
 
 
 class TestLegacyCompat:
-    """Entries written by the pre-store cachesafe idiom keep hitting."""
+    """Entries written by the pre-store caches keep hitting."""
 
     def test_reads_pre_store_files(self, tmp_path):
         root = tmp_path / "cache"
         root.mkdir()
-        atomic_write_json(root / "legacy.json", {"old": True})
+        write_legacy(root / "legacy.json", {"old": True})
         store = Store(DirBackend(root, site="test"))
         assert store.get("legacy") == {"old": True}
         assert store.provenance("legacy") is None
@@ -197,9 +198,9 @@ class TestLegacyCompat:
         root = tmp_path / "cache"
         store = Store(DirBackend(root, site="test", indent=None))
         store.put("k", {"v": 1})
-        direct = tmp_path / "direct.json"
-        atomic_write_json(direct, {"v": 1})
-        assert (root / "k.json").read_bytes() == direct.read_bytes()
+        assert (root / "k.json").read_bytes() == (
+            b'{"body": {"v": 1}, "digest": "9ab2253fc38981f5", "schema": 1}'
+        )
 
     def test_provenance_lives_in_a_sidecar(self, tmp_path):
         """The value file stays byte-identical with and without
@@ -236,13 +237,6 @@ class TestOpenBackend:
         st = Store.open(tmp_path / "plain-dir")
         assert isinstance(st.backend, DirBackend)
         st.close()
-
-    def test_in_memory(self):
-        st = Store.in_memory()
-        st.put("k", {"v": 1}, provenance=prov())
-        assert st.get("k") == {"v": 1}
-        assert st.provenance("k").op == "simulate"
-        assert st.gc(keep_latest=0) == ["k"]
 
 
 class TestSqliteDurability:

@@ -13,10 +13,8 @@ from repro.store.cli import parse_since
 from tests.store.test_migrate import SIM_KEY, STAGE_KEY, seed_legacy
 
 
-@pytest.fixture
-def seeded(tmp_path):
-    """A store with three annotated entries and one bare entry."""
-    root = tmp_path / "unified"
+def seed(root):
+    """Three annotated entries and one bare entry."""
     store = Store.open(root)
     store.put("a", {"v": 1}, provenance=Provenance(
         op="simulate", engine="eng-a", created_at=100.0))
@@ -27,6 +25,29 @@ def seeded(tmp_path):
     store.put("bare", {"v": 4})
     store.close()
     return root
+
+
+@pytest.fixture
+def seeded(tmp_path):
+    return seed(tmp_path / "unified")
+
+
+@pytest.mark.parametrize("name", ["nope", "nope.sqlite"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["store", "stats", "{}"],
+        ["store", "query", "{}"],
+        ["store", "gc", "{}", "--keep-latest", "1"],
+        ["stats", "--store", "{}"],
+    ],
+    ids=["store-stats", "store-query", "store-gc", "stats-store"],
+)
+def test_missing_store_is_an_error_not_created(tmp_path, capsys, argv, name):
+    missing = tmp_path / name
+    assert main([arg.format(missing) for arg in argv]) == 2
+    assert f"no store at {missing}" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 class TestStoreStats:
@@ -134,6 +155,36 @@ class TestStoreGc:
         ]) == 0
         assert "would remove a" in capsys.readouterr().out
         assert Store.open(seeded).has("a")
+
+    @pytest.mark.parametrize("name", ["unified", "unified.sqlite"])
+    @pytest.mark.parametrize(
+        "policy", ["keep-latest", "max-bytes", "both"]
+    )
+    def test_dry_run_previews_exactly_what_gc_removes(
+        self, tmp_path, capsys, name, policy
+    ):
+        root = seed(tmp_path / name)
+        with Store.open(root) as store:
+            half = sum(info.nbytes for info in store.items()) // 2
+        flags = {
+            "keep-latest": ["--keep-latest", "1"],
+            "max-bytes": ["--max-bytes", str(half)],
+            "both": ["--keep-latest", "1", "--max-bytes", str(half)],
+        }[policy]
+        argv = ["store", "gc", str(root), *flags]
+        assert main([*argv, "--dry-run"]) == 0
+        previewed = [
+            line.split()[-1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("would remove ")
+        ]
+        assert main(argv) == 0
+        removed = [
+            line.split()[-1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("removed ")
+        ]
+        assert previewed and previewed == removed
 
 
 class TestStoreMigrate:

@@ -130,9 +130,14 @@ class TestObservability:
         assert "search.pruned.phi_bound" in out
 
     def test_profile_prints_metrics_to_stderr(self, capsys):
+        from repro import obs
+
         assert main(["find", "--stencil", "1,0;0,1;1,1", "--profile"]) == 0
         err = capsys.readouterr().err
         assert "-- metrics --" in err and "search.nodes_visited" in err
+        # Disarmed on return: later native runs in this process must not
+        # compile the instrumented kernel.
+        assert not obs.profiling()
 
     def test_bad_log_level_is_rejected(self):
         with pytest.raises(ValueError, match="unknown log level"):
