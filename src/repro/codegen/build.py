@@ -1,7 +1,7 @@
-"""C toolchain discovery and the shared-object compilation cache.
+"""C toolchain discovery, the shared-object cache and its load policy.
 
 The native execution tier turns :func:`repro.codegen.c_gen.generate_c`
-output into a loadable shared object.  This module owns the two
+output into a loadable shared object.  This module owns the
 non-portable parts:
 
 - **Toolchain discovery** (:func:`discover_toolchain`): the ``REPRO_CC``
@@ -17,9 +17,11 @@ non-portable parts:
 - **Compilation caching** (:func:`compile_so`): shared objects are
   content-hash-named (``sha256(source + toolchain fingerprint)``) under
   a cache directory, installed atomically (unique temp + ``os.replace``)
-  so concurrent builders never observe a torn object, and self-healing:
-  a ``.so`` that fails to *load* is quarantined to ``.corrupt/`` (the
-  store's :func:`~repro.store.backend.quarantine_file`) and rebuilt once.
+  so concurrent compiles never observe a torn object.
+- **The load policy** (:func:`load_library`), the one every ``.so``
+  client uses: an object that fails to load is quarantined to
+  ``.corrupt/`` (the store's :func:`~repro.store.backend.quarantine_file`)
+  and rebuilt once; what still fails raises :class:`NativeUnavailable`.
 
 Flags are ``-O2 -march=native -fPIC -shared -ffp-contract=off`` — the
 paper's ``gcc -O2`` plus modern arch tuning; ``-ffp-contract=off`` is
@@ -31,22 +33,25 @@ surviving flag set is what the fingerprint records.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import shutil
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 __all__ = [
     "CC_ENV",
     "SANITIZE_ENV",
     "CompileError",
+    "NativeUnavailable",
     "Toolchain",
     "compile_so",
     "default_so_cache_dir",
     "discover_toolchain",
+    "load_library",
     "reset_toolchain_cache",
     "sanitize_flags",
     "toolchain_fingerprint",
@@ -94,6 +99,20 @@ SANITIZERS: dict[str, tuple[str, ...]] = {
 
 class CompileError(RuntimeError):
     """A compiler invocation failed (non-zero exit, timeout, missing cc)."""
+
+
+class NativeUnavailable(RuntimeError):
+    """A native object cannot be built or loaded; ``reason`` is one of
+    ``no-toolchain``, ``compile-failed``, ``load-failed``."""
+
+    def __init__(self, reason: str, detail: str):
+        super().__init__(f"{reason}: {detail}")
+        self.reason = reason
+        self.detail = detail
+
+
+#: The ``no-toolchain`` detail every client reports.
+NO_TOOLCHAIN = "no C compiler on PATH (or REPRO_CC=none)"
 
 
 def sanitize_flags() -> tuple[str, ...]:
@@ -392,8 +411,40 @@ def _record_compile_provenance(
         pass
 
 
-def quarantine_so(so_path: os.PathLike, problem: str) -> None:
-    """Move an unloadable object aside so the next run rebuilds it."""
-    from repro.store.backend import quarantine_file
+def load_library(
+    source: str,
+    bind: Callable[[ctypes.CDLL], Any],
+    label: str = "?",
+    cache_dir: Optional[os.PathLike] = None,
+) -> Any:
+    """``bind(lib)`` for the compiled, loaded ``source`` (not memoised).
 
-    quarantine_file(so_path, site="native.so-cache", problem=problem)
+    ``bind`` sets argtypes; a symbol it misses fails the load just as an
+    unloadable object does."""
+    toolchain = discover_toolchain()
+    if toolchain is None:
+        raise NativeUnavailable("no-toolchain", NO_TOOLCHAIN)
+
+    def compile_() -> Path:
+        try:
+            return compile_so(
+                source, toolchain=toolchain, cache_dir=cache_dir, label=label
+            )
+        except (CompileError, OSError) as exc:
+            raise NativeUnavailable("compile-failed", str(exc)) from exc
+
+    so_path = compile_()
+    try:
+        return bind(ctypes.CDLL(str(so_path)))
+    except (OSError, AttributeError) as exc:
+        from repro.store.backend import quarantine_file
+
+        # Moved aside, so the rebuild below writes a fresh object.
+        quarantine_file(
+            so_path, site="native.so-cache", problem=f"unloadable: {exc}"
+        )
+    so_path = compile_()
+    try:
+        return bind(ctypes.CDLL(str(so_path)))
+    except (OSError, AttributeError) as exc:
+        raise NativeUnavailable("load-failed", str(exc)) from exc

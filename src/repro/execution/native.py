@@ -118,13 +118,12 @@ def _hook_callback(code: Code, ctx: Context):
     return _COMBINE_FN(call)
 
 
-def _load_run(so_path):
-    """``(lib, run)`` of one compiled object, argtypes set.
+def _bind_run(lib: ctypes.CDLL):
+    """``(lib, run)`` of one loaded object, argtypes set.
 
     The library handle rides along so profiled objects can expose
     globals (``repro_kernel_ns``) read back via ``in_dll``.
     """
-    lib = ctypes.CDLL(str(so_path))
     run = lib.run
     run.restype = None
     run.argtypes = [
@@ -191,10 +190,10 @@ def execute_native(
     ``obs.profiling()`` flag that ``--profile`` arms.
     """
     from repro.codegen.build import (
-        CompileError,
-        compile_so,
+        NO_TOOLCHAIN,
+        NativeUnavailable,
         discover_toolchain,
-        quarantine_so,
+        load_library,
     )
     from repro.codegen.c_gen import generate_c
 
@@ -202,49 +201,22 @@ def execute_native(
     if profile is None:
         profile = obs.profiling()
 
-    toolchain = discover_toolchain()
-    if toolchain is None:
-        return _degrade(
-            version, sizes, seed, check_legality, fallback,
-            "no-toolchain",
-            "no C compiler on PATH (or REPRO_CC=none)",
-        )
-
     try:
-        source = generate_c(version, sizes, profile=profile)
-    except NotImplementedError as exc:
-        return _degrade(
-            version, sizes, seed, check_legality, fallback,
-            "codegen-unsupported", str(exc),
-        )
-
-    label = f"{code.name}/{version.key}"
-    try:
-        so_path = compile_so(
-            source, toolchain=toolchain, cache_dir=cache_dir, label=label
-        )
-    except CompileError as exc:
-        return _degrade(
-            version, sizes, seed, check_legality, fallback,
-            "compile-failed", str(exc),
-        )
-
-    try:
-        lib, run = _load_run(so_path)
-    except OSError as exc:
-        # Self-heal: a truncated/corrupt object is quarantined and
-        # rebuilt once; only a second failure degrades.
-        quarantine_so(so_path, f"unloadable: {exc}")
+        # A missing toolchain is reported before a codegen gap.
+        if discover_toolchain() is None:
+            raise NativeUnavailable("no-toolchain", NO_TOOLCHAIN)
         try:
-            so_path = compile_so(
-                source, toolchain=toolchain, cache_dir=cache_dir, label=label
-            )
-            lib, run = _load_run(so_path)
-        except (CompileError, OSError) as exc2:
-            return _degrade(
-                version, sizes, seed, check_legality, fallback,
-                "load-failed", str(exc2),
-            )
+            source = generate_c(version, sizes, profile=profile)
+        except NotImplementedError as exc:
+            raise NativeUnavailable("codegen-unsupported", str(exc)) from exc
+        lib, run = load_library(
+            source, _bind_run, f"{code.name}/{version.key}", cache_dir
+        )
+    except NativeUnavailable as exc:
+        return _degrade(
+            version, sizes, seed, check_legality, fallback,
+            exc.reason, exc.detail,
+        )
 
     ctx = code.make_context(sizes, seed)
     bounds = code.bounds(sizes)
@@ -275,7 +247,7 @@ def execute_native(
         code=code.name,
         version=version.key,
         sizes=dict(sizes),
-        so=os.path.basename(so_path),
+        so=os.path.basename(lib._name),  # CDLL's public path attribute
         profiled=profile,
     ) as sp:
         run(

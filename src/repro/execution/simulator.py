@@ -31,7 +31,6 @@ from repro.machine.cost import IterationCost
 from repro.machine.hierarchy import AccessStats
 from repro.machine.hierarchy_kernel import (
     KernelHierarchy,
-    KernelUnavailable,
     UnsupportedTrace,
     load_kernel,
 )
@@ -157,9 +156,13 @@ def _degrade(reason: str, detail: str) -> None:
 
 def _kernel_for(oracle) -> KernelHierarchy | None:
     """A kernel twin of ``oracle``, or None (degradation recorded)."""
+    # Imported here: the simulator module must not load the toolchain
+    # machinery (load_kernel imports it on first use anyway).
+    from repro.codegen.build import NativeUnavailable
+
     try:
         return KernelHierarchy(load_kernel(), oracle)
-    except KernelUnavailable as exc:
+    except NativeUnavailable as exc:
         _degrade(exc.reason, exc.detail)
         return None
 

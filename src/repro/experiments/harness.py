@@ -24,11 +24,12 @@ run — the pool respawns the worker and the batch goes on.  Failed tasks
 are retried with exponential backoff and deterministic jitter up to
 ``retry.retries`` times; a task that keeps failing is **quarantined** —
 recorded with its full identity (code, mapping, sizes, seed, machine) in
-the runner telemetry and the checkpoint file — rather than poisoning
-the batch.  ``timeout_s`` is the pool's per-task deadline;
-``checkpoint_path`` appends one JSONL record per completed simulation so
-a killed run resumes (``repro report --resume``) with zero redundant
-simulations.
+the runner telemetry — rather than poisoning the batch.  ``timeout_s``
+is the pool's per-task deadline.  Every result is durable the moment it
+completes: it is an atomic store entry, so a killed run re-run on the
+same cache simulates only what it had not finished, and
+``checkpoint_path`` names a second, run-scoped store that a ``resume``
+run (``repro report --no-cache --checkpoint DIR --resume``) replays.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from repro import obs
 from repro.execution.simulator import SimResult
 from repro.machine.configs import MachineConfig
 from repro.machine.hierarchy import AccessStats
-from repro.resilience.checkpoint import CheckpointWriter, load_checkpoint
 from repro.resilience.faults import maybe_fault
 from repro.resilience.pool import JobFailed, WorkerCrash, WorkerPool, WorkerTimeout
 from repro.resilience.quarantine import QuarantineRecord
@@ -306,7 +306,8 @@ class SimulationRunner:
     ``jobs > 1`` dispatches cache misses to a pool of up to ``jobs``
     crash-only worker processes (a crash or hang is contained to its
     task); ``cache_dir`` enables the content-addressed result cache
-    (one JSON file per point, digest-verified and self-healing).
+    (a :class:`~repro.store.core.Store`: one digest-verified,
+    self-healing entry per point).
     ``simulated`` and ``cache_hits`` count what actually happened — the
     warm-cache experiment test asserts ``simulated == 0`` on a second
     run.
@@ -317,9 +318,10 @@ class SimulationRunner:
     with exponential backoff + deterministic jitter; tasks that exhaust
     retries are quarantined, not fatal (unless ``strict``, when a
     :class:`TaskFailure` carrying every task identity is raised after
-    the whole batch ran).  ``checkpoint_path`` appends one JSONL record
-    per completed simulation; ``resume=True`` preloads those records so
-    a killed run continues with zero redundant simulations.
+    the whole batch ran).  ``checkpoint_path`` opens a second store (a
+    directory, or ``*.sqlite``/``*.db``) that every result is also
+    written to; only ``resume=True`` reads it back, so a killed run
+    continues with zero redundant simulations even without a cache.
     """
 
     #: How many slowest-task entries :meth:`telemetry` keeps.
@@ -355,51 +357,34 @@ class SimulationRunner:
         self.retries_used = 0
         self.resumed = 0
         self.quarantined: list[QuarantineRecord] = []
-        self._overlay: dict[str, dict] = {}
-        self._checkpoint: Optional[CheckpointWriter] = None
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
-        if self.checkpoint_path is not None:
-            if resume:
-                checkpoint = load_checkpoint(self.checkpoint_path)
-                self._overlay = dict(checkpoint.results)
-            else:
-                # A fresh run must not inherit a previous run's records.
-                self.checkpoint_path.unlink(missing_ok=True)
-            self._checkpoint = CheckpointWriter(
-                self.checkpoint_path, meta={"engine": engine_fingerprint()}
-            )
+        # A fresh run neither reads nor deletes earlier entries: it
+        # overwrites the keys it recomputes with identical bodies.
+        self._checkpoint = (
+            Store.open(checkpoint_path, site="harness.checkpoint")
+            if checkpoint_path is not None
+            else None
+        )
+        # Only a resumed run reads the checkpoint back.
+        self._resume_from = self._checkpoint if resume else None
 
     def close(self) -> None:
-        """Flush and close the checkpoint sink and store (idempotent)."""
-        if self._checkpoint is not None:
-            self._checkpoint.close()
-            self._checkpoint = None
-        if self._store is not None:
-            self._store.close()
+        """Close the cache and checkpoint stores (idempotent)."""
+        for store in (self._store, self._checkpoint):
+            if store is not None:
+                store.close()
 
     def interrupt_flush(self, signame: str) -> None:
-        """Make an interrupted run durable before the process dies.
+        """Record an interrupted run before the process dies.
 
-        Called from a SIGINT/SIGTERM handler (:func:`interruption_guard`):
-        appends one final ``interrupt`` record to the checkpoint (every
-        per-result record is already flushed as it is written — this
-        stamps *when and why* the run stopped), closes the writer so the
-        last line is never torn, and writes a final run-ledger record
-        carrying the progress counts and every quarantined identity, so
-        ``--resume`` sees exactly what finished.
+        Called from a SIGINT/SIGTERM handler (:func:`interruption_guard`).
+        Every finished result is already a durable store entry, so this
+        only closes the stores and writes a final run-ledger record
+        carrying the progress counts and every quarantined identity:
+        *when and why* the run stopped.
         """
-        if self._checkpoint is not None:
-            self._checkpoint._write(
-                {
-                    "type": "interrupt",
-                    "signal": signame,
-                    "simulated": self.simulated,
-                    "cache_hits": self.cache_hits,
-                    "quarantined": len(self.quarantined),
-                }
-            )
         self.close()
         obs.get_metrics().counter("resilience.interrupts").inc()
         obs.ledger_record(
@@ -450,44 +435,32 @@ class SimulationRunner:
             "runner.run_tasks", tasks=len(tasks), jobs=self.jobs
         ) as sp:
             for i, task in enumerate(tasks):
-                cached = self._overlay_load(task)
-                if cached is not None:
-                    results[i] = cached
-                    self.cache_hits += 1
-                    self.resumed += 1
-                    metrics.counter("sim.cache.hits").inc()
-                    metrics.counter("resilience.checkpoint.resumed").inc()
-                    cached.stats.record(metrics, prefix="machine")
-                    # Warm the on-disk cache too: the checkpoint is a
-                    # run-scoped file, the cache outlives it.
-                    self._cache_store(task, cached)
-                    sp.event(
-                        "sim.task",
-                        task=task.label,
-                        cache_hit=True,
-                        resumed=True,
-                        wall_s=0.0,
-                        worker=os.getpid(),
-                    )
-                    continue
-                cached = self._cache_load(task)
-                if cached is not None:
-                    results[i] = cached
-                    self.cache_hits += 1
-                    metrics.counter("sim.cache.hits").inc()
-                    # Cached results never reached this process's
-                    # simulator, so their memory-system counters are
-                    # folded in here.
-                    cached.stats.record(metrics, prefix="machine")
-                    sp.event(
-                        "sim.task",
-                        task=task.label,
-                        cache_hit=True,
-                        wall_s=0.0,
-                        worker=os.getpid(),
-                    )
-                else:
+                key = self.task_key(task)
+                resumed = self._load(self._resume_from, key)
+                cached = resumed or self._load(self._store, key)
+                if cached is None:
                     misses.append(i)
+                    continue
+                if resumed is not None:
+                    self.resumed += 1
+                    metrics.counter("resilience.checkpoint.resumed").inc()
+                    # Warm the cache too: the checkpoint is run-scoped,
+                    # the cache outlives it.
+                    self._save((self._store,), task, key, resumed)
+                results[i] = cached
+                self.cache_hits += 1
+                metrics.counter("sim.cache.hits").inc()
+                # Stored results never reached this process's simulator,
+                # so their memory-system counters are folded in here.
+                cached.stats.record(metrics, prefix="machine")
+                sp.event(
+                    "sim.task",
+                    task=task.label,
+                    cache_hit=True,
+                    resumed=resumed is not None,
+                    wall_s=0.0,
+                    worker=os.getpid(),
+                )
             batch_quarantined: list[QuarantineRecord] = []
             if misses:
                 self._execute(tasks, misses, results, batch_quarantined, sp)
@@ -599,11 +572,8 @@ class SimulationRunner:
     ) -> None:
         results[i] = result
         self.simulated += 1
-        self._cache_store(task, result, wall_s=wall_s)
-        if self._checkpoint is not None:
-            self._checkpoint.record_result(
-                self.task_key(task), task.label, asdict(result)
-            )
+        stores = (self._store, self._checkpoint)
+        self._save(stores, task, self.task_key(task), result, wall_s)
         self._record_miss(task, result, wall_s, worker, sp)
 
     def _note_retry(self, task: SimTask, attempt: int, key: str, sp) -> None:
@@ -648,8 +618,6 @@ class SimulationRunner:
             error=kind,
             attempts=attempts,
         )
-        if self._checkpoint is not None:
-            self._checkpoint.record_quarantine(record)
         sp.event(
             "sim.quarantine",
             task=task.label,
@@ -718,58 +686,40 @@ class SimulationRunner:
         return content_hash(payload)
 
     @staticmethod
-    def _decode_result(body) -> SimResult | None:
-        """Rebuild a SimResult from its JSON form; None on stale schema."""
+    def _load(store: Store | None, key: str) -> SimResult | None:
+        """The result under ``key``; None for none or a stale schema (a
+        stale engine's entries never match: keys fold in the engine)."""
+        if store is None:
+            return None
+        body = store.get(key)
+        if body is None:
+            return None
         try:
             data = dict(body)
             data["stats"] = AccessStats(**data["stats"])
             return SimResult(**data)
         except (KeyError, TypeError, ValueError):
-            return None  # treat as a miss, overwrite below
-
-    def _overlay_load(self, task: SimTask) -> SimResult | None:
-        """A resumed checkpoint result for this task, if any.
-
-        Keys fold in the engine fingerprint, so a checkpoint written by
-        an edited engine simply never matches — stale resumes degrade
-        to plain recomputation instead of wrong numbers.
-        """
-        if not self._overlay:
             return None
-        body = self._overlay.get(self.task_key(task))
-        if body is None:
-            return None
-        return self._decode_result(body)
 
-    def _cache_load(self, task: SimTask) -> SimResult | None:
-        if self._store is None:
-            return None
-        body = self._store.get(self.task_key(task))
-        if body is None:
-            return None
-        return self._decode_result(body)
-
-    def _cache_store(
-        self, task: SimTask, result: SimResult, wall_s: float | None = None
-    ) -> None:
-        if self._store is None:
-            return
-        # The store's directory backend fires the chaos suite's
-        # ``harness.cache.store`` corruption hook after the write and
-        # quarantines corrupt entries on the next read.
-        self._store.put(
-            self.task_key(task),
-            asdict(result),
-            provenance=Provenance.now(
-                op="simulate",
-                inputs={"task": content_hash(task_identity(task))},
-                engine=engine_fingerprint(),
-                machine=task.machine.name,
-                wall_s=round(wall_s, 6) if wall_s is not None else None,
-                extra={"label": task.label},
-            ),
-            label=task.label,
+    @staticmethod
+    def _save(stores, task, key, result, wall_s=None) -> None:
+        """Put ``result`` under ``key`` into every open store in
+        ``stores``, with one provenance record."""
+        body = asdict(result)
+        provenance = Provenance.now(
+            op="simulate",
+            inputs={"task": content_hash(task_identity(task))},
+            engine=engine_fingerprint(),
+            machine=task.machine.name,
+            wall_s=round(wall_s, 6) if wall_s is not None else None,
+            extra={"label": task.label},
         )
+        for store in stores:
+            # A directory store fires the chaos suite's ``<site>.store``
+            # corruption hook after the write and quarantines corrupt
+            # entries on the next read.
+            if store is not None:
+                store.put(key, body, provenance=provenance, label=task.label)
 
 
 _RUNNER = SimulationRunner()
@@ -793,11 +743,12 @@ def interruption_guard(runner: SimulationRunner):
     """SIGINT/SIGTERM handlers that keep an interrupted run resumable.
 
     While the body runs, a delivered SIGINT or SIGTERM first calls
-    :meth:`SimulationRunner.interrupt_flush` — final checkpoint record,
-    clean writer close, final ledger record with the quarantine list —
-    and then resumes the interruption (``KeyboardInterrupt`` for
-    SIGINT, ``SystemExit(128+signum)`` for SIGTERM), so ``--resume``
-    always starts from a complete, untorn checkpoint.
+    :meth:`SimulationRunner.interrupt_flush` — stores closed, final
+    ledger record with the quarantine list — and then resumes the
+    interruption (``KeyboardInterrupt`` for SIGINT,
+    ``SystemExit(128+signum)`` for SIGTERM).  The finished results are
+    already durable store entries, so a re-run (or ``--resume``) picks
+    up where this one stopped.
 
     Installs handlers only on the main thread (the only place Python
     allows it); elsewhere it is a no-op pass-through.  Previous
@@ -812,7 +763,7 @@ def interruption_guard(runner: SimulationRunner):
 
     def _on_signal(signum, frame):
         signame = _sig.Signals(signum).name
-        _LOG.warning("interrupted by %s; flushing checkpoint + ledger", signame)
+        _LOG.warning("interrupted by %s; writing the ledger record", signame)
         try:
             runner.interrupt_flush(signame)
         finally:

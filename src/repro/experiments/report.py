@@ -5,11 +5,14 @@ regenerates the paper-vs-measured record for all tables and figures.
 ``--jobs N`` simulates points on N worker processes; ``--cache-dir``
 points the content-addressed result cache somewhere else (default
 ``.sim-cache/``), and ``--no-cache`` disables it — a warm cache re-runs
-a figure with zero fresh simulations.  ``--trace FILE`` records a
-structured JSONL trace of the whole run (render it with ``repro-uov
-trace-summary FILE``), and the written report always ends with a
-"Telemetry" appendix: per-figure simulation counts, the cache hit rate,
-the slowest simulations, and the vectorization-fallback tally.
+a figure with zero fresh simulations, and a killed run re-run on the
+same cache simulates only what it had not finished.  Without a cache,
+``--checkpoint DIR`` (or a ``*.sqlite`` file) keeps the run's results in
+a store of their own, which ``--resume`` reads back.  ``--trace FILE``
+records a structured JSONL trace of the whole run (render it with
+``repro-uov trace-summary FILE``), and the written report always ends
+with a "Telemetry" appendix: per-figure simulation counts, the cache hit
+rate, the slowest simulations, and the vectorization-fallback tally.
 """
 
 from __future__ import annotations
@@ -349,16 +352,20 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     parser.add_argument(
         "--checkpoint",
         default=None,
-        metavar="FILE",
+        metavar="PATH",
         help=(
-            "JSONL progress checkpoint (default <cache-dir>/checkpoint.jsonl "
-            "when the cache is enabled)"
+            "also store every result in this run-scoped store (a directory"
+            ", or a *.sqlite file), for --resume without a cache"
         ),
     )
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="resume from the checkpoint instead of starting fresh",
+        help=(
+            "replay the results already in --checkpoint instead of "
+            "simulating them (with the cache on, finished results come "
+            "back as cache hits anyway)"
+        ),
     )
     return parser
 
@@ -397,18 +404,7 @@ def run(args: argparse.Namespace, error: Callable[[str], None]) -> int:
         set_runner,
     )
 
-    checkpoint = args.checkpoint
-    if checkpoint is None and not args.no_cache:
-        from repro.store.backend import SQLITE_SUFFIXES
-
-        if str(args.cache_dir).endswith(SQLITE_SUFFIXES):
-            # A sqlite store is one file; keep the checkpoint beside it.
-            checkpoint = str(
-                Path(args.cache_dir).with_suffix(".checkpoint.jsonl")
-            )
-        else:
-            checkpoint = str(Path(args.cache_dir) / "checkpoint.jsonl")
-    if args.resume and checkpoint is None:
+    if args.resume and args.no_cache and args.checkpoint is None:
         error("--resume with --no-cache needs an explicit --checkpoint")
     try:
         runner = SimulationRunner(
@@ -416,11 +412,20 @@ def run(args: argparse.Namespace, error: Callable[[str], None]) -> int:
             cache_dir=None if args.no_cache else args.cache_dir,
             timeout_s=args.timeout,
             retry=args.retries,
-            checkpoint_path=checkpoint,
+            checkpoint_path=args.checkpoint,
             resume=args.resume,
         )
     except OSError as exc:
-        error(f"unusable --cache-dir {args.cache_dir!r}: {exc}")
+        # Name the store that failed.  The runner opens the cache first,
+        # and the error carries the path it failed on: the store's own
+        # or one of its parents.
+        failed, cache = Path(exc.filename or ""), Path(args.cache_dir)
+        flag, path = "--cache-dir", args.cache_dir
+        if args.checkpoint is not None and (
+            args.no_cache or failed not in (cache, *cache.parents)
+        ):
+            flag, path = "--checkpoint", args.checkpoint
+        error(f"unusable {flag} {path!r}: {exc}")
     except ValueError as exc:
         error(str(exc))
     set_runner(runner)
@@ -439,8 +444,8 @@ def run(args: argparse.Namespace, error: Callable[[str], None]) -> int:
         obs.configure_ledger(args.ledger)
     t0 = time.time()
     try:
-        # SIGINT/SIGTERM mid-run: flush the checkpoint and write a final
-        # ledger record before dying, so --resume loses nothing.
+        # SIGINT/SIGTERM mid-run: close the stores and write a final
+        # ledger record before dying.
         with interruption_guard(runner), obs.span(
             "report.run_all", mode=args.mode
         ):

@@ -44,7 +44,6 @@ from repro.machine.hierarchy import AccessStats, MemoryHierarchy
 __all__ = [
     "KERNEL_SOURCE",
     "KernelHierarchy",
-    "KernelUnavailable",
     "UnsupportedTrace",
     "load_kernel",
     "reset_kernel_cache",
@@ -259,16 +258,6 @@ void hier_stats(const hier_t *h, int64_t *out) {
 """
 
 
-class KernelUnavailable(RuntimeError):
-    """The kernel cannot be built or loaded; ``reason`` is one of
-    ``no-toolchain``, ``compile-failed``, ``load-failed``."""
-
-    def __init__(self, reason: str, detail: str):
-        super().__init__(f"{reason}: {detail}")
-        self.reason = reason
-        self.detail = detail
-
-
 class UnsupportedTrace(ValueError):
     """A block the kernel refuses (negative line, or a page number too
     large for its page arrays); the oracle handles any trace."""
@@ -286,54 +275,33 @@ def reset_kernel_cache() -> None:
 def load_kernel() -> ctypes.CDLL:
     """The compiled kernel for the current toolchain.
 
-    Compiles on first use into the shared ``.so`` cache.  An object that
-    fails to load is quarantined and rebuilt once.  Raises
-    :class:`KernelUnavailable`; success and failure are both memoised
-    per toolchain fingerprint, so flipping ``REPRO_CC`` (and resetting
-    the toolchain probe) is seen at once and a failed compile is not
-    retried on every simulation.
+    Compiles on first use into the shared ``.so`` cache through
+    :func:`repro.codegen.build.load_library` (an object that fails to
+    load is quarantined and rebuilt once).  Raises
+    :class:`~repro.codegen.build.NativeUnavailable`; success and failure
+    are both memoised per toolchain fingerprint, so flipping
+    ``REPRO_CC`` (and resetting the toolchain probe) is seen at once and
+    a failed compile is not retried on every simulation.
     """
-    from repro.codegen.build import discover_toolchain
+    from repro.codegen.build import (
+        NativeUnavailable,
+        discover_toolchain,
+        load_library,
+    )
 
     toolchain = discover_toolchain()
     key = toolchain.fingerprint if toolchain is not None else "none"
     if key not in _LOADED:
         try:
-            _LOADED[key] = _build(toolchain)
-        except KernelUnavailable as exc:
+            _LOADED[key] = load_library(
+                KERNEL_SOURCE, _bind, label="hierarchy-kernel"
+            )
+        except NativeUnavailable as exc:
             _LOADED[key] = exc
     found = _LOADED[key]
-    if isinstance(found, KernelUnavailable):
+    if isinstance(found, NativeUnavailable):
         raise found
     return found  # type: ignore[return-value]
-
-
-def _build(toolchain) -> ctypes.CDLL:
-    from repro.codegen.build import CompileError, compile_so, quarantine_so
-
-    if toolchain is None:
-        raise KernelUnavailable(
-            "no-toolchain", "no C compiler on PATH (or REPRO_CC=none)"
-        )
-
-    def compile_():
-        try:
-            return compile_so(
-                KERNEL_SOURCE, toolchain=toolchain, label="hierarchy-kernel"
-            )
-        except (CompileError, OSError) as exc:
-            raise KernelUnavailable("compile-failed", str(exc)) from exc
-
-    so_path = compile_()
-    try:
-        return _bind(ctypes.CDLL(str(so_path)))
-    except (OSError, AttributeError) as exc:
-        quarantine_so(so_path, f"unloadable: {exc}")
-    so_path = compile_()
-    try:
-        return _bind(ctypes.CDLL(str(so_path)))
-    except (OSError, AttributeError) as exc:
-        raise KernelUnavailable("load-failed", str(exc)) from exc
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:

@@ -78,7 +78,9 @@ def _dependence_payload(ctx) -> dict:
 def _dependence_run(ctx) -> DependenceArtifact:
     from repro.analysis.legality import check_uov_applicability
 
-    report = check_uov_applicability(ctx.code.program, sizes=ctx.sizes)
+    # Unsized: the stage key does not cover the sizes.  The sized region
+    # check runs in the lint ``applicability`` pass, whose key does.
+    report = check_uov_applicability(ctx.code.program)
     stencil = ctx.code.stencil
     return DependenceArtifact(
         distances=[list(v) for v in stencil.vectors],
@@ -185,6 +187,8 @@ def _mapping_payload(ctx) -> dict:
 
 
 def _mapping_run(ctx) -> MappingArtifact:
+    # The first stage keyed by the sizes: an empty box fails here.
+    ctx.code.program.loop.concrete_bounds(ctx.sizes)
     mapping = ctx.subject.mapping(ctx.sizes)
     natural = ctx.family["natural"].mapping(ctx.sizes)
     return MappingArtifact(

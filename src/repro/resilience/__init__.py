@@ -1,4 +1,4 @@
-"""``repro.resilience`` — budgets, retries, checkpoints, fault injection.
+"""``repro.resilience`` — budgets, retries, quarantine, fault injection.
 
 The cross-cutting robustness layer (DESIGN.md §12).  Four pillars:
 
@@ -10,10 +10,10 @@ The cross-cutting robustness layer (DESIGN.md §12).  Four pillars:
 - **Retries** (:mod:`repro.resilience.retry`): bounded
   :class:`RetryPolicy` with exponential backoff and deterministic
   jitter.
-- **Checkpoints & quarantine** (:mod:`repro.resilience.checkpoint`,
-  :mod:`repro.resilience.quarantine`): JSONL run checkpoints so a
-  killed run resumes with zero redundant work; poisoned tasks are
-  recorded, not fatal.
+- **Quarantine** (:mod:`repro.resilience.quarantine`): poisoned tasks
+  are recorded, not fatal.  (A killed run resumes from the result
+  store itself: every finished simulation is an atomic store entry;
+  see :mod:`repro.experiments.harness`.)
 - **Fault injection** (:mod:`repro.resilience.faults`): a
   deterministic, seedable :class:`FaultPlan` (env/CLI-armed, inherited
   by worker processes) that proves every recovery path in the chaos
@@ -33,11 +33,6 @@ from repro.resilience.budget import (
     record_degradation,
     rss_mb,
 )
-from repro.resilience.checkpoint import (
-    Checkpoint,
-    CheckpointWriter,
-    load_checkpoint,
-)
 from repro.resilience.faults import (
     FaultPlan,
     FaultRule,
@@ -56,8 +51,6 @@ from repro.resilience.retry import RetryPolicy
 __all__ = [
     "Budget",
     "BudgetMeter",
-    "Checkpoint",
-    "CheckpointWriter",
     "Degradation",
     "FaultPlan",
     "FaultRule",
@@ -68,7 +61,6 @@ __all__ = [
     "RetryPolicy",
     "active_plan",
     "install_plan",
-    "load_checkpoint",
     "maybe_corrupt",
     "maybe_fault",
     "record_degradation",

@@ -4,16 +4,16 @@ When a task exhausts its retries (crash, timeout, or repeated
 exceptions) the harness does not lose the run — it files a
 :class:`QuarantineRecord` carrying the complete task identity (code,
 mapping/version, sizes, seed, machine), the failure class, and the
-attempt history, then moves on.  The record travels everywhere the
-result would have: the checkpoint file, the runner telemetry, the obs
-metrics (``resilience.quarantines``), and — when the caller asked for
-strict semantics — the raised error's message.
+attempt history, then moves on.  The record travels to the runner
+telemetry (and from there the report's Telemetry appendix), the obs
+metrics (``resilience.quarantines``), the run ledger's ``interrupted``
+record, and — when the caller asked for strict semantics — the raised
+error's message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 __all__ = ["QuarantineRecord"]
 
@@ -43,17 +43,6 @@ class QuarantineRecord:
             "attempts": self.attempts,
             "history": list(self.history),
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "QuarantineRecord":
-        return cls(
-            site=data["site"],
-            identity=dict(data["identity"]),
-            error=data["error"],
-            message=data["message"],
-            attempts=data["attempts"],
-            history=tuple(data.get("history", ())),
-        )
 
     def __str__(self) -> str:
         return (

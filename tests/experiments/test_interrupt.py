@@ -7,12 +7,9 @@ import pytest
 
 from repro import obs
 from repro.codes import get_version
-from repro.experiments.harness import (
-    SimulationRunner,
-    interruption_guard,
-    load_checkpoint,
-)
+from repro.experiments.harness import SimulationRunner, interruption_guard
 from repro.machine.configs import PENTIUM_PRO
+from repro.store.core import Store
 
 SIZES = {"T": 6, "L": 24}
 MACHINE = PENTIUM_PRO.scaled(64)
@@ -32,7 +29,7 @@ def version():
 
 def make_runner(tmp_path, **kwargs):
     return SimulationRunner(
-        checkpoint_path=tmp_path / "run.jsonl",
+        checkpoint_path=tmp_path / "run",
         cache_dir=tmp_path / "cache",
         **kwargs,
     )
@@ -52,17 +49,6 @@ class TestSignalFlush:
             with interruption_guard(runner):
                 os.kill(os.getpid(), signal.SIGTERM)
         assert excinfo.value.code == 128 + signal.SIGTERM
-
-        # The checkpoint carries the completed result *and* the final
-        # interrupt stamp; unknown record types stay resume-compatible.
-        lines = [
-            __import__("json").loads(line)
-            for line in (tmp_path / "run.jsonl").read_text().splitlines()
-        ]
-        interrupts = [r for r in lines if r.get("type") == "interrupt"]
-        assert len(interrupts) == 1
-        assert interrupts[0]["signal"] == "SIGTERM"
-        assert interrupts[0]["simulated"] == 1
 
         from repro.obs.ledger import read_entries
 
@@ -85,8 +71,6 @@ class TestSignalFlush:
                 os.kill(os.getpid(), signal.SIGINT)
         counters = obs.get_metrics().snapshot()["counters"]
         assert counters["resilience.interrupts"] == 1
-        checkpoint = (tmp_path / "run.jsonl").read_text()
-        assert '"type": "interrupt"' in checkpoint or "interrupt" in checkpoint
 
     def test_interrupted_checkpoint_resumes_with_zero_resimulation(
         self, tmp_path, version
@@ -97,13 +81,13 @@ class TestSignalFlush:
             with interruption_guard(runner):
                 os.kill(os.getpid(), signal.SIGTERM)
 
-        # The interrupt record does not confuse the loader...
-        checkpoint = load_checkpoint(tmp_path / "run.jsonl")
-        assert len(checkpoint.results) == 1
-        # ...and a resumed runner replays the result without simulating,
-        # even with the result cache pointed elsewhere.
+        # The checkpoint holds the completed result...
+        with Store.open(tmp_path / "run") as checkpoint:
+            assert len(checkpoint.keys()) == 1
+        # ...and a resumed runner replays it without simulating, even
+        # with the result cache pointed elsewhere.
         resumed = SimulationRunner(
-            checkpoint_path=tmp_path / "run.jsonl",
+            checkpoint_path=tmp_path / "run",
             cache_dir=tmp_path / "cache2",
             resume=True,
         )

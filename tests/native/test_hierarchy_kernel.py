@@ -18,7 +18,12 @@ import pytest
 
 from repro import obs
 from repro.codegen import build as build_mod
-from repro.codegen.build import compile_so, discover_toolchain, reset_toolchain_cache
+from repro.codegen.build import (
+    NativeUnavailable,
+    compile_so,
+    discover_toolchain,
+    reset_toolchain_cache,
+)
 from repro.codes import get_versions
 from repro.execution import simulator as simulator_mod
 from repro.execution.simulator import simulate
@@ -29,7 +34,6 @@ from repro.machine.hierarchy import MemoryHierarchy
 from repro.machine.hierarchy_kernel import (
     KERNEL_SOURCE,
     KernelHierarchy,
-    KernelUnavailable,
     UnsupportedTrace,
     load_kernel,
     reset_kernel_cache,
@@ -258,7 +262,7 @@ class TestFallbackLadder:
         machine = ULTRA_2.scaled(64)
         degraded = _counter("resilience.degradations.no-toolchain")
         python_runs = _counter("simulate.hierarchy.python")
-        with pytest.raises(KernelUnavailable, match="no-toolchain"):
+        with pytest.raises(NativeUnavailable, match="no-toolchain"):
             load_kernel()
         got = simulate(version, sizes, machine, seed=4, passes=2)
         assert _counter("resilience.degradations.no-toolchain") == degraded + 1
@@ -299,7 +303,7 @@ class TestFallbackLadder:
         reset_kernel_cache()
         try:
             before = _counter("resilience.degradations.compile-failed")
-            with pytest.raises(KernelUnavailable, match="compile-failed"):
+            with pytest.raises(NativeUnavailable, match="compile-failed"):
                 load_kernel()
             result = simulate(version, SIZES["stencil5"], machine)
             after = _counter("resilience.degradations.compile-failed")

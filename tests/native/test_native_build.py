@@ -137,6 +137,18 @@ class TestDegradation:
         reference = execute(version, SIZES)
         assert np.array_equal(result.storage, reference.storage)
 
+    def test_no_toolchain_is_reported_before_a_codegen_gap(
+        self, no_toolchain, monkeypatch
+    ):
+        from repro.codegen import c_gen
+
+        def unsupported(*args, **kwargs):
+            raise NotImplementedError("synthetic codegen gap")
+
+        monkeypatch.setattr(c_gen, "generate_c", unsupported)
+        result = execute_native(make_stencil5()["ov"], SIZES)
+        assert result.degradation.reason == "no-toolchain"
+
     def test_no_toolchain_fallback_false_raises(self, no_toolchain):
         with pytest.raises(ValueError, match="no-toolchain"):
             execute_native(make_stencil5()["ov"], SIZES, fallback=False)

@@ -69,6 +69,29 @@ class TestCompile:
         with pytest.raises(ValueError, match="size symbol"):
             compile_spec(spec, sizes={"T": 4}, cache=ArtifactCache())
 
+    def test_dependence_stage_does_no_sized_work(self, monkeypatch):
+        # Its key does not cover the sizes, so neither may its work: the
+        # sized region analysis belongs to the lint pass alone.
+        import repro.analysis.regions as regions
+
+        def sized(*args, **kwargs):
+            raise AssertionError("region analysis ran outside lint")
+
+        monkeypatch.setattr(regions, "analyse_regions", sized)
+        result = compile_spec(
+            get_spec("stencil5"), execute=False, cache=ArtifactCache()
+        )
+        assert result.artifact("dependence").ok
+
+    def test_empty_box_is_a_value_error(self):
+        with pytest.raises(ValueError, match="empty loop range"):
+            compile_spec(
+                get_spec("stencil5"),
+                sizes={"T": 0, "L": 8},
+                execute=False,
+                cache=ArtifactCache(),
+            )
+
 
 class TestCaching:
     def test_unchanged_spec_hits_every_stage(self):

@@ -1,8 +1,4 @@
-"""JSONL checkpointing: a killed run resumes with zero redundant work."""
-
-import json
-
-import pytest
+"""Checkpoint stores: a killed run resumes with zero redundant work."""
 
 from repro.codes import get_version
 from repro.experiments.harness import (
@@ -11,12 +7,7 @@ from repro.experiments.harness import (
     engine_fingerprint,
 )
 from repro.machine.configs import PENTIUM_PRO
-from repro.resilience.checkpoint import (
-    Checkpoint,
-    CheckpointWriter,
-    load_checkpoint,
-)
-from repro.resilience.quarantine import QuarantineRecord
+from repro.store.core import Store
 
 MACHINE = PENTIUM_PRO.scaled(64)
 
@@ -29,63 +20,15 @@ def make_tasks(lengths=(8, 12, 16)):
     ]
 
 
-class TestCheckpointFile:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        with CheckpointWriter(path, meta={"engine": "abc"}) as writer:
-            writer.record_result("k1", "task one", {"cycles": 1})
-            writer.record_result("k2", "task two", {"cycles": 2})
-            writer.record_quarantine(
-                QuarantineRecord(
-                    site="harness.worker",
-                    identity={"code": "x"},
-                    error="crash",
-                    message="boom",
-                    attempts=3,
-                )
-            )
-        loaded = load_checkpoint(path)
-        assert loaded.meta["engine"] == "abc"
-        assert loaded.results == {"k1": {"cycles": 1}, "k2": {"cycles": 2}}
-        (q,) = loaded.quarantines
-        assert q.error == "crash" and q.attempts == 3
-
-    def test_missing_file_is_empty(self, tmp_path):
-        checkpoint = load_checkpoint(tmp_path / "absent.jsonl")
-        assert isinstance(checkpoint, Checkpoint) and len(checkpoint) == 0
-
-    def test_torn_final_line_is_tolerated(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        with CheckpointWriter(path) as writer:
-            writer.record_result("k1", "one", {"v": 1})
-        with open(path, "a") as fh:
-            fh.write('{"type": "result", "key": "k2", "res')  # SIGKILL here
-        loaded = load_checkpoint(path)
-        assert loaded.results == {"k1": {"v": 1}}
-
-    def test_bad_json_mid_file_raises(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        path.write_text('{"type": "meta"}\n{broken\n{"type": "result"}\n')
-        with pytest.raises(ValueError, match="line 2"):
-            load_checkpoint(path)
-
-    def test_appending_does_not_duplicate_meta(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        CheckpointWriter(path, meta={"engine": "x"}).close()
-        CheckpointWriter(path, meta={"engine": "x"}).close()
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert sum(r["type"] == "meta" for r in rows) == 1
-
-
 class TestResume:
     def test_interrupted_run_resumes_with_zero_redundant_sims(self, tmp_path):
-        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt = tmp_path / "ckpt"
         tasks = make_tasks()
 
         # "Interrupted" run: only the first two tasks completed.
         partial = SimulationRunner(checkpoint_path=ckpt)
         first = partial.run_tasks(tasks[:2])
-        partial.close()  # the kill; the JSONL survives
+        partial.close()  # the kill; the store survives
 
         resumed = SimulationRunner(checkpoint_path=ckpt, resume=True)
         full = resumed.run_tasks(tasks)
@@ -95,7 +38,7 @@ class TestResume:
         assert full[:2] == first
 
     def test_full_resume_simulates_nothing(self, tmp_path):
-        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt = tmp_path / "ckpt.sqlite"
         tasks = make_tasks()
         writer = SimulationRunner(checkpoint_path=ckpt)
         baseline = writer.run_tasks(tasks)
@@ -110,7 +53,7 @@ class TestResume:
 
     def test_resume_works_without_a_result_cache(self, tmp_path):
         # --no-cache --checkpoint: the CI chaos smoke relies on this.
-        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt = tmp_path / "ckpt"
         tasks = make_tasks()
         writer = SimulationRunner(cache_dir=None, checkpoint_path=ckpt)
         writer.run_tasks(tasks)
@@ -122,7 +65,7 @@ class TestResume:
         assert resumed.simulated == 0 and resumed.resumed == len(tasks)
 
     def test_fresh_run_discards_stale_checkpoint(self, tmp_path):
-        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt = tmp_path / "ckpt"
         tasks = make_tasks(lengths=(8,))
         writer = SimulationRunner(checkpoint_path=ckpt)
         writer.run_tasks(tasks)
@@ -134,12 +77,11 @@ class TestResume:
         assert fresh.simulated == 1 and fresh.resumed == 0
 
     def test_stale_engine_checkpoint_contributes_nothing(self, tmp_path):
-        ckpt = tmp_path / "ckpt.jsonl"
+        ckpt = tmp_path / "ckpt"
         (task,) = make_tasks(lengths=(8,))
-        with CheckpointWriter(ckpt, meta={"engine": "stale"}) as writer:
-            writer.record_result(
-                "0" * 64, task.label, {"cycles": -1}  # key of a dead engine
-            )
+        with Store.open(ckpt) as store:
+            # A dead engine's key: the task's key folds in the engine.
+            store.put("0" * 64, {"cycles": -1}, label=task.label)
         resumed = SimulationRunner(checkpoint_path=ckpt, resume=True)
         (result,) = resumed.run_tasks([task])
         resumed.close()
@@ -147,31 +89,29 @@ class TestResume:
         assert result.cycles_per_iteration > 0
 
     def test_resume_after_torn_line_still_works(self, tmp_path):
-        ckpt = tmp_path / "ckpt.jsonl"
+        # A corrupt checkpoint entry is quarantined and recomputed; the
+        # intact ones still resume.
+        ckpt = tmp_path / "ckpt"
         tasks = make_tasks(lengths=(8, 12))
         writer = SimulationRunner(checkpoint_path=ckpt)
-        writer.run_tasks(tasks)
+        baseline = writer.run_tasks(tasks)
         writer.close()
-        with open(ckpt, "a") as fh:
-            fh.write('{"type": "result", "key"')  # torn by the kill
+        entry = ckpt / f"{writer.task_key(tasks[1])}.json"
+        entry.write_text(entry.read_text()[:40])
         resumed = SimulationRunner(checkpoint_path=ckpt, resume=True)
-        resumed.run_tasks(tasks)
-        assert resumed.simulated == 0 and resumed.resumed == 2
+        replayed = resumed.run_tasks(tasks)
+        resumed.close()
+        assert resumed.simulated == 1 and resumed.resumed == 1
+        assert replayed == baseline
 
     def test_checkpoint_meta_records_engine(self, tmp_path):
-        ckpt = tmp_path / "ckpt.jsonl"
+        # Each entry's provenance records the engine that computed it.
+        ckpt = tmp_path / "ckpt"
+        tasks = make_tasks(lengths=(8, 12))
         runner = SimulationRunner(checkpoint_path=ckpt)
-        runner.run_tasks(make_tasks(lengths=(8,)))
+        runner.run_tasks(tasks)
         runner.close()
-        assert load_checkpoint(ckpt).meta["engine"] == engine_fingerprint()
-
-    def test_quarantines_reach_the_checkpoint(self, tmp_path):
-        from repro.resilience.faults import FaultPlan, install_plan
-
-        ckpt = tmp_path / "ckpt.jsonl"
-        install_plan(FaultPlan.from_spec("harness.worker:crash:times=10"))
-        runner = SimulationRunner(checkpoint_path=ckpt)
-        runner.run_tasks(make_tasks(lengths=(8,)), strict=False)
-        runner.close()
-        (record,) = load_checkpoint(ckpt).quarantines
-        assert record.identity["code"] == "stencil5"
+        with Store.open(ckpt) as store:
+            records = [store.provenance(runner.task_key(t)) for t in tasks]
+        assert [r.engine for r in records] == [engine_fingerprint()] * 2
+        assert {r.op for r in records} == {"simulate"}

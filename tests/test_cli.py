@@ -458,3 +458,50 @@ class TestExperiments:
         assert runner.retry.retries == 4
         assert runner.cache_dir is None and runner.checkpoint_path is None
         assert f"wrote {out}: 0/0 claims hold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_unusable_checkpoint_names_its_flag(self, tmp_path, capsys, cache):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        bad = blocker / "checkpoint"
+        argv = ["experiments", "--out", str(tmp_path / "E.md")]
+        argv += (
+            ["--cache-dir", str(tmp_path / "cache")] if cache else ["--no-cache"]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--checkpoint", str(bad)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]  # past the usage
+        assert "--checkpoint" in err and str(bad) in err
+        assert "--cache-dir" not in err
+
+    def test_unusable_cache_dir_names_its_flag(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        bad = blocker / "cache"
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "experiments", "--out", str(tmp_path / "E.md"),
+                "--cache-dir", str(bad),
+                "--checkpoint", str(tmp_path / "checkpoint"),
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "--cache-dir" in err and str(bad) in err
+        assert "--checkpoint" not in err
+
+    def test_resume_needs_a_checkpoint_only_without_a_cache(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        from repro.experiments import harness, report
+
+        monkeypatch.setattr(report, "run_all", lambda mode: [])
+        monkeypatch.setattr(report, "write_report", lambda *a, **k: None)
+        monkeypatch.setattr(harness, "_RUNNER", harness.get_runner())
+        out = ["--out", str(tmp_path / "E.md")]
+        cached = ["--cache-dir", str(tmp_path / "cache"), "--resume"]
+        assert main(["experiments", *out, *cached]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiments", *out, "--no-cache", "--resume"])
+        assert excinfo.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err
