@@ -74,7 +74,8 @@ def simulate(
     ``passes > 1`` replays the trace and reports only the *last* pass's
     stalls: the steady-state measurement the paper's in-cache overhead
     figures (7 and 8) need, where compulsory misses on a problem that fits
-    in cache would otherwise dominate a single short run.
+    in cache would otherwise dominate a single short run.  The trace is
+    built once and its blocks kept for the replays.
     """
     code = version.code
     iterations = code.iteration_count(sizes)
@@ -90,19 +91,20 @@ def simulate(
         sizes=dict(sizes),
         passes=passes,
     ) as sp:
+        ctx = code.make_context(sizes, seed)
         oracle = machine.build_hierarchy()
         ran, played = "kernel", None
         kernel = _kernel_for(oracle)
         if kernel is not None:
             try:
                 played = _play(kernel, kernel.feed, version, sizes, machine,
-                               seed, passes)
+                               ctx, passes)
             except UnsupportedTrace as exc:
                 _degrade("unsupported-trace", str(exc))
         if played is None:
             ran = "python"
             played = _play(oracle, _python_feed(oracle), version, sizes,
-                           machine, seed, passes)
+                           machine, ctx, passes)
         stats, trace_s, hierarchy_s = played
         sp.set(
             iterations=iterations,
@@ -118,9 +120,7 @@ def simulate(
     metrics.counter("simulate.iterations").inc(iterations)
     stats.record(metrics, prefix="machine")
 
-    ctx = code.make_context(sizes, seed)
-    bounds = code.bounds(sizes)
-    q0 = tuple(lo for lo, _ in bounds)
+    q0 = tuple(lo for lo, _ in code.bounds(sizes))
     loads = len(code.source_distances) + len(code.extra_read_offsets(q0, ctx))
     compute: IterationCost = machine.cost.iteration_cost(
         flops=code.flops,
@@ -177,29 +177,37 @@ def _python_feed(hierarchy):
     return feed
 
 
-def _play(hierarchy, feed, version, sizes, machine, seed, passes):
-    """Feed ``passes`` traces through ``hierarchy``, block by block.
+def _play(hierarchy, feed, version, sizes, machine, ctx, passes):
+    """Feed ``passes`` runs of the trace through ``hierarchy``.
 
     Returns ``(stats, trace_s, hierarchy_s)``: only the last pass's
     stalls count, and the wall time splits into making blocks and
-    feeding them.
+    feeding them.  The first pass builds the blocks; with ``passes > 1``
+    it keeps them, and the later passes replay them.
     """
+    kept: list | None = [] if passes > 1 else None
     trace_s = hierarchy_s = 0.0
+    t0 = time.perf_counter()
+    for block in line_blocks(
+        version, sizes, machine.l1.line_bytes, ctx=ctx
+    ):
+        t1 = time.perf_counter()
+        feed(block)
+        t2 = time.perf_counter()
+        trace_s += t1 - t0
+        hierarchy_s += t2 - t1
+        t0 = t2
+        if kept is not None:
+            kept.append(block)
+    trace_s += time.perf_counter() - t0
     before = 0
-    for done in range(passes):
+    for done in range(1, passes):
         if done == passes - 1:
             before = hierarchy.stall_cycles
-        t0 = time.perf_counter()
-        for block in line_blocks(
-            version, sizes, machine.l1.line_bytes, seed=seed
-        ):
-            t1 = time.perf_counter()
+        t1 = time.perf_counter()
+        for block in kept:
             feed(block)
-            t2 = time.perf_counter()
-            trace_s += t1 - t0
-            hierarchy_s += t2 - t1
-            t0 = t2
-        trace_s += time.perf_counter() - t0
+        hierarchy_s += time.perf_counter() - t1
     stats = hierarchy.stats()
     stats = replace(stats, stall_cycles=stats.stall_cycles - before)
     return stats, trace_s, hierarchy_s

@@ -15,13 +15,28 @@ any LRU order beyond its first access) and shrinks unit-stride stencil
 traces several-fold before they reach the simulator.
 
 Two paths produce the same sequence.  The *array path*
-(:func:`line_blocks`) computes the addresses of a block of up to
-:data:`BLOCK_POINTS` iteration points at once with NumPy and yields
-int64 arrays; it needs only the code's batch address hooks, because a
-trace needs the schedule's order, not dependence-free batches.  The
-*scalar walk* visits one point at a time; it is the oracle the array
-path is tested against, and the only path for codes without batch
-address hooks.  :func:`line_trace` yields Python ints from either.
+(:func:`line_blocks`) builds each block of up to :data:`BLOCK_POINTS`
+iteration points from geometry and integer arithmetic alone, and yields
+int64 arrays:
+
+- the points come from ``Schedule.order_blocks``, which the shipped
+  schedule families compute from their loop and tile geometry (a trace
+  needs the order only, not the vectorized engine's dependence-free
+  ``batches``);
+- every reference's address comes from one decomposition of the storage
+  mapping, ``a.q + c + sum_j k_j*((b_j.q + e_j) mod g_j``)
+  (:func:`~repro.mapping.expr.affine_mod_form`), evaluated once per
+  block — a source at distance ``d`` is the same terms shifted by the
+  constants ``a.d`` and ``b_j.d``;
+- a producer ``q - d`` can leave the box only through the non-zero
+  components of ``d``, so the few rows that read the input region are
+  found by index and overwritten from the code's ``input_offsets_batch``.
+
+The *scalar walk* visits one point at a time through ``order`` and the
+compiled mapping; it is the oracle the array path is tested against,
+and the only path for codes without batch address hooks or mappings
+without the decomposed form.  :func:`line_trace` yields Python ints from
+either.
 """
 
 from __future__ import annotations
@@ -33,6 +48,7 @@ from typing import Iterator, Mapping, Optional
 import numpy as np
 
 from repro.codes.base import CodeVersion, Context
+from repro.mapping.expr import AffineModForm, affine_mod_form
 
 __all__ = [
     "BLOCK_POINTS",
@@ -95,24 +111,27 @@ def line_trace(
     """Yield the line-granular address trace of one full run.
 
     A flattening wrapper over the array path of :func:`line_blocks` when
-    the code carries batch address hooks; the emitted sequence is the
-    scalar walk's either way (the trace tests assert it).  ``batched``
+    the version has one (batch address hooks on the code, the affine-mod
+    form on the mapping); the emitted sequence is the scalar walk's
+    either way (the trace tests assert it).  ``batched``
     forces the array path on (``True``, raising if unavailable), off
     (``False``, the scalar walk), or picks automatically (``None``).
     """
     if ctx is None:
         ctx = version.code.make_context(sizes, seed)
     if batched is not False:
-        if _has_array_path(version.code, sizes, ctx):
+        form = _array_form(version, sizes, ctx)
+        if form is not None:
             for block in _array_blocks(
-                version, sizes, line_bytes, collapse, ctx
+                version, sizes, line_bytes, collapse, ctx, form
             ):
                 yield from block.tolist()
             return
         if batched is True:
             raise ValueError(
-                f"no batched trace path for {version} "
-                f"(code {version.code.name} has no batch address hooks)"
+                f"no batched trace path for {version} (code "
+                f"{version.code.name} has no batch address hooks, or its "
+                f"mapping no affine-mod form)"
             )
     yield from _scalar_walk(version, sizes, line_bytes, collapse, ctx)
 
@@ -129,26 +148,38 @@ def line_blocks(
 
     Concatenating the blocks gives exactly ``list(line_trace(...))``;
     collapsing carries the last line over block boundaries.  Codes
-    without batch address hooks get the scalar walk, chunked.
+    without batch address hooks, and mappings without the affine-mod
+    form, get the scalar walk, chunked.
     """
     if ctx is None:
         ctx = version.code.make_context(sizes, seed)
-    if _has_array_path(version.code, sizes, ctx):
-        return _array_blocks(version, sizes, line_bytes, collapse, ctx)
+    form = _array_form(version, sizes, ctx)
+    if form is not None:
+        return _array_blocks(version, sizes, line_bytes, collapse, ctx, form)
     return _chunked(
         _scalar_walk(version, sizes, line_bytes, collapse, ctx)
     )
 
 
-def _has_array_path(code, sizes, ctx) -> bool:
-    """Whether the code can compute a block of addresses at once."""
+def _array_form(version, sizes, ctx) -> Optional[AffineModForm]:
+    """The mapping's affine-mod form when the array path can trace this
+    version, else ``None``: the code must compute a block's input and
+    extra-read offsets at once, and the mapping must decompose."""
+    code = version.code
     if code.input_offsets_batch is None:
-        return False
+        return None
     q0 = tuple(lo for lo, _ in code.bounds(sizes))
-    return (
-        not code.extra_read_offsets(q0, ctx)
-        or code.extra_read_offsets_batch is not None
-    )
+    if (
+        code.extra_read_offsets(q0, ctx)
+        and code.extra_read_offsets_batch is None
+    ):
+        return None
+    mapping = version.mapping(sizes)
+    names = [f"q{k}" for k in range(mapping.dim)]
+    try:
+        return affine_mod_form(mapping.expression(names), names)
+    except ValueError:
+        return None
 
 
 def _chunked(lines: Iterator[int]) -> Iterator[np.ndarray]:
@@ -200,41 +231,8 @@ def _scalar_walk(version, sizes, line_bytes, collapse, ctx) -> Iterator[int]:
             last = line
 
 
-def _point_blocks(schedule, bounds, stencil) -> Iterator[np.ndarray]:
-    """The schedule's points in execution order, as ``(n, dim)`` int64
-    blocks of at most :data:`BLOCK_POINTS` points.
-
-    Regroups ``schedule.batches`` when the schedule has them (only the
-    order matters here, not their independence); otherwise chunks
-    ``schedule.order``.
-    """
-    batches = schedule.batches(bounds, stencil)
-    if batches is None:
-        dim = len(bounds)
-        coords = itertools.chain.from_iterable(schedule.order(bounds))
-        while True:
-            flat = np.fromiter(
-                itertools.islice(coords, BLOCK_POINTS * dim), dtype=np.int64
-            )
-            if not flat.size:
-                return
-            yield flat.reshape(-1, dim)
-    pending: list[np.ndarray] = []
-    held = 0
-    for batch in batches:
-        pending.append(batch)
-        held += len(batch)
-        if held >= BLOCK_POINTS:
-            block = np.concatenate(pending)
-            for start in range(0, held, BLOCK_POINTS):
-                yield block[start : start + BLOCK_POINTS]
-            pending, held = [], 0
-    if pending:
-        yield np.concatenate(pending)
-
-
 def _array_blocks(
-    version, sizes, line_bytes, collapse, ctx
+    version, sizes, line_bytes, collapse, ctx, form
 ) -> Iterator[np.ndarray]:
     """Array twin of the scalar walk: same line sequence, block math.
 
@@ -247,59 +245,169 @@ def _array_blocks(
     code = version.code
     layout = TraceLayout.for_version(version, sizes)
     bounds = code.bounds(sizes)
-    mapping_fn = version.mapping(sizes).compiled()
     distances = code.source_distances
     lows = tuple(lo for lo, _ in bounds)
     highs = tuple(hi for _, hi in bounds)
-    sbase, ibase, tbase = (
-        layout.storage_base,
-        layout.input_base,
-        layout.table_base,
-    )
     n_extras = len(code.extra_read_offsets(lows, ctx))
     refs = len(distances) + n_extras + 1
+    here = (0,) * len(bounds)
+    storage = _AddressForm(
+        form, ELEMENT_BYTES, layout.storage_base, (*distances, here)
+    )
+    ibase, tbase = layout.input_base, layout.table_base
+    if line_bytes & (line_bytes - 1):
+        to_lines = np.floor_divide
+        divisor = line_bytes
+    else:  # a power of two: the shift floors exactly as division does
+        to_lines = np.right_shift
+        divisor = line_bytes.bit_length() - 1
 
     last = -1
-    for points in _point_blocks(version.schedule(sizes), bounds, code.stencil):
+    for points in version.schedule(sizes).order_blocks(bounds, BLOCK_POINTS):
         n = points.shape[0]
-        cols = tuple(points[:, k] for k in range(len(bounds)))
+        cols = tuple(points[:, k] for k in range(points.shape[1]))
+        fill = storage.evaluator(cols)
+        leaves = _Exits(cols, lows, highs)
         addrs = np.empty((n, refs), dtype=np.int64)
         for col, d in enumerate(distances):
-            pcols = tuple(c - dk for c, dk in zip(cols, d))
-            inside = np.ones(n, dtype=bool)
-            for pc, lo, hi in zip(pcols, lows, highs):
-                inside &= (pc >= lo) & (pc <= hi)
-            if inside.all():
-                addrs[:, col] = sbase + ELEMENT_BYTES * np.asarray(
-                    mapping_fn(*pcols)
-                )
+            fill(d, out=addrs[:, col])
+            outside = leaves(d)
+            if outside is None:
                 continue
-            ins = tuple(pc[inside] for pc in pcols)
-            if inside.any():
-                addrs[inside, col] = sbase + ELEMENT_BYTES * np.asarray(
-                    mapping_fn(*ins)
+            rows = np.flatnonzero(outside)
+            if rows.size:
+                producers = tuple(c[rows] - dk for c, dk in zip(cols, d))
+                addrs[rows, col] = ibase + ELEMENT_BYTES * np.asarray(
+                    code.input_offsets_batch(producers, sizes)
                 )
-            outside = ~inside
-            outs = tuple(pc[outside] for pc in pcols)
-            addrs[outside, col] = ibase + ELEMENT_BYTES * np.asarray(
-                code.input_offsets_batch(outs, sizes)
-            )
         if n_extras:
             offs = np.asarray(code.extra_read_offsets_batch(cols, ctx))
             addrs[:, len(distances) : len(distances) + n_extras] = (
                 tbase + ELEMENT_BYTES * offs
             )
-        addrs[:, -1] = sbase + ELEMENT_BYTES * np.asarray(mapping_fn(*cols))
+        fill(here, out=addrs[:, -1])
 
-        lines = np.floor_divide(addrs, line_bytes, out=addrs).reshape(-1)
+        lines = to_lines(addrs, divisor, out=addrs).reshape(-1)
         if collapse:
             keep = np.empty(lines.size, dtype=bool)
             keep[0] = lines[0] != last
             np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-            lines = lines[keep]
+            lines = np.compress(keep, lines)
             if lines.size:
                 last = int(lines[-1])
         yield lines
+
+
+class _AddressForm:
+    """``base + scale * form(q - d)`` for blocks of points ``q`` and the
+    constant distances ``d`` of one code.
+
+    Per block, the affine part and each residue ``(b_j.q + e_j) mod g_j``
+    are computed once.  The value at ``q - d`` is then the affine part
+    shifted by the constant ``a.d`` plus each residue rotated by the
+    constant ``b_j.d mod g_j``; distances with equal rotations share
+    one sum.
+    """
+
+    def __init__(self, form: AffineModForm, scale: int, base: int, distances):
+        self._linear = tuple(scale * a for a in form.linear)
+        self._constant = base + scale * form.constant
+        self._terms = tuple(
+            (scale * t.scale, t.linear, t.offset, t.modulus)
+            for t in form.terms
+        )
+        self._shifts = {
+            d: (
+                _dot_int(self._linear, d),
+                tuple(_dot_int(b, d) % g for _, b, _, g in self._terms),
+            )
+            for d in distances
+        }
+
+    def evaluator(self, cols):
+        """``fill(d, out)``: the values at ``q - d`` for the block's
+        points ``q`` (coordinate columns ``cols``), written to ``out``."""
+        base = _dot(self._linear, cols, self._constant)
+        residues = [
+            _mod(_dot(b, cols, e), g) for _, b, e, g in self._terms
+        ]
+        sums = {}
+
+        def fill(d, out) -> None:
+            shift, rotation = self._shifts[d]
+            total = sums.get(rotation)
+            if total is None:
+                total = base
+                for (k, _, _, g), r, s in zip(self._terms, residues, rotation):
+                    if s:
+                        r = _mod(r - s, g, rotated=True)
+                    total = total + (r * k if k != 1 else r)
+                sums[rotation] = total
+            np.subtract(total, shift, out=out)
+
+        return fill
+
+
+def _dot_int(coeffs, vector) -> int:
+    return sum(a * c for a, c in zip(coeffs, vector))
+
+
+def _dot(coeffs, cols, constant) -> np.ndarray:
+    """``coeffs . cols + constant`` as a fresh int64 array."""
+    out = None
+    for c, col in zip(coeffs, cols):
+        if not c:
+            continue
+        term = col * c if c != 1 else col.copy()
+        if out is None:
+            out = term
+        else:
+            out += term
+    if out is None:
+        return np.full(len(cols[0]), constant, dtype=np.int64)
+    out += constant
+    return out
+
+
+def _mod(x: np.ndarray, g: int, rotated: bool = False) -> np.ndarray:
+    """``x mod g``, flooring as Python's ``%`` does.  ``rotated`` says
+    ``-g <= x < g`` already (a residue minus a smaller rotation), so
+    adding ``g`` to the negative entries is enough."""
+    if not g & (g - 1):  # a power of two: two's complement masks exactly
+        return np.bitwise_and(x, g - 1, out=x)
+    if rotated:
+        x += (x >> 63) & g
+        return x
+    return np.remainder(x, g, out=x)
+
+
+class _Exits:
+    """Which points ``q`` of a block (all inside the box) have their
+    producer ``q - d`` outside it.
+
+    Only the non-zero components of ``d`` can carry a producer out, and
+    only if the block reaches that face of the box: a component whose
+    whole column stays clear of the face needs no comparison.
+    """
+
+    def __init__(self, cols, lows, highs):
+        self._faces = [
+            (col, lo, hi, int(col.min()), int(col.max()))
+            for col, lo, hi in zip(cols, lows, highs)
+        ]
+
+    def __call__(self, d) -> Optional[np.ndarray]:
+        """The mask, or ``None`` when no producer leaves the box."""
+        outside = None
+        for (col, lo, hi, least, most), dk in zip(self._faces, d):
+            if dk > 0 and least < lo + dk:
+                leaves = col < lo + dk
+            elif dk < 0 and most > hi + dk:
+                leaves = col > hi + dk
+            else:
+                continue
+            outside = leaves if outside is None else outside | leaves
+        return outside
 
 
 def trace_length(

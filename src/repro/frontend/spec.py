@@ -28,6 +28,7 @@ hashing; see :meth:`StencilSpec.structural_json`.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -115,11 +116,26 @@ class StencilSpec:
 
     def bounds_fn(self, sizes: Mapping[str, int]) -> tuple[tuple[int, int], ...]:
         """Evaluate the loop bounds under a size binding."""
-        env = dict(sizes)
         return tuple(
-            (AffineExpr.parse(lo).evaluate(env), AffineExpr.parse(hi).evaluate(env))
+            (lo.evaluate(sizes), hi.evaluate(sizes))
+            for lo, hi in self._parsed_bounds
+        )
+
+    @functools.cached_property
+    def _parsed_bounds(self) -> tuple[tuple[AffineExpr, AffineExpr], ...]:
+        # Parsed on first use: every trace block of a spec code evaluates
+        # the bounds, and parsing the strings costs ten times as much.
+        return tuple(
+            (AffineExpr.parse(lo), AffineExpr.parse(hi))
             for lo, hi in self.bounds
         )
+
+    def __getstate__(self) -> dict:
+        # The parsed bounds are a cache, not state: a pickle holds the
+        # fields alone, whether or not the bounds were ever evaluated.
+        state = dict(self.__dict__)
+        state.pop("_parsed_bounds", None)
+        return state
 
     # -- serialisation -----------------------------------------------------
 

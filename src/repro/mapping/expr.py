@@ -12,6 +12,10 @@ produce their address computation as a small expression tree.  The tree is
 that :meth:`Expr.op_counts` reports what a reasonable compiler would emit,
 and :meth:`Expr.to_python` / :meth:`Expr.to_c` emit the exact source the
 code generators paste into loop bodies.
+
+:func:`affine_mod_form` reads a tree back as numbers: every mapping
+family's expression is an affine part plus scaled residues of affine
+parts, which is what the array address tracer evaluates.
 """
 
 from __future__ import annotations
@@ -19,7 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-__all__ = ["Expr", "Var", "Const", "Add", "Mul", "Mod", "OpTally", "affine"]
+__all__ = [
+    "Expr",
+    "Var",
+    "Const",
+    "Add",
+    "Mul",
+    "Mod",
+    "OpTally",
+    "affine",
+    "AffineModForm",
+    "ModTerm",
+    "affine_mod_form",
+]
 
 
 @dataclass(frozen=True)
@@ -259,6 +275,105 @@ def affine(
     for t in terms[1:]:
         expr = Add.make(expr, t)
     return Add.make(expr, Const(constant))
+
+
+@dataclass(frozen=True)
+class ModTerm:
+    """``scale * ((linear . q + offset) mod modulus)``."""
+
+    scale: int
+    linear: tuple[int, ...]
+    offset: int
+    modulus: int
+
+
+@dataclass(frozen=True)
+class AffineModForm:
+    """``linear . q + constant + sum(terms)``, each term a :class:`ModTerm`.
+
+    The numeric shape of every storage mapping's address expression:
+    natural arrays are affine, OV mappings add one scaled residue per
+    non-prime OV (Section 4.2), and the rolling buffer is one residue.
+    """
+
+    linear: tuple[int, ...]
+    constant: int
+    terms: tuple[ModTerm, ...] = ()
+
+    def evaluate(self, point: Sequence[int]) -> int:
+        """The value at one point (``mod`` floors, as Python's ``%``)."""
+        value = self.constant + sum(a * c for a, c in zip(self.linear, point))
+        for t in self.terms:
+            residue = t.offset + sum(b * c for b, c in zip(t.linear, point))
+            value += t.scale * (residue % t.modulus)
+        return value
+
+
+def affine_mod_form(expr: Expr, variables: Sequence[str]) -> AffineModForm:
+    """Decompose ``expr`` over ``variables`` into an :class:`AffineModForm`.
+
+    Raises ``ValueError`` for anything outside that form: a product of
+    two non-constant factors, a ``Mod`` whose operand contains a ``Mod``,
+    or a variable not in ``variables``.
+    """
+    index = {name: k for k, name in enumerate(variables)}
+    zero = (0,) * len(variables)
+
+    def scaled(form: AffineModForm, k: int) -> AffineModForm:
+        terms = tuple(
+            ModTerm(k * t.scale, t.linear, t.offset, t.modulus)
+            for t in form.terms
+        )
+        return AffineModForm(
+            tuple(k * a for a in form.linear),
+            k * form.constant,
+            terms if k else (),
+        )
+
+    def walk(e: Expr) -> AffineModForm:
+        if isinstance(e, Const):
+            return AffineModForm(zero, e.value)
+        if isinstance(e, Var):
+            if e.name not in index:
+                raise ValueError(f"unknown variable {e.name!r}")
+            linear = list(zero)
+            linear[index[e.name]] = 1
+            return AffineModForm(tuple(linear), 0)
+        if isinstance(e, Add):
+            left, right = walk(e.left), walk(e.right)
+            return AffineModForm(
+                tuple(a + b for a, b in zip(left.linear, right.linear)),
+                left.constant + right.constant,
+                left.terms + right.terms,
+            )
+        if isinstance(e, Mul):
+            left, right = walk(e.left), walk(e.right)
+            if _is_constant(left):
+                return scaled(right, left.constant)
+            if _is_constant(right):
+                return scaled(left, right.constant)
+            raise ValueError(
+                f"product of two non-constant factors: {e.to_python()}"
+            )
+        if isinstance(e, Mod):
+            inner, modulus = walk(e.left), walk(e.right)
+            if inner.terms:
+                raise ValueError(
+                    f"mod of an expression with a mod: {e.to_python()}"
+                )
+            if not _is_constant(modulus) or modulus.constant <= 0:
+                raise ValueError(
+                    f"modulus is not a positive constant: {e.to_python()}"
+                )
+            term = ModTerm(1, inner.linear, inner.constant, modulus.constant)
+            return AffineModForm(zero, 0, (term,))
+        raise ValueError(f"not an address expression: {e!r}")
+
+    return walk(expr)
+
+
+def _is_constant(form: AffineModForm) -> bool:
+    return not form.terms and not any(form.linear)
 
 
 def _coerce(value: Union[Expr, int]) -> Expr:

@@ -1,17 +1,27 @@
-"""Schedule interface and shared helpers."""
+"""Schedule interface and shared helpers.
+
+A schedule offers its order in three forms: ``order`` (one point at a
+time, the oracle), ``order_blocks`` (the same order as int64 arrays, for
+the address tracer) and ``batches`` (dependence-free runs of the order,
+for the vectorized engine).  ``order_blocks`` promises nothing about
+dependences; the families the shipped versions use (lexicographic,
+interchanged, tiled) build their blocks from loop and tile geometry with
+NumPy, and every other schedule chunks ``order``.
+"""
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+import itertools
+import math
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.core.stencil import Stencil
 from repro.util.vectors import IntVector
 
-if TYPE_CHECKING:
-    import numpy as np
-
-__all__ = ["Schedule", "Bounds"]
+__all__ = ["Schedule", "Bounds", "row_blocks"]
 
 #: Inclusive per-dimension bounds of a rectangular ISG.
 Bounds = Sequence[tuple[int, int]]
@@ -35,9 +45,31 @@ class Schedule(abc.ABC):
     def order(self, bounds: Bounds) -> Iterator[IntVector]:
         """Yield each point of the box exactly once, in execution order."""
 
+    def order_blocks(
+        self, bounds: Bounds, max_points: int
+    ) -> Iterator[np.ndarray]:
+        """``order(bounds)`` as consecutive ``(n, dim)`` int64 arrays.
+
+        Each array holds at least one and at most ``max_points`` points,
+        and concatenating them gives exactly ``list(order(bounds))``.
+        Unlike :meth:`batches`, no independence is promised and no
+        stencil is needed.  This default chunks ``order``; schedules
+        whose order is plain loop geometry override it with arithmetic.
+        """
+        bounds = self.check_bounds(bounds)
+        dim = len(bounds)
+        coords = itertools.chain.from_iterable(self.order(bounds))
+        while True:
+            flat = np.fromiter(
+                itertools.islice(coords, max_points * dim), dtype=np.int64
+            )
+            if not flat.size:
+                return
+            yield flat.reshape(-1, dim)
+
     def batches(
         self, bounds: Bounds, stencil: Stencil
-    ) -> Optional[Iterator["np.ndarray"]]:
+    ) -> Optional[Iterator[np.ndarray]]:
         """Dependence-independent contiguous runs of ``order(bounds)``.
 
         When this schedule can be batch-executed against ``stencil``,
@@ -80,3 +112,38 @@ class Schedule(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def row_blocks(
+    bounds: Bounds, max_points: int, axes: Sequence[int] | None = None
+) -> Iterator[np.ndarray]:
+    """Lexicographic order over ``bounds`` as ``(n, dim)`` int64 blocks.
+
+    ``bounds`` lists the loops outermost first; ``axes[level]`` names the
+    output column of loop ``level`` (identity by default), so a permuted
+    nest comes out in original coordinates.  A block is a run of whole
+    innermost rows — the outer coordinates of each row broadcast against
+    the row's index range — and a row longer than ``max_points`` is
+    split.  Blocks are column-major, so each coordinate is contiguous.
+    """
+    dim = len(bounds)
+    if axes is None:
+        axes = range(dim)
+    outer = [(axis, lo, hi - lo + 1) for axis, (lo, hi) in zip(axes, bounds)]
+    inner_axis, inner_lo, inner = outer.pop()
+    row = np.arange(inner_lo, inner_lo + inner, dtype=np.int64)
+    rows = math.prod(extent for _, _, extent in outer)
+    per_block = max(1, max_points // inner)
+    for first in range(0, rows, per_block):
+        count = min(per_block, rows - first)
+        grid = np.empty((dim, count, inner), dtype=np.int64)
+        grid[inner_axis] = row
+        # Outer coordinates of rows first..first+count-1, innermost
+        # outer loop fastest.
+        index = np.arange(first, first + count, dtype=np.int64)
+        for axis, lo, extent in reversed(outer):
+            index, coord = np.divmod(index, extent)
+            grid[axis] = (coord + lo)[:, None]
+        points = grid.reshape(dim, -1).T
+        for start in range(0, len(points), max_points):
+            yield points[start : start + max_points]

@@ -8,7 +8,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.stencil import Stencil
-from repro.schedule.base import Bounds, Schedule
+from repro.schedule.base import Bounds, Schedule, row_blocks
 from repro.util.vectors import IntVector, is_lex_positive
 
 __all__ = ["LexicographicSchedule", "InterchangedSchedule"]
@@ -23,6 +23,9 @@ class LexicographicSchedule(Schedule):
         bounds = self.check_bounds(bounds)
         ranges = [range(lo, hi + 1) for lo, hi in bounds]
         return iter(itertools.product(*ranges))
+
+    def order_blocks(self, bounds: Bounds, max_points: int):
+        return row_blocks(self.check_bounds(bounds), max_points)
 
     def is_legal_for(self, stencil: Stencil, bounds: Bounds) -> bool:
         # Legal iff every distance is lexicographically positive — which
@@ -71,6 +74,14 @@ class InterchangedSchedule(Schedule):
             inverse[axis] = level
         for permuted in itertools.product(*ranges):
             yield tuple(permuted[inverse[axis]] for axis in range(len(self._perm)))
+
+    def order_blocks(self, bounds: Bounds, max_points: int):
+        bounds = self.check_bounds(bounds)
+        if len(bounds) != len(self._perm):
+            raise ValueError("bounds depth does not match permutation")
+        return row_blocks(
+            [bounds[axis] for axis in self._perm], max_points, axes=self._perm
+        )
 
     def is_legal_for(self, stencil: Stencil, bounds: Bounds) -> bool:
         # Legal iff each permuted distance is lexicographically positive.

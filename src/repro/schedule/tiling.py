@@ -13,17 +13,24 @@ cache-sized working set repeatedly, so OV-mapped storage (small, and legal
 under tiling because the UOV is schedule-independent) keeps the working
 set resident, while storage-optimized code cannot be tiled at all and
 natural code's tiles still stream a giant array.
+
+The order comes in three forms (see :class:`~repro.schedule.base.
+Schedule`): ``order`` walks it one point at a time; ``order_blocks``
+builds it as int64 arrays from the tile geometry alone, a run of equal
+tiles along the last tile axis at a time, for the address tracer; and
+``batches`` cuts it into the dependence-free runs the vectorized engine
+needs.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.stencil import Stencil
-from repro.schedule.base import Bounds, Schedule
+from repro.schedule.base import Bounds, Schedule, row_blocks
 from repro.schedule.skew import transformed_bounding_box
 from repro.util.intmath import (
     ceil_div,
@@ -82,6 +89,31 @@ def required_skew(stencil: Stencil) -> list[list[int]]:
     return matrix
 
 
+class _TileGeometry(NamedTuple):
+    """Where the tiles of one box lie, in skewed coordinates."""
+
+    #: Bounding box of the skewed domain.
+    box: tuple[tuple[int, int], ...]
+    #: Tile edge per skewed dimension (an untiled one spans the box).
+    sizes: tuple[int, ...]
+    #: Tiles per skewed dimension.
+    counts: tuple[int, ...]
+    #: Whether the skew is the identity (no preimage filter needed).
+    identity: bool
+
+    def tiles(self) -> Iterator[tuple[int, ...]]:
+        """Tile indices in execution (lexicographic) order."""
+        return itertools.product(*[range(c) for c in self.counts])
+
+    def ranges(self, tile: Sequence[int]) -> list[range]:
+        """The skewed coordinates of one tile, clipped to the box."""
+        ranges = []
+        for t, s, (lo, hi) in zip(tile, self.sizes, self.box):
+            start = lo + t * s
+            ranges.append(range(start, min(start + s - 1, hi) + 1))
+        return ranges
+
+
 class TiledSchedule(Schedule):
     """Tiles over a (skewed) space, lexicographic between and within tiles.
 
@@ -121,32 +153,31 @@ class TiledSchedule(Schedule):
     def skew(self) -> tuple[tuple[int, ...], ...]:
         return self._skew
 
-    def order(self, bounds: Bounds) -> Iterator[IntVector]:
-        bounds = self.check_bounds(bounds)
+    def _geometry(self, bounds: Bounds) -> _TileGeometry:
         d = len(bounds)
         if d != len(self._tile_sizes):
             raise ValueError("bounds depth does not match tile sizes")
         box = transformed_bounding_box(self._skew, bounds)
+        sizes = tuple(
+            (hi - lo + 1) if s is None else s
+            for s, (lo, hi) in zip(self._tile_sizes, box)
+        )
+        counts = tuple(
+            ceil_div(hi - lo + 1, s) for s, (lo, hi) in zip(sizes, box)
+        )
         identity = all(
             self._skew[i][j] == (1 if i == j else 0)
             for i in range(d)
             for j in range(d)
         )
-        sizes = [
-            (hi - lo + 1) if s is None else s
-            for s, (lo, hi) in zip(self._tile_sizes, box)
-        ]
-        tile_counts = [
-            ceil_div(hi - lo + 1, s) for s, (lo, hi) in zip(sizes, box)
-        ]
-        for tile in itertools.product(*[range(c) for c in tile_counts]):
-            ranges = []
-            for t, s, (lo, hi) in zip(tile, sizes, box):
-                start = lo + t * s
-                stop = min(start + s - 1, hi)
-                ranges.append(range(start, stop + 1))
-            for y in itertools.product(*ranges):
-                if identity:
+        return _TileGeometry(box, sizes, counts, identity)
+
+    def order(self, bounds: Bounds) -> Iterator[IntVector]:
+        bounds = self.check_bounds(bounds)
+        geometry = self._geometry(bounds)
+        for tile in geometry.tiles():
+            for y in itertools.product(*geometry.ranges(tile)):
+                if geometry.identity:
                     yield y
                     continue
                 q = matvec(self._inverse, y)
@@ -154,6 +185,78 @@ class TiledSchedule(Schedule):
                     blo <= c <= bhi for c, (blo, bhi) in zip(q, bounds)
                 ):
                     yield q
+
+    def order_blocks(self, bounds: Bounds, max_points: int):
+        bounds = self.check_bounds(bounds)
+        return self._tile_blocks(bounds, self._geometry(bounds), max_points)
+
+    def _tile_blocks(self, bounds, geometry, max_points):
+        # The tiles of one tile row (fixed outer tile indices) share the
+        # grid of their outer coordinates and differ along the last axis
+        # only by origin, so a run of equal-width tiles is one broadcast:
+        # tile origins plus the within-tile offsets.
+        from repro.schedule.batching import suffix_grid
+
+        d = len(bounds)
+        last_lo, last_hi = geometry.box[-1]
+        step = geometry.sizes[-1]
+        full_tiles = (last_hi - last_lo + 1) // step
+        offsets = np.arange(step, dtype=np.int64)
+        for outer in itertools.product(
+            *[range(c) for c in geometry.counts[:-1]]
+        ):
+            ranges = geometry.ranges((*outer, 0))[:-1]
+            grid = np.ascontiguousarray(suffix_grid(ranges).T)
+            rows = grid.shape[1]
+            t = 0
+            while t < geometry.counts[-1]:
+                start = last_lo + t * step
+                width = min(step, last_hi - start + 1)
+                if rows * width > max_points:
+                    # A tile larger than a block is split by rows.
+                    tile_box = [(r.start, r.stop - 1) for r in ranges]
+                    tile_box.append((start, start + width - 1))
+                    for y in row_blocks(tile_box, max_points):
+                        q = self._preimage(y.T, bounds, geometry.identity)
+                        if q.shape[0]:
+                            yield q
+                    t += 1
+                    continue
+                run = max_points // (rows * width)
+                run = min(run, full_tiles - t) if width == step else 1
+                y = np.empty((d, run, rows, width), dtype=np.int64)
+                y[:-1] = grid[:, None, :, None]
+                origins = start + step * np.arange(run, dtype=np.int64)
+                y[-1] = (origins[:, None] + offsets[:width])[:, None, :]
+                q = self._preimage(y.reshape(d, -1), bounds, geometry.identity)
+                if q.shape[0]:
+                    yield q
+                t += run
+
+    def _preimage(self, y: np.ndarray, bounds, identity: bool) -> np.ndarray:
+        """Original points of skewed columns ``y`` (``(d, n)``) that lie
+        in ``bounds``, as an ``(n', d)`` column-major block.
+
+        The inverse skew is applied with column arithmetic: each output
+        coordinate is a short sum of scaled input rows (NumPy's integer
+        matrix product is slow at this shape).
+        """
+        if identity:
+            return y.T
+        q = np.empty_like(y)
+        keep = np.ones(y.shape[1], dtype=bool)
+        for i, row in enumerate(self._inverse):
+            out = q[i]
+            terms = [(c, j) for j, c in enumerate(row) if c]
+            c, j = terms[0]
+            np.multiply(y[j], c, out=out)
+            for c, j in terms[1:]:
+                out += y[j] if c == 1 else c * y[j]
+            lo, hi = bounds[i]
+            keep &= (out >= lo) & (out <= hi)
+        if keep.all():
+            return q.T
+        return np.compress(keep, q, axis=1).T
 
     def batches(self, bounds: Bounds, stencil: Stencil):
         # Within a tile, points sharing their first `depth` *skewed*
@@ -166,94 +269,37 @@ class TiledSchedule(Schedule):
         from repro.schedule.batching import prefix_batch_depth
 
         bounds = self.check_bounds(bounds)
-        d = len(bounds)
-        if d != len(self._tile_sizes):
-            raise ValueError("bounds depth does not match tile sizes")
+        geometry = self._geometry(bounds)
         transformed = [matvec(self._skew, v) for v in stencil.vectors]
-        depth = prefix_batch_depth(transformed, d)
+        depth = prefix_batch_depth(transformed, len(bounds))
         if depth is None:
             return None
-        return self._tile_batches(bounds, depth)
+        return self._tile_batches(bounds, geometry, depth)
 
-    def _tile_batches(self, bounds: Bounds, depth: int):
+    def _tile_batches(
+        self, bounds: Bounds, geometry: _TileGeometry, depth: int
+    ):
         from repro.schedule.batching import suffix_grid
 
-        box = transformed_bounding_box(self._skew, bounds)
         d = len(bounds)
-        identity = all(
-            self._skew[i][j] == (1 if i == j else 0)
-            for i in range(d)
-            for j in range(d)
-        )
-        sizes = [
-            (hi - lo + 1) if s is None else s
-            for s, (lo, hi) in zip(self._tile_sizes, box)
-        ]
-        tile_counts = [
-            ceil_div(hi - lo + 1, s) for s, (lo, hi) in zip(sizes, box)
-        ]
         inverse = np.asarray(self._inverse, dtype=np.int64)
         lows = np.array([lo for lo, _ in bounds], dtype=np.int64)
         highs = np.array([hi for _, hi in bounds], dtype=np.int64)
-        for tile in itertools.product(*[range(c) for c in tile_counts]):
-            ranges = []
-            for t, s, (lo, hi) in zip(tile, sizes, box):
-                start = lo + t * s
-                stop = min(start + s - 1, hi)
-                ranges.append(range(start, stop + 1))
+        for tile in geometry.tiles():
+            ranges = geometry.ranges(tile)
             suffix = suffix_grid(ranges[depth:])
             n = suffix.shape[0]
             for prefix in itertools.product(*ranges[:depth]):
                 y = np.empty((n, d), dtype=np.int64)
                 y[:, :depth] = prefix
                 y[:, depth:] = suffix
-                if identity:
+                if geometry.identity:
                     yield y
                     continue
                 q = y @ inverse.T
                 keep = np.all((q >= lows) & (q <= highs), axis=1)
                 if keep.any():
                     yield q[keep]
-
-    def tiles(self, bounds: Bounds) -> Iterator[list[IntVector]]:
-        """Yield the points of each tile as a list (tile-at-a-time view).
-
-        Used by the trace generator to attribute accesses to tiles and by
-        tests asserting atomicity."""
-        current: list[IntVector] = []
-        previous_tile = None
-        for point, tile_id in self._order_with_tiles(bounds):
-            if tile_id != previous_tile and current:
-                yield current
-                current = []
-            previous_tile = tile_id
-            current.append(point)
-        if current:
-            yield current
-
-    def _order_with_tiles(self, bounds: Bounds):
-        bounds = self.check_bounds(bounds)
-        box = transformed_bounding_box(self._skew, bounds)
-        d = len(bounds)
-        sizes = [
-            (hi - lo + 1) if s is None else s
-            for s, (lo, hi) in zip(self._tile_sizes, box)
-        ]
-        tile_counts = [
-            ceil_div(hi - lo + 1, s) for s, (lo, hi) in zip(sizes, box)
-        ]
-        for tile in itertools.product(*[range(c) for c in tile_counts]):
-            ranges = []
-            for t, s, (lo, hi) in zip(tile, sizes, box):
-                start = lo + t * s
-                stop = min(start + s - 1, hi)
-                ranges.append(range(start, stop + 1))
-            for y in itertools.product(*ranges):
-                q = matvec(self._inverse, y)
-                if all(
-                    blo <= c <= bhi for c, (blo, bhi) in zip(q, bounds)
-                ):
-                    yield q, tile
 
     def is_legal_for(self, stencil: Stencil, bounds: Bounds) -> bool:
         transformed = [matvec(self._skew, v) for v in stencil.vectors]

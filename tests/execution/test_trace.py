@@ -1,12 +1,16 @@
 """Address tracing and the trace-driven simulator."""
 
+import dataclasses
+import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.codes import get_versions, make_psm, make_stencil5
+from repro.execution import simulator as simulator_mod
 from repro.execution import trace as trace_mod
 from repro.execution.simulator import simulate
 from repro.execution.trace import (
@@ -18,15 +22,35 @@ from repro.execution.trace import (
 )
 from repro.machine import PENTIUM_PRO
 
+SPEC_DIR = Path(__file__).resolve().parents[2] / "examples" / "specs"
+#: The example specs, traced through every version ``make_versions``
+#: derives for them (their tiled versions use the registry's skew).
+SPEC_CODES = ("heat7", "relax3")
+
 #: Odd extents, so blocks end mid-row and mid-tile.
 ARRAY_SIZES = {
     "simple2d": {"n": 11, "m": 13},
     "stencil5": {"T": 5, "L": 37},
     "psm": {"n0": 9, "n1": 14, "tile_h": 4, "tile_w": 5},
     "jacobi": {"T": 5, "L": 37},
+    "heat7": {"T": 5, "L": 29},
+    "relax3": {"n": 9, "m": 13},
 }
+
+
+@functools.lru_cache(maxsize=None)
+def versions_of(code_name):
+    if code_name in SPEC_CODES:
+        from repro.frontend import StencilSpec, synthesize_code
+        from repro.frontend.synth import make_versions
+
+        spec = StencilSpec.load(SPEC_DIR / f"{code_name}.json")
+        return make_versions(synthesize_code(spec))
+    return get_versions(code_name)
+
+
 ALL_VERSIONS = [
-    (code, key) for code in ARRAY_SIZES for key in get_versions(code)
+    (code, key) for code in ARRAY_SIZES for key in versions_of(code)
 ]
 
 
@@ -94,7 +118,7 @@ class TestArrayPath:
 
     @pytest.mark.parametrize("code_name,key", ALL_VERSIONS)
     def test_blocks_equal_the_scalar_walk(self, code_name, key, monkeypatch):
-        version = get_versions(code_name)[key]
+        version = versions_of(code_name)[key]
         sizes = ARRAY_SIZES[code_name]
         # Blocks of 7 points: many boundaries, none aligned to a row.
         monkeypatch.setattr(trace_mod, "BLOCK_POINTS", 7)
@@ -113,6 +137,23 @@ class TestArrayPath:
                            batched=True)
             ) == scalar
 
+    @pytest.mark.parametrize("code_name,key", ALL_VERSIONS)
+    def test_single_point_blocks_equal_the_scalar_walk(
+        self, code_name, key, monkeypatch
+    ):
+        # One point per block: every tile is split down to its points.
+        version = versions_of(code_name)[key]
+        sizes = ARRAY_SIZES[code_name]
+        monkeypatch.setattr(trace_mod, "BLOCK_POINTS", 1)
+        for collapse in (True, False):
+            blocks = list(
+                line_blocks(version, sizes, 32, seed=2, collapse=collapse)
+            )
+            assert np.concatenate(blocks).tolist() == list(
+                line_trace(version, sizes, 32, seed=2, collapse=collapse,
+                           batched=False)
+            )
+
     def test_collapse_carries_across_a_block_boundary(self, monkeypatch):
         version = make_stencil5()["ov-interleaved"]
         sizes = {"T": 3, "L": 16}
@@ -130,8 +171,6 @@ class TestArrayPath:
         )
 
     def test_codes_without_batch_hooks_get_the_scalar_walk(self):
-        import dataclasses
-
         version = make_psm()["ov-tiled"]
         stripped = dataclasses.replace(
             version,
@@ -144,6 +183,38 @@ class TestArrayPath:
         assert blocks.tolist() == list(
             line_trace(version, sizes, 32, batched=False)
         )
+
+    def test_mappings_without_the_affine_mod_form_get_the_scalar_walk(self):
+        from repro.mapping.expr import Const, Mod
+
+        class NestedMod:
+            """The OV mapping, written with a redundant outer mod."""
+
+            def __init__(self, inner):
+                self.inner = inner
+                self.dim, self.size = inner.dim, inner.size
+
+            def __call__(self, point):
+                return self.inner(point)
+
+            def expression(self, names):
+                once = Mod.make(self.inner.expression(names), Const(10**9))
+                return Mod.make(once, Const(10**9))
+
+            def compiled(self):
+                return self.inner.compiled()
+
+        version = make_stencil5()["ov-tiled"]
+        nested = dataclasses.replace(
+            version,
+            mapping_factory=lambda sizes: NestedMod(version.mapping(sizes)),
+        )
+        sizes = ARRAY_SIZES["stencil5"]
+        expected = list(line_trace(version, sizes, 32, batched=False))
+        blocks = np.concatenate(list(line_blocks(nested, sizes, 32)))
+        assert blocks.tolist() == expected
+        with pytest.raises(ValueError, match="affine-mod form"):
+            list(line_trace(nested, sizes, 32, batched=True))
 
 
 class TestSimulator:
@@ -178,6 +249,59 @@ class TestSimulator:
         assert tiled.compute_cycles == pytest.approx(
             flat.compute_cycles + PENTIUM_PRO.cost.tile_overhead_cycles
         )
+
+    def test_two_passes_build_one_trace(self, monkeypatch):
+        """``passes=2`` builds the trace once and replays it, and gives
+        what playing the trace twice through the Python hierarchy does."""
+        version = make_stencil5()["ov-interleaved-tiled"]
+        sizes = {"T": 6, "L": 48, "tile_h": 4, "tile_w": 8}
+        machine = PENTIUM_PRO.scaled(64)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return line_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_mod, "line_blocks", spy)
+        result = simulate(version, sizes, machine, seed=5, passes=2)
+        assert len(calls) == 1
+
+        lines = list(line_trace(version, sizes, machine.l1.line_bytes,
+                                seed=5, batched=False))
+        oracle = machine.build_hierarchy()
+        oracle.run_line_trace(lines)
+        before = oracle.stall_cycles
+        oracle.run_line_trace(lines)
+        stats = dataclasses.replace(
+            oracle.stats(), stall_cycles=oracle.stall_cycles - before
+        )
+        stall = stats.stall_cycles / result.iterations
+        assert result == dataclasses.replace(
+            result,
+            stats=stats,
+            stall_cycles_per_iteration=stall,
+            cycles_per_iteration=result.compute_cycles + stall,
+        )
+        assert result.stats.accesses == 2 * len(lines)
+
+    def test_one_context_per_simulate(self):
+        version = make_psm()["ov-tiled"]
+        seeds = []
+
+        def make_context(sizes, seed):
+            seeds.append(seed)
+            return version.code.make_context(sizes, seed)
+
+        spied = dataclasses.replace(
+            version,
+            code=dataclasses.replace(version.code, make_context=make_context),
+        )
+        sizes = ARRAY_SIZES["psm"]
+        for passes in (1, 2):
+            seeds.clear()
+            simulate(spied, sizes, PENTIUM_PRO.scaled(64), seed=3,
+                     passes=passes)
+            assert seeds == [3]
 
     def test_invalid_passes(self):
         version = make_stencil5()["ov"]

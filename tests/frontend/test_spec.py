@@ -80,6 +80,38 @@ class TestRoundTrip:
             code_to_spec(bare)
 
 
+class TestBoundsFn:
+    """Bounds are parsed once per spec; evaluating them stays pure."""
+
+    def test_same_tuples_for_several_bindings(self):
+        spec = validate_spec(
+            minimal_doc(bounds=[[1, "T"], ["2*T - 1", "L + T - 1"]])
+        )
+        for sizes in ({"T": 4, "L": 8}, {"T": 1, "L": 1}, {"T": 9, "L": 40}):
+            t, length = sizes["T"], sizes["L"]
+            expected = ((1, t), (2 * t - 1, length + t - 1))
+            assert spec.bounds_fn(sizes) == expected
+        # Earlier bindings are not remembered.
+        assert spec.bounds_fn({"T": 4, "L": 8}) == ((1, 4), (7, 11))
+
+    def test_evaluating_bounds_leaves_the_spec_unchanged(self):
+        import pickle
+
+        from repro.store.fingerprint import content_hash
+
+        spec = validate_spec(minimal_doc())
+        fresh = validate_spec(minimal_doc())
+        before = (pickle.dumps(spec), content_hash(spec.to_json()))
+        spec.bounds_fn({"T": 3, "L": 5})
+        assert spec == fresh
+        assert dataclasses.asdict(spec) == dataclasses.asdict(fresh)
+        assert (pickle.dumps(spec), content_hash(spec.to_json())) == before
+        assert validate_spec(spec.to_json()) == spec
+        restored = pickle.loads(pickle.dumps(spec))
+        assert restored == spec
+        assert restored.bounds_fn({"T": 2, "L": 6}) == ((1, 2), (0, 5))
+
+
 class TestValidation:
     def test_bad_distance_arity(self):
         findings = findings_for(

@@ -109,3 +109,100 @@ def test_mod_expression_source_matches(coeffs, modulus, point):
     e = affine(coeffs, ("i", "j"), 0) % modulus
     env = {"i": point[0], "j": point[1]}
     assert eval(e.to_python(), {}, dict(env)) == e.evaluate(env)
+
+
+def _box_2d():
+    from repro.util.polyhedron import Polytope
+
+    return Polytope.from_box((1, -2), (6, 5))
+
+
+def _box_3d():
+    from repro.util.polyhedron import Polytope
+
+    return Polytope.from_box((0, 1, -1), (3, 4, 2))
+
+
+def _mapping_families():
+    from repro.core.stencil import Stencil
+    from repro.mapping import (
+        ColMajorMapping,
+        OVMapping2D,
+        OVMappingND,
+        RollingBufferMapping,
+        RowMajorMapping,
+    )
+    from repro.mapping.padding import PaddedOVMapping2D
+
+    fig1 = Stencil([(1, 0), (0, 1), (1, 1)])
+    box, box3 = _box_2d(), _box_3d()
+    return {
+        "row-major": RowMajorMapping((6, 8), origin=(1, -2)),
+        "col-major": ColMajorMapping((6, 8), origin=(1, -2)),
+        "ov-prime": OVMapping2D((1, 1), box),
+        "ov-psm-paper": OVMapping2D((2, 2), box, layout="consecutive"),
+        "ov-consecutive": OVMapping2D((2, 0), box, layout="consecutive"),
+        "ov-interleaved": OVMapping2D((2, 0), box, layout="interleaved"),
+        "ov-interleaved-skew": OVMapping2D((3, -3), box),
+        "ov-padded": PaddedOVMapping2D((2, 0), box, pad=5),
+        "ovnd-prime": OVMappingND((1, 0, 1), box3),
+        "ovnd-interleaved": OVMappingND((2, 2, 0), box3),
+        "ovnd-consecutive": OVMappingND(
+            (0, 2, -2), box3, layout="consecutive"
+        ),
+        "rolling": RollingBufferMapping(fig1, box),
+        "rolling-permuted": RollingBufferMapping(
+            fig1, box, window=17, perm=(1, 0)
+        ),
+    }
+
+
+class TestAffineModForm:
+    """Every mapping family decomposes into ``a.q + c + sum_j k_j *
+    ((b_j.q + e_j) mod g_j)``, and the form is the mapping."""
+
+    @pytest.mark.parametrize("name", sorted(_mapping_families()))
+    def test_form_equals_the_mapping_on_every_point(self, name):
+        import itertools
+
+        from repro.mapping.expr import affine_mod_form
+
+        mapping = _mapping_families()[name]
+        names = [f"q{k}" for k in range(mapping.dim)]
+        form = affine_mod_form(mapping.expression(names), names)
+        box = _box_3d() if mapping.dim == 3 else _box_2d()
+        lower, upper = box.bounding_box()
+        points = list(
+            itertools.product(
+                *[range(lo, hi + 1) for lo, hi in zip(lower, upper)]
+            )
+        )
+        assert [form.evaluate(p) for p in points] == [
+            mapping(p) for p in points
+        ]
+
+    def test_form_fields(self):
+        from repro.mapping.expr import ModTerm, affine_mod_form
+
+        # psm's paper OV (2, 2), consecutive: (-1, 1).q - lo + L*(q1 mod 2)
+        mapping = _mapping_families()["ov-psm-paper"]
+        form = affine_mod_form(mapping.expression(["i", "j"]), ["i", "j"])
+        assert form.linear == (-1, 1)
+        assert form.constant == mapping.shift
+        assert form.terms == (ModTerm(mapping.size // 2, (0, 1), 0, 2),)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            Mul.make(Var("i"), Var("j")),
+            Mod.make(Mod.make(Var("i"), Const(3)) + Var("j"), Const(2)),
+            Mod.make(Var("i") * 2, Const(4)) * Var("j"),
+            affine((1, 2), ("i", "k"), 0),
+        ],
+        ids=["product", "mod-in-mod", "mod-times-var", "unknown-variable"],
+    )
+    def test_outside_the_form_raises(self, expr):
+        from repro.mapping.expr import affine_mod_form
+
+        with pytest.raises(ValueError):
+            affine_mod_form(expr, ["i", "j"])

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,18 +87,87 @@ class TestOrdering:
         assert set(fwd) == set(rev)
 
     def test_tiles_are_contiguous(self):
-        sched = TiledSchedule((2, 2))
-        tiles = list(sched.tiles([(0, 3), (0, 3)]))
-        assert len(tiles) == 4
-        assert all(len(t) == 4 for t in tiles)
-        # within a tile, points are within the tile box
-        for tile in tiles:
-            i0 = min(p[0] for p in tile)
-            j0 = min(p[1] for p in tile)
-            assert all(
-                i0 <= p[0] <= i0 + 1 and j0 <= p[1] <= j0 + 1
-                for p in tile
+        """Tiles are atomic: along ``order()``, each point's tile index
+        (its skewed coordinates divided by the tile sizes) never
+        decreases, and each tile's points form one contiguous run."""
+        from repro.schedule.skew import transformed_bounding_box
+        from repro.util.intmath import matvec
+
+        bounds = [(0, 3), (0, 3)]
+        for sched, tile_count in (
+            (TiledSchedule((2, 2)), 4),
+            (TiledSchedule((2, 3), skew=[[1, 0], [2, 1]]), 5),
+        ):
+            box = transformed_bounding_box(sched.skew, bounds)
+            tile_ids = [
+                tuple(
+                    (c - lo) // size
+                    for c, (lo, _), size in zip(
+                        matvec(sched.skew, q), box, sched.tile_sizes
+                    )
+                )
+                for q in sched.order(bounds)
+            ]
+            assert len(tile_ids) == 16
+            assert tile_ids == sorted(tile_ids)
+            runs = [tile for tile, _ in itertools.groupby(tile_ids)]
+            assert len(runs) == len(set(runs)) == tile_count
+        # The unskewed 2x2 tiles of a 4x4 box are full: 4 points each.
+        assert all(
+            len(list(run)) == 4
+            for _, run in itertools.groupby(
+                TiledSchedule((2, 2)).order(bounds),
+                key=lambda q: (q[0] // 2, q[1] // 2),
             )
+        )
+
+
+_SKEW_3D = required_skew(Stencil([(1, 0, -1), (1, -1, 0), (0, 1, 0)]))
+BOX_2D = [(1, 5), (-2, 4)]
+BOX_3D = [(0, 3), (1, 5), (-1, 2)]
+
+
+class TestOrderBlocks:
+    """``order_blocks`` is ``order`` as int64 blocks, for every family."""
+
+    @pytest.mark.parametrize(
+        "schedule,bounds",
+        [
+            (LexicographicSchedule(), BOX_2D),
+            (LexicographicSchedule(), BOX_3D),
+            (LexicographicSchedule(), [(2, 9)]),
+            (InterchangedSchedule((1, 0)), BOX_2D),
+            (InterchangedSchedule((2, 0, 1)), BOX_3D),
+            (TiledSchedule((2, 3)), BOX_2D),
+            (TiledSchedule((3, 4)), [(0, 6), (0, 10)]),  # ragged edge tiles
+            (TiledSchedule((3, 2), skew=[[1, 0], [2, 1]]), BOX_2D),
+            (TiledSchedule((2, 3, 2), skew=_SKEW_3D), BOX_3D),
+            (TiledSchedule((None, 4)), BOX_2D),
+            (TiledSchedule((2, None), skew=[[1, 0], [1, 1]]), BOX_2D),
+            # The base class chunks order().
+            (SkewedSchedule([[1, 0], [3, 1]]), BOX_2D),
+            (WavefrontSchedule((2, 1), reverse_ties=True), BOX_2D),
+        ],
+        ids=lambda p: p.name if hasattr(p, "name") else f"{len(p)}d",
+    )
+    @pytest.mark.parametrize("max_points", [1, 7, 8192])
+    def test_blocks_concatenate_to_the_order(
+        self, schedule, bounds, max_points
+    ):
+        blocks = list(schedule.order_blocks(bounds, max_points))
+        for block in blocks:
+            assert block.dtype == np.int64
+            assert block.ndim == 2 and block.shape[1] == len(bounds)
+            assert 1 <= block.shape[0] <= max_points
+        points = [tuple(p) for p in np.concatenate(blocks).tolist()]
+        assert points == [tuple(p) for p in schedule.order(bounds)]
+
+    def test_tiled_blocks_group_whole_tiles(self):
+        # Small tiles run together: a 2x4 box of 2x2 tiles is one block.
+        (block,) = TiledSchedule((2, 2)).order_blocks([(0, 1), (0, 3)], 8)
+        assert block.tolist() == [
+            [0, 0], [0, 1], [1, 0], [1, 1], [0, 2], [0, 3], [1, 2], [1, 3],
+        ]
 
 
 class TestSkew:
