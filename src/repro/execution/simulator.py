@@ -75,7 +75,9 @@ def simulate(
     stalls: the steady-state measurement the paper's in-cache overhead
     figures (7 and 8) need, where compulsory misses on a problem that fits
     in cache would otherwise dominate a single short run.  The trace is
-    built once and its blocks kept for the replays.
+    built once and its blocks kept for the replays: the whole trace stays
+    in memory, 8 bytes per line, until the call returns, where a single
+    pass holds one block at a time.
     """
     code = version.code
     iterations = code.iteration_count(sizes)

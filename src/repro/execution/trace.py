@@ -255,12 +255,6 @@ def _array_blocks(
         form, ELEMENT_BYTES, layout.storage_base, (*distances, here)
     )
     ibase, tbase = layout.input_base, layout.table_base
-    if line_bytes & (line_bytes - 1):
-        to_lines = np.floor_divide
-        divisor = line_bytes
-    else:  # a power of two: the shift floors exactly as division does
-        to_lines = np.right_shift
-        divisor = line_bytes.bit_length() - 1
 
     last = -1
     for points in version.schedule(sizes).order_blocks(bounds, BLOCK_POINTS):
@@ -287,7 +281,7 @@ def _array_blocks(
             )
         fill(here, out=addrs[:, -1])
 
-        lines = to_lines(addrs, divisor, out=addrs).reshape(-1)
+        lines = np.floor_divide(addrs, line_bytes, out=addrs).reshape(-1)
         if collapse:
             keep = np.empty(lines.size, dtype=bool)
             keep[0] = lines[0] != last
@@ -329,7 +323,7 @@ class _AddressForm:
         points ``q`` (coordinate columns ``cols``), written to ``out``."""
         base = _dot(self._linear, cols, self._constant)
         residues = [
-            _mod(_dot(b, cols, e), g) for _, b, e, g in self._terms
+            np.remainder(_dot(b, cols, e), g) for _, b, e, g in self._terms
         ]
         sums = {}
 
@@ -340,7 +334,7 @@ class _AddressForm:
                 total = base
                 for (k, _, _, g), r, s in zip(self._terms, residues, rotation):
                     if s:
-                        r = _mod(r - s, g, rotated=True)
+                        r = np.remainder(r - s, g)
                     total = total + (r * k if k != 1 else r)
                 sums[rotation] = total
             np.subtract(total, shift, out=out)
@@ -367,18 +361,6 @@ def _dot(coeffs, cols, constant) -> np.ndarray:
         return np.full(len(cols[0]), constant, dtype=np.int64)
     out += constant
     return out
-
-
-def _mod(x: np.ndarray, g: int, rotated: bool = False) -> np.ndarray:
-    """``x mod g``, flooring as Python's ``%`` does.  ``rotated`` says
-    ``-g <= x < g`` already (a residue minus a smaller rotation), so
-    adding ``g`` to the negative entries is enough."""
-    if not g & (g - 1):  # a power of two: two's complement masks exactly
-        return np.bitwise_and(x, g - 1, out=x)
-    if rotated:
-        x += (x >> 63) & g
-        return x
-    return np.remainder(x, g, out=x)
 
 
 class _Exits:

@@ -56,6 +56,12 @@ __all__ = ["SpecBuilder", "SpecError", "StencilSpec", "validate_spec"]
 
 _DIRECTIVE_FIELDS = ("sizes", "mapping", "schedule", "tile", "uov", "seed", "notes")
 
+#: Bound strings parsed once and shared between specs (an ``AffineExpr``
+#: is immutable): every trace block of a spec code evaluates the bounds,
+#: and parsing costs ten times as much as evaluating.  Bounded, because a
+#: server validates specs from its clients.
+_parse_bound = functools.lru_cache(maxsize=1024)(AffineExpr.parse)
+
 
 class SpecError(ValueError):
     """Validation failed; ``.diagnostics`` holds the structured findings."""
@@ -117,25 +123,9 @@ class StencilSpec:
     def bounds_fn(self, sizes: Mapping[str, int]) -> tuple[tuple[int, int], ...]:
         """Evaluate the loop bounds under a size binding."""
         return tuple(
-            (lo.evaluate(sizes), hi.evaluate(sizes))
-            for lo, hi in self._parsed_bounds
-        )
-
-    @functools.cached_property
-    def _parsed_bounds(self) -> tuple[tuple[AffineExpr, AffineExpr], ...]:
-        # Parsed on first use: every trace block of a spec code evaluates
-        # the bounds, and parsing the strings costs ten times as much.
-        return tuple(
-            (AffineExpr.parse(lo), AffineExpr.parse(hi))
+            (_parse_bound(lo).evaluate(sizes), _parse_bound(hi).evaluate(sizes))
             for lo, hi in self.bounds
         )
-
-    def __getstate__(self) -> dict:
-        # The parsed bounds are a cache, not state: a pickle holds the
-        # fields alone, whether or not the bounds were ever evaluated.
-        state = dict(self.__dict__)
-        state.pop("_parsed_bounds", None)
-        return state
 
     # -- serialisation -----------------------------------------------------
 

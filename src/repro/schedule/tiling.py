@@ -282,9 +282,6 @@ class TiledSchedule(Schedule):
         from repro.schedule.batching import suffix_grid
 
         d = len(bounds)
-        inverse = np.asarray(self._inverse, dtype=np.int64)
-        lows = np.array([lo for lo, _ in bounds], dtype=np.int64)
-        highs = np.array([hi for _, hi in bounds], dtype=np.int64)
         for tile in geometry.tiles():
             ranges = geometry.ranges(tile)
             suffix = suffix_grid(ranges[depth:])
@@ -293,13 +290,9 @@ class TiledSchedule(Schedule):
                 y = np.empty((n, d), dtype=np.int64)
                 y[:, :depth] = prefix
                 y[:, depth:] = suffix
-                if geometry.identity:
-                    yield y
-                    continue
-                q = y @ inverse.T
-                keep = np.all((q >= lows) & (q <= highs), axis=1)
-                if keep.any():
-                    yield q[keep]
+                q = self._preimage(y.T, bounds, geometry.identity)
+                if q.shape[0]:
+                    yield q
 
     def is_legal_for(self, stencil: Stencil, bounds: Bounds) -> bool:
         transformed = [matvec(self._skew, v) for v in stencil.vectors]

@@ -81,7 +81,7 @@ class TestRoundTrip:
 
 
 class TestBoundsFn:
-    """Bounds are parsed once per spec; evaluating them stays pure."""
+    """Bound strings are parsed once; evaluating them stays pure."""
 
     def test_same_tuples_for_several_bindings(self):
         spec = validate_spec(
