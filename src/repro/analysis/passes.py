@@ -346,22 +346,26 @@ def _pass_storage_race(target: LintTarget, diag: Diagnostics) -> None:
     from repro.analysis.liveness import find_mapping_violation
     from repro.analysis.races import find_storage_races
 
+    limit = 64  # the scan stops here, so a full list is a lower bound
     for key, version in target.versions.items():
         mapping = version.mapping(target.sizes)
         races = find_storage_races(
-            mapping, target.stencil, target.region, limit=64
+            mapping, target.stencil, target.region, limit=limit
         )
         if races:
             race = races[0]
+            capped = len(races) >= limit
+            count = f"{len(races)} or more" if capped else f"{len(races)}"
             if _schedule_independent(version, mapping):
                 diag.emit(
                     "RACE001",
                     Severity.ERROR,
                     target.subject(key),
-                    f"{len(races)} storage race(s) in a mapping claimed "
+                    f"{count} storage race(s) in a mapping claimed "
                     f"schedule-independent; first: {race}",
                     fix_hint="the mapping reuses storage across live values",
                     races=len(races),
+                    capped=capped,
                     first=[list(race.first), list(race.second)],
                     location=race.location,
                 )
@@ -370,11 +374,12 @@ def _pass_storage_race(target: LintTarget, diag: Diagnostics) -> None:
                     "RACE002",
                     Severity.INFO,
                     target.subject(key),
-                    f"schedule-dependent mapping: {len(races)} colliding "
+                    f"schedule-dependent mapping: {count} colliding "
                     f"pair(s) unordered by value dependences (safe only "
                     f"under its built schedule; this is the storage/"
                     f"schedule trade-off, not a defect)",
                     races=len(races),
+                    capped=capped,
                 )
         # Schedule-dependent or not, a version must at minimum be legal
         # under the schedule it ships with.

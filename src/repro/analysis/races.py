@@ -18,23 +18,26 @@ least one direction; otherwise some legal interleaving clobbers a live
 value, and :func:`race_witness` will construct (or sample) a concrete
 schedule demonstrating it.
 
-The region restriction keeps the check *sound*: ``DONE`` is computed by
-walking dependence vectors backwards inside the region
-(:func:`repro.core.cone.done_set`), so a dependence chain that would have
-to leave the ISG is never credited with forcing an order.
+The region restriction keeps the check *sound*: ``DONE`` only follows
+dependence vectors backwards inside the region, so a dependence chain
+that would have to leave the ISG is never credited with forcing an
+order.  :class:`ForcedBeforeIndex` builds every point's ``DONE`` set in
+one lexicographic pass; :func:`repro.core.cone.done_set` is the
+single-query walk that :func:`race_witness` uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from repro.analysis.liveness import MappingViolation, find_mapping_violation
 from repro.core.cone import done_set
 from repro.core.stencil import Stencil
 from repro.mapping.base import StorageMapping
 from repro.util.polyhedron import Polytope
-from repro.util.vectors import IntVector, add, dot, sub
+from repro.util.vectors import IntVector, dot, sub
 
 __all__ = [
     "StorageRace",
@@ -85,42 +88,89 @@ class StorageRace:
 
 
 class ForcedBeforeIndex:
-    """Memoised region-restricted ``DONE`` sets, shared across pair checks.
+    """Every region point's region-restricted ``DONE`` set, as bitmasks.
 
-    The race scan asks for ``DONE(V, q)`` once per distinct second point
-    of a colliding pair; on dense collision groups the same ``q`` recurs
-    for every partner, so the memo turns a quadratic number of BFS walks
-    into one per point.
+    The index owns the region's integer points (:attr:`points`, in
+    :func:`region_points`' lexicographic order).  Bit ``k`` of a point
+    ``q``'s mask is set when the ``k``-th point lies in ``DONE_R(q)``: it
+    executes before ``q`` in every legal schedule of the region.  Stencil
+    vectors are lexicographically positive, so every producer ``q - v``
+    precedes ``q`` in that order, and one pass builds every mask::
+
+        DONE_R(q) = {q}  |  union of DONE_R(q - v) for q - v in the region
+
+    A producer without a mask lies outside the region, which is the
+    region restriction: a dependence chain that would leave the ISG is
+    never credited with forcing an order.  The pass costs ``N * |V|``
+    big-int ORs and at most ``N**2 / 8`` bytes for ``N`` points, and runs
+    on the first query, so a scan that meets no colliding pair never pays
+    for it.  :func:`repro.core.cone.done_set` stays the single-query BFS
+    and is the index's test oracle.
     """
 
     def __init__(self, stencil: Stencil, region: Polytope):
-        self._stencil = stencil
-        self._region = region
+        self._vectors = stencil.vectors
+        self.points: tuple[IntVector, ...] = tuple(region_points(region))
+        self._position = {p: k for k, p in enumerate(self.points)}
         self._cache: dict[IntVector, frozenset[IntVector]] = {}
 
+    @cached_property
+    def _graph(self) -> tuple[list[int], list[list[int]]]:
+        """Per point position: its ``DONE_R`` mask, and the positions of
+        its in-region consumers.  Those are appended in point order,
+        which is stencil order: the vectors are sorted lexicographically,
+        and adding ``p`` keeps that order."""
+        position = self._position
+        masks: list[int] = []
+        consumers: list[list[int]] = [[] for _ in self.points]
+        for k, q in enumerate(self.points):
+            mask = 1 << k
+            for v in self._vectors:
+                j = position.get(sub(q, v))
+                if j is not None:
+                    mask |= masks[j]
+                    consumers[j].append(k)
+            masks.append(mask)
+        return masks, consumers
+
+    def _mask(self, q: IntVector) -> int:
+        masks, _ = self._graph
+        k = self._position.get(q)
+        if k is not None:
+            return masks[k]
+        # Outside the region ``q`` is not in its own DONE set, but its
+        # in-region producers' chains still are.
+        mask = 0
+        for v in self._vectors:
+            j = self._position.get(sub(q, v))
+            if j is not None:
+                mask |= masks[j]
+        return mask
+
     def done(self, q: IntVector) -> frozenset[IntVector]:
+        """``DONE_R(q)`` as a set of points, decoded once and memoised."""
         cached = self._cache.get(q)
         if cached is None:
-            cached = frozenset(done_set(self._stencil, q, self._region))
+            bits = bin(self._mask(q))[:1:-1]  # character k is bit k
+            cached = frozenset(
+                p for p, bit in zip(self.points, bits) if bit == "1"
+            )
             self._cache[q] = cached
         return cached
 
-    def dead_before(
-        self,
-        p: IntVector,
-        q: IntVector,
-        points: "set[IntVector] | frozenset[IntVector]",
-    ) -> Optional[IntVector]:
+    def dead_before(self, p: IntVector, q: IntVector) -> Optional[IntVector]:
         """``None`` when ``p``'s value is dead before ``q`` writes in every
-        legal schedule; otherwise the blocking point (``p`` itself or a
-        consumer of ``p`` not forced before ``q``)."""
-        done = self.done(q)
-        if p not in done:
+        legal schedule; otherwise the blocking point: ``p`` itself when it
+        is not forced before ``q``, else the first of ``p``'s in-region
+        consumers, in stencil order, that is not."""
+        done = self._mask(q)
+        k = self._position.get(p)
+        if k is None or not done >> k & 1:
             return p
-        for v in self._stencil.vectors:
-            consumer = add(p, v)
-            if consumer in points and consumer not in done:
-                return consumer
+        _, consumers = self._graph
+        for j in consumers[k]:
+            if not done >> j & 1:
+                return self.points[j]
         return None
 
 
@@ -136,13 +186,18 @@ def find_storage_races(
     schedule-independent: no legal schedule can clobber a live value.  A
     ``limit`` caps the number of reported races (the scan stops early);
     callers that only need "any race?" pass ``limit=1``.
+
+    The region is enumerated once, by the :class:`ForcedBeforeIndex`
+    that answers every pair check; its masks are built when the first
+    collision group of two or more points is met, so an injective
+    mapping never builds them.  Races come in location order, and within
+    a location in the pair order of the positivity functional.
     """
-    points = region_points(region)
-    point_set = set(points)
-    weights = stencil.positivity_weights
     index = ForcedBeforeIndex(stencil, region)
+    weights = stencil.positivity_weights
     races: list[StorageRace] = []
-    for location, group in sorted(mapping.collision_groups(points).items()):
+    groups = mapping.collision_groups(index.points)
+    for location, group in sorted(groups.items()):
         if len(group) < 2:
             continue
         # Scan pairs in positivity order: dependences only ever force the
@@ -151,10 +206,10 @@ def find_storage_races(
         group = sorted(group, key=lambda p: (dot(weights, p), p))
         for i, p in enumerate(group):
             for q in group[i + 1 :]:
-                blocker = index.dead_before(p, q, point_set)
+                blocker = index.dead_before(p, q)
                 if blocker is None:
                     continue
-                if index.dead_before(q, p, point_set) is None:
+                if index.dead_before(q, p) is None:
                     continue
                 races.append(StorageRace(p, q, location, blocker))
                 if limit is not None and len(races) >= limit:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from repro.util.vectors import IntVector, as_vector, dot
@@ -31,7 +32,8 @@ class Polytope:
     Vertices are integer points (iteration-space corners).  The class does
     not require the caller to pre-compute the convex hull: redundant interior
     points are tolerated by every query (they can never attain a strict
-    support maximum beyond the hull).
+    support maximum beyond the hull).  The object is immutable, so the 2-D
+    hull and the per-axis bounds are derived once, on first use.
     """
 
     def __init__(self, vertices: Iterable[Sequence[int]]):
@@ -126,7 +128,7 @@ class Polytope:
         """
         candidates: list[tuple[float, ...]] = []
         if self._dim == 2:
-            hull = self._hull2d()
+            hull = self._hull2d
             n = len(hull)
             for i in range(n):
                 x1, y1 = hull[i]
@@ -151,7 +153,7 @@ class Polytope:
         if len(point) != self._dim:
             raise ValueError("point dimensionality mismatch")
         if self._dim == 2:
-            hull = self._hull2d()
+            hull = self._hull2d
             if len(hull) == 1:
                 return point == hull[0]
             if len(hull) == 2:
@@ -162,17 +164,12 @@ class Polytope:
                 if _cross(a, b, point) < 0:
                     return False
             return True
-        for k in range(self._dim):
-            values = [v[k] for v in self._vertices]
-            if not min(values) <= point[k] <= max(values):
-                return False
-        return True
+        lower, upper = self._bounds
+        return all(lo <= c <= hi for lo, c, hi in zip(lower, point, upper))
 
     def bounding_box(self) -> tuple[IntVector, IntVector]:
         """Componentwise ``(lower, upper)`` corners of the bounding box."""
-        lower = tuple(min(v[k] for v in self._vertices) for k in range(self._dim))
-        upper = tuple(max(v[k] for v in self._vertices) for k in range(self._dim))
-        return lower, upper
+        return self._bounds
 
     def integer_point_count(self) -> int:
         """Number of lattice points; exact for boxes, bounding-box otherwise.
@@ -188,11 +185,18 @@ class Polytope:
 
     # -- internals ---------------------------------------------------------
 
-    def _hull2d(self) -> list[IntVector]:
+    @cached_property
+    def _bounds(self) -> tuple[IntVector, IntVector]:
+        lower = tuple(min(v[k] for v in self._vertices) for k in range(self._dim))
+        upper = tuple(max(v[k] for v in self._vertices) for k in range(self._dim))
+        return lower, upper
+
+    @cached_property
+    def _hull2d(self) -> tuple[IntVector, ...]:
         """Counter-clockwise convex hull (Andrew's monotone chain)."""
         pts = sorted(set(self._vertices))
         if len(pts) <= 2:
-            return pts
+            return tuple(pts)
         lower: list[IntVector] = []
         for p in pts:
             while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -204,7 +208,7 @@ class Polytope:
                 upper.pop()
             upper.append(p)
         hull = lower[:-1] + upper[:-1]
-        return hull if hull else [pts[0]]
+        return tuple(hull) if hull else (pts[0],)
 
     def __repr__(self) -> str:
         return f"Polytope({list(self._vertices)!r})"

@@ -89,6 +89,25 @@ class TestDriver:
         assert "lint.findings.RACE001" not in counters
         assert "lint.findings.RACE003" not in counters
 
+    def test_capped_race_count_is_a_lower_bound(self):
+        """The storage-race scan stops at 64 races.  jacobi's rolling
+        buffer has more at lint sizes, so its count is a lower bound;
+        simple2d's 32 stay exact."""
+        (capped,) = run_lint(
+            codes=["jacobi"],
+            passes=["storage-race"],
+            diag=Diagnostics(metrics=Metrics()),
+        )
+        assert capped.data == {"races": 64, "capped": True}
+        assert "64 or more colliding pair(s)" in capped.message
+        (exact,) = run_lint(
+            codes=["simple2d"],
+            passes=["storage-race"],
+            diag=Diagnostics(metrics=Metrics()),
+        )
+        assert exact.data == {"races": 32, "capped": False}
+        assert "mapping: 32 colliding pair(s)" in exact.message
+
     def test_fuzz_budget_enables_the_fuzz_pass(self):
         from repro.obs import metrics as metrics_mod
 
