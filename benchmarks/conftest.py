@@ -1,9 +1,11 @@
 """Benchmark fixtures: codes and machines at benchmark-friendly sizes.
 
 Every benchmark both *times* its piece of the pipeline (pytest-benchmark)
-and *asserts* the paper-shape property the piece reproduces, so a
-``--benchmark-only`` run doubles as a fast end-to-end regression of every
-table and figure.
+and *asserts* the paper-shape property the piece reproduces.  The files
+also hold plain tests without the ``benchmark`` fixture (ablations, the
+overhead and speedup checks, the e2e contract), which ``--benchmark-only``
+skips.  ``pytest benchmarks --benchmark-disable`` runs every test once,
+untimed: that run is the regression of every table and figure.
 """
 
 import pytest

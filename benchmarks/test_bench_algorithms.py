@@ -14,7 +14,7 @@ import pytest
 from repro.core import Stencil, find_optimal_uov
 from repro.core.cone import ConeSolver
 from repro.core.npcomplete import reduction_from_partition
-from repro.mapping import OVMapping2D
+from repro.mapping import OVMapping
 from repro.util.polyhedron import Polytope
 
 FIG2 = Stencil([(1, 0), (1, 1), (1, -1)])
@@ -82,7 +82,7 @@ def test_npc_instance(benchmark):
 def test_mapping_throughput_compiled(benchmark):
     """The compiled address path the simulator uses vs direct calls."""
     isg = Polytope.from_box((1, 0), (64, 1023))
-    mapping = OVMapping2D((2, 0), isg, layout="consecutive")
+    mapping = OVMapping((2, 0), isg, layout="consecutive")
     f = mapping.compiled()
     points = [(t, x) for t in range(1, 33) for x in range(0, 1024, 8)]
 

@@ -2,7 +2,7 @@
 
 from repro.core import Stencil, find_optimal_uov, storage_for_ov
 from repro.experiments.fig3 import FIG2_STENCIL, FIG3_ISG_VERTICES
-from repro.mapping import OVMapping2D
+from repro.mapping import OVMapping
 from repro.util.polyhedron import Polytope
 
 
@@ -10,7 +10,7 @@ def fig1_example():
     stencil = Stencil([(1, 0), (0, 1), (1, 1)])
     search = find_optimal_uov(stencil)
     isg = Polytope.from_box((1, 1), (60, 80))
-    mapping = OVMapping2D(search.ov, isg)
+    mapping = OVMapping(search.ov, isg)
     return search, mapping
 
 
@@ -42,8 +42,8 @@ def fig5_mappings():
     stencil = Stencil([(1, -2), (1, -1), (1, 0), (1, 1), (1, 2)])
     search = find_optimal_uov(stencil)
     isg = Polytope.from_box((1, 0), (64, 1023))
-    inter = OVMapping2D(search.ov, isg, layout="interleaved")
-    consec = OVMapping2D(search.ov, isg, layout="consecutive")
+    inter = OVMapping(search.ov, isg, layout="interleaved")
+    consec = OVMapping(search.ov, isg, layout="consecutive")
     return search, inter, consec
 
 

@@ -116,7 +116,7 @@ def test_ablation_padding_fixes_consecutive_layout(
     from dataclasses import replace
 
     from repro.execution import simulate
-    from repro.mapping import PaddedOVMapping2D, pad_for_cache
+    from repro.mapping import PaddedOVMapping, pad_for_cache
     from repro.util.polyhedron import Polytope
 
     ultra = scaled_machines[1]
@@ -128,7 +128,7 @@ def test_ablation_padding_fixes_consecutive_layout(
             ultra.l1.line_bytes,
             cache_bytes=ultra.l1.size_bytes,
         )
-        return PaddedOVMapping2D((2, 0), isg, pad=pad)
+        return PaddedOVMapping((2, 0), isg, pad=pad)
 
     base = stencil5_versions["ov-tiled"]
     padded = replace(

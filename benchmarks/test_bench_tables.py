@@ -7,7 +7,7 @@ formulas.
 
 from repro.analysis.dependence import extract_stencil
 from repro.core import find_optimal_uov
-from repro.mapping import OVMapping2D
+from repro.mapping import OVMapping
 from repro.util.polyhedron import Polytope
 
 T_STEPS, LENGTH = 64, 4096
@@ -52,7 +52,7 @@ def full_pipeline(versions):
     stencil = extract_stencil(code.program)
     result = find_optimal_uov(stencil)
     isg = Polytope.from_loop_bounds(code.bounds({"T": T_STEPS, "L": LENGTH}))
-    return OVMapping2D(result.ov, isg, layout="consecutive")
+    return OVMapping(result.ov, isg, layout="consecutive")
 
 
 def test_compile_pipeline(benchmark, stencil5_versions):

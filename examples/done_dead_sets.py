@@ -10,7 +10,7 @@ Run:  python examples/done_dead_sets.py
 """
 
 from repro.core import Stencil, find_optimal_uov
-from repro.mapping import OVMapping2D
+from repro.mapping import OVMapping
 from repro.util.polyhedron import Polytope
 from repro.viz import render_done_dead, render_mapping, render_stencil
 
@@ -31,10 +31,10 @@ def main() -> None:
 
     isg = Polytope.from_box((0, 0), (5, 7))
     print(f"storage locations under UOV {result.ov} (interleaved):")
-    print(render_mapping(OVMapping2D(result.ov, isg, "interleaved"), [(0, 5), (0, 7)]))
+    print(render_mapping(OVMapping(result.ov, isg, "interleaved"), [(0, 5), (0, 7)]))
     print()
     print(f"same UOV, consecutive class blocks:")
-    print(render_mapping(OVMapping2D(result.ov, isg, "consecutive"), [(0, 5), (0, 7)]))
+    print(render_mapping(OVMapping(result.ov, isg, "consecutive"), [(0, 5), (0, 7)]))
     print()
     print(
         "read down any column: the location repeats every 2 rows — points\n"

@@ -19,7 +19,7 @@ from repro import Polytope, Stencil, find_optimal_uov
 from repro.analysis import check_uov_applicability, extract_stencil
 from repro.codes import make_simple2d
 from repro.execution import execute, verify_versions
-from repro.mapping import OVMapping2D
+from repro.mapping import OVMapping
 
 
 def main() -> None:
@@ -45,7 +45,7 @@ def main() -> None:
     # -- storage mapping ---------------------------------------------------
     n, m = 100, 150
     isg = Polytope.from_box((1, 1), (n, m))
-    mapping = OVMapping2D(result.ov, isg)
+    mapping = OVMapping(result.ov, isg)
     expr = mapping.expression(["i", "j"])
     print(f"storage mapping: SM(i, j) = {expr.to_python()}")
     print(f"  allocation: {mapping.size} locations (natural: {n * m})")

@@ -36,6 +36,7 @@ from repro.analysis.liveness import MappingViolation, find_mapping_violation
 from repro.core.cone import ConeSolver, done_set, expand_certificate
 from repro.core.stencil import Stencil
 from repro.mapping.base import StorageMapping
+from repro.mapping.ov import OVMapping
 from repro.util.polyhedron import Polytope
 from repro.util.vectors import IntVector, add, as_vector, dot, is_zero, sub
 
@@ -43,24 +44,12 @@ __all__ = [
     "UOVCertificate",
     "UOVCounterexample",
     "certify",
-    "ov_mapping_for",
 ]
 
 #: Largest box (in lattice points) the counterexample builder will
 #: materialise before falling back to random-schedule sampling.
 _MAX_COUNTEREXAMPLE_POINTS = 20_000
 _FALLBACK_SAMPLES = 64
-
-
-def ov_mapping_for(ov: Sequence[int], isg: Polytope) -> StorageMapping:
-    """The canonical OV-directed mapping used to replay verdicts."""
-    from repro.mapping.ov2d import OVMapping2D
-    from repro.mapping.ovnd import OVMappingND
-
-    ov = as_vector(ov)
-    if len(ov) == 2:
-        return OVMapping2D(ov, isg)
-    return OVMappingND(ov, isg)
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,7 @@ class UOVCounterexample:
         if self.bounds is None:
             raise ValueError("counterexample has no schedule fragment")
         isg = Polytope.from_loop_bounds(self.bounds)
-        return ov_mapping_for(self.ov, isg)
+        return OVMapping(self.ov, isg)
 
     def replay(self) -> Optional[MappingViolation]:
         """Run the dynamic liveness checker on the stored schedule."""
@@ -281,7 +270,7 @@ def _build_counterexample(
         prefix = _w_sorted([p for p in done if p != q], weights)
         rest = _w_sorted([p for p in points if p not in done], weights)
         candidate = prefix + [q] + rest
-        mapping = ov_mapping_for(ov, box)
+        mapping = OVMapping(ov, box)
         if find_mapping_violation(mapping, stencil, candidate) is not None:
             order = candidate
 
@@ -323,7 +312,7 @@ def _sampled_counterexample(
         n_points *= hi - lo + 1
     if n_points > _MAX_COUNTEREXAMPLE_POINTS:
         return None, bounds
-    mapping = ov_mapping_for(ov, Polytope.from_loop_bounds(grown))
+    mapping = OVMapping(ov, Polytope.from_loop_bounds(grown))
     for candidate in sample_legal_orders(
         stencil, grown, _FALLBACK_SAMPLES, seed=0
     ):

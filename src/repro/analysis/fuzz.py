@@ -26,16 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.analysis.certify import (
-    UOVCertificate,
-    UOVCounterexample,
-    certify,
-    ov_mapping_for,
-)
+from repro.analysis.certify import UOVCertificate, UOVCounterexample, certify
 from repro.analysis.liveness import find_mapping_violation
 from repro.analysis.races import find_storage_races
 from repro.core.stencil import Stencil
 from repro.mapping.base import StorageMapping
+from repro.mapping.ov import OVMapping
 from repro.obs.metrics import get_metrics
 from repro.schedule.random_legal import sample_legal_orders
 from repro.util.polyhedron import Polytope
@@ -110,7 +106,7 @@ def differential_fuzz_uov(
                 f"violation (failing vector {result.failing_vector})"
             )
         # Informational: how often random schedules trip over the bad OV.
-        mapping = ov_mapping_for(ov, Polytope.from_loop_bounds(bounds))
+        mapping = OVMapping(ov, Polytope.from_loop_bounds(bounds))
         hits = sum(
             1
             for order in sample_legal_orders(stencil, bounds, samples, seed)
@@ -129,7 +125,7 @@ def differential_fuzz_uov(
         )
 
     assert isinstance(result, UOVCertificate)
-    mapping = ov_mapping_for(ov, Polytope.from_loop_bounds(bounds))
+    mapping = OVMapping(ov, Polytope.from_loop_bounds(bounds))
     hits = 0
     for k, order in enumerate(
         sample_legal_orders(stencil, bounds, samples, seed)
@@ -293,9 +289,7 @@ def differential_fuzz_symbolic(
             # schedules over each box.
             for extent in sizes:
                 box = tuple((0, extent - 1) for _ in range(dim))
-                mapping = ov_mapping_for(
-                    ov, Polytope.from_loop_bounds(box)
-                )
+                mapping = OVMapping(ov, Polytope.from_loop_bounds(box))
                 for k, order in enumerate(
                     sample_legal_orders(stencil, box, 3, seed + trial)
                 ):

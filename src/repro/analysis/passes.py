@@ -125,10 +125,9 @@ def registered_passes() -> dict[str, LintPass]:
 
 
 def _is_ov_mapping(mapping) -> bool:
-    from repro.mapping.ov2d import OVMapping2D
-    from repro.mapping.ovnd import OVMappingND
+    from repro.mapping.ov import OVMapping
 
-    return isinstance(mapping, (OVMapping2D, OVMappingND))
+    return isinstance(mapping, OVMapping)
 
 
 def _schedule_independent(version: CodeVersion, mapping) -> bool:

@@ -155,20 +155,27 @@ def _cmd_find(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    from repro.mapping import OVMapping2D, OVMappingND
+    from repro.mapping import OVMapping
 
-    ov = tuple(int(c) for c in args.ov.split(","))
-    lower_text, _, upper_text = args.box.partition(":")
-    lower = tuple(int(c) for c in lower_text.split(","))
-    upper = tuple(int(c) for c in upper_text.split(","))
-    isg = Polytope.from_box(lower, upper)
+    try:
+        ov = tuple(int(c) for c in args.ov.split(","))
+        lower_text, _, upper_text = args.box.partition(":")
+        lower = tuple(int(c) for c in lower_text.split(","))
+        upper = tuple(int(c) for c in upper_text.split(","))
+        isg = Polytope.from_box(lower, upper)
+        mappings = [
+            OVMapping(ov, isg, layout=layout)
+            for layout in ("interleaved", "consecutive")
+        ]
+    except ValueError as exc:
+        print(f"map: {exc}", file=sys.stderr)
+        return 2
     names = [f"q{k}" for k in range(len(ov))]
-    for layout in ("interleaved", "consecutive"):
-        cls = OVMapping2D if len(ov) == 2 else OVMappingND
-        mapping = cls(ov, isg, layout=layout)
+    for mapping in mappings:
         expr = mapping.expression(names)
         print(
-            f"{layout:>12}: SM({', '.join(names)}) = {expr.to_python()}   "
+            f"{mapping.layout:>12}: SM({', '.join(names)}) = "
+            f"{expr.to_python()}   "
             f"[{mapping.size} locations, ops {expr.op_counts()}]"
         )
     return 0

@@ -204,7 +204,7 @@ def _generate_unrolled(version, sizes, mapping, indices, bounds):
     a, b = indices
     (lo0, hi0), (lo1, hi1) = bounds
     g = mapping.gcd
-    beta = getattr(mapping, "_beta", None) or getattr(mapping, "_class_row")
+    beta = mapping.class_row
     step = beta[1] % g
     outer_step = beta[0] % g
 
@@ -302,11 +302,7 @@ def _unrolled_body(version, mapping, indices, bounds, classes, shift_inner):
         if isinstance(cls, int):
             return mapping.expression_with_class(names, cls).to_python()
         expr = mapping.expression_with_class(names, 0).to_python()
-        scale = (
-            1
-            if mapping.layout == "interleaved"
-            else mapping.size // mapping.gcd
-        )
+        scale = mapping.class_stride
         term = cls if scale == 1 else f"{cls} * {scale}"
         return f"{expr} + {term}"
 

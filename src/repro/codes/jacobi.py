@@ -22,7 +22,7 @@ from typing import Mapping
 
 from repro.codes.base import CodeVersion
 from repro.frontend import SpecBuilder, synthesize_code
-from repro.mapping import OVMapping2D, RollingBufferMapping, RowMajorMapping
+from repro.mapping import OVMapping, RollingBufferMapping, RowMajorMapping
 from repro.schedule import LexicographicSchedule, TiledSchedule, required_skew
 from repro.util.polyhedron import Polytope
 
@@ -84,14 +84,14 @@ def make_jacobi() -> dict[str, CodeVersion]:
     mk(
         "ov",
         "OV-Mapped",
-        lambda s: OVMapping2D(JACOBI_UOV, _isg(s), layout="consecutive"),
+        lambda s: OVMapping(JACOBI_UOV, _isg(s), layout="consecutive"),
         lambda s: LexicographicSchedule(),
         lambda s: 2 * s["L"],
     )
     mk(
         "ov-tiled",
         "OV-Mapped Tiled",
-        lambda s: OVMapping2D(JACOBI_UOV, _isg(s), layout="consecutive"),
+        lambda s: OVMapping(JACOBI_UOV, _isg(s), layout="consecutive"),
         lambda s: TiledSchedule(tile_sizes(s), skew=skew),
         lambda s: 2 * s["L"],
         tiled=True,

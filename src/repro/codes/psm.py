@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.codes.base import CodeVersion
 from repro.frontend import COMBINE_HOOKS, SemanticsHook, SpecBuilder, synthesize_code
-from repro.mapping import OVMapping2D, RollingBufferMapping, RowMajorMapping
+from repro.mapping import OVMapping, RollingBufferMapping, RowMajorMapping
 from repro.schedule import (
     InterchangedSchedule,
     LexicographicSchedule,
@@ -194,7 +194,7 @@ def make_psm() -> dict[str, CodeVersion]:
 
     def ov_mapping(ov):
         def factory(sizes):
-            return OVMapping2D(ov, _isg(sizes), layout="consecutive")
+            return OVMapping(ov, _isg(sizes), layout="consecutive")
 
         return factory
 

@@ -27,7 +27,7 @@ from typing import Mapping
 
 from repro.codes.base import CodeVersion
 from repro.frontend import SpecBuilder, synthesize_code
-from repro.mapping import OVMapping2D, RollingBufferMapping, RowMajorMapping
+from repro.mapping import OVMapping, RollingBufferMapping, RowMajorMapping
 from repro.schedule import LexicographicSchedule, TiledSchedule
 from repro.util.polyhedron import Polytope
 
@@ -99,14 +99,14 @@ def make_simple2d() -> dict[str, CodeVersion]:
     mk(
         "ov",
         "OV-Mapped",
-        lambda s: OVMapping2D(SIMPLE2D_UOV, _isg(s)),
+        lambda s: OVMapping(SIMPLE2D_UOV, _isg(s)),
         lambda s: LexicographicSchedule(),
         lambda s: s["n"] + s["m"] - 1,
     )
     mk(
         "ov-tiled",
         "OV-Mapped Tiled",
-        lambda s: OVMapping2D(SIMPLE2D_UOV, _isg(s)),
+        lambda s: OVMapping(SIMPLE2D_UOV, _isg(s)),
         lambda s: TiledSchedule(tile_sizes(s)),
         lambda s: s["n"] + s["m"] - 1,
         tiled=True,

@@ -17,7 +17,7 @@ layouts the paper measures separately:
 version                     mapping                       temporary storage
 ==========================  ============================  =================
 natural                     row-major ``T x L`` array      ``T*L``
-ov-mapped (consecutive)     ``OVMapping2D((2,0))``         ``2*L``
+ov-mapped (consecutive)     ``OVMapping((2,0))``           ``2*L``
 ov-mapped interleaved       same, interleaved classes      ``2*L``
 storage optimized           rolling buffer                 ``L + 3``
 ==========================  ============================  =================
@@ -45,7 +45,7 @@ from typing import Mapping
 
 from repro.codes.base import CodeVersion
 from repro.frontend import SpecBuilder, synthesize_code
-from repro.mapping import OVMapping2D, RollingBufferMapping, RowMajorMapping
+from repro.mapping import OVMapping, RollingBufferMapping, RowMajorMapping
 from repro.schedule import LexicographicSchedule, TiledSchedule, required_skew
 from repro.util.polyhedron import Polytope
 
@@ -104,7 +104,7 @@ def make_stencil5() -> dict[str, CodeVersion]:
 
     def ov_mapping(layout):
         def factory(sizes):
-            return OVMapping2D(STENCIL5_UOV, _isg(sizes), layout=layout)
+            return OVMapping(STENCIL5_UOV, _isg(sizes), layout=layout)
 
         return factory
 

@@ -41,6 +41,10 @@ def storage_for_ov(ov: Sequence[int], isg: Polytope) -> int:
     the primitive OV and allocated over the bounding box of the projected
     coordinates (the same allocation the generated code uses, so the number
     reported here is the number the mapped program actually consumes).
+
+    This is always ``OVMapping(ov, isg).size``.  The 2-D branch computes it
+    without building the completion, because the storage-objective search
+    calls this function tens of thousands of times.
     """
     ov = as_vector(ov)
     if is_zero(ov):

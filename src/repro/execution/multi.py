@@ -39,7 +39,7 @@ from repro.core.stencil import Stencil
 from repro.ir.program import Program
 from repro.ir.stmt import Assignment
 from repro.mapping.base import StorageMapping
-from repro.mapping.ov2d import OVMapping2D
+from repro.mapping.ov import OVMapping
 from repro.schedule.base import Schedule
 from repro.util.polyhedron import Polytope
 from repro.util.vectors import IntVector, is_lex_positive, sub
@@ -114,13 +114,13 @@ def plan_storage(
 ) -> MultiAssignmentPlan:
     """Choose a UOV and a disjoint buffer per assignment.
 
-    ``mapping_factory(uov, isg)`` defaults to the consecutive 2-D OV
+    ``mapping_factory(uov, isg)`` defaults to the consecutive OV
     mapping.  Each assignment's UOV comes from *its own* reduced ISG —
     other statements' dependences never inflate its storage, which is
     the disjointness the paper prescribes.
     """
     if mapping_factory is None:
-        mapping_factory = lambda uov, isg: OVMapping2D(
+        mapping_factory = lambda uov, isg: OVMapping(
             uov, isg, layout="consecutive"
         )
     isg = Polytope.from_loop_bounds(program.loop.concrete_bounds(sizes))

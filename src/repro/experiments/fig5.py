@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.codes.stencil5 import STENCIL5_DISTANCES, STENCIL5_UOV
 from repro.core import Stencil, find_optimal_uov, is_uov
 from repro.experiments.harness import ExperimentResult
-from repro.mapping import OVMapping2D
+from repro.mapping import OVMapping
 from repro.util.polyhedron import Polytope
 
 TITLE = "Figure 5: non-prime UOV (2,0), interleaved vs consecutive"
@@ -27,8 +27,8 @@ def run(mode: str = "quick") -> ExperimentResult:
     t_steps, length = (32, 256) if mode == "full" else (6, 24)
     stencil = Stencil(STENCIL5_DISTANCES)
     isg = Polytope.from_box((1, 0), (t_steps, length - 1))
-    inter = OVMapping2D(STENCIL5_UOV, isg, layout="interleaved")
-    consec = OVMapping2D(STENCIL5_UOV, isg, layout="consecutive")
+    inter = OVMapping(STENCIL5_UOV, isg, layout="interleaved")
+    consec = OVMapping(STENCIL5_UOV, isg, layout="consecutive")
     result = ExperimentResult("fig5", TITLE, mode)
 
     result.tables["mappings"] = [

@@ -8,10 +8,12 @@ operation count feeds the overhead model of Section 5.1.
 
 - :mod:`repro.mapping.array` — natural row/column-major array storage
   (the fully expanded "natural" code versions).
-- :mod:`repro.mapping.ov2d` — the paper's two-dimensional OV mapping,
-  including non-prime OVs with interleaved or consecutive class layout.
-- :mod:`repro.mapping.ovnd` — our generalisation to arbitrary dimension
-  via unimodular completion of the occupancy vector.
+- :mod:`repro.mapping.ov` — the paper's OV mapping, including non-prime
+  OVs with interleaved or consecutive class layout, in any dimension via
+  unimodular completion of the occupancy vector (in 2-D the completion is
+  the paper's construction).
+- :mod:`repro.mapping.padding` — the OV mapping with padded class blocks
+  (the array-padding aside of Section 4).
 - :mod:`repro.mapping.optimized` — schedule-dependent minimal storage
   (rolling buffer), the "storage optimized" versions of Section 5.
 - :mod:`repro.mapping.expr` — the address-expression IR and op counting.
@@ -21,9 +23,8 @@ from repro.mapping.array import ColMajorMapping, RowMajorMapping
 from repro.mapping.base import OpCounts, StorageMapping
 from repro.mapping.expr import Const, Expr, Mod, Var, affine
 from repro.mapping.optimized import RollingBufferMapping
-from repro.mapping.ov2d import OVMapping2D
-from repro.mapping.padding import PaddedOVMapping2D, pad_for_cache
-from repro.mapping.ovnd import OVMappingND
+from repro.mapping.ov import OVMapping
+from repro.mapping.padding import PaddedOVMapping, pad_for_cache
 from repro.mapping.registry import MAPPINGS, build_mapping
 
 __all__ = [
@@ -33,10 +34,9 @@ __all__ = [
     "OpCounts",
     "RowMajorMapping",
     "ColMajorMapping",
-    "OVMapping2D",
-    "PaddedOVMapping2D",
+    "OVMapping",
+    "PaddedOVMapping",
     "pad_for_cache",
-    "OVMappingND",
     "RollingBufferMapping",
     "Expr",
     "Var",

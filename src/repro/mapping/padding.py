@@ -12,7 +12,7 @@ elements of the classes collide in the same cache set and the inner loop
 thrashes (exactly what the Ultra 2 model shows in Figures 9-11, and why
 the paper measured the interleaved layout separately).
 
-:class:`PaddedOVMapping2D` inserts ``pad`` unused elements between the
+:class:`PaddedOVMapping` inserts ``pad`` unused elements between the
 class blocks, shifting each block's cache-set phase.  All storage-mapping
 requirements are preserved (points ``ov`` apart still share a location;
 classes still never collide); the cost is ``(g-1) * pad`` wasted elements
@@ -24,12 +24,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.mapping.base import StorageMapping
-from repro.mapping.expr import Expr
-from repro.mapping.ov2d import OVMapping2D
+from repro.mapping.ov import OVMapping
 from repro.util.polyhedron import Polytope
 
-__all__ = ["PaddedOVMapping2D", "pad_for_cache"]
+__all__ = ["PaddedOVMapping", "pad_for_cache"]
 
 
 def pad_for_cache(
@@ -59,7 +57,7 @@ def pad_for_cache(
     return cache_bytes // 2 // element_bytes + elements_per_line
 
 
-class PaddedOVMapping2D(OVMapping2D):
+class PaddedOVMapping(OVMapping):
     """Consecutive-layout OV mapping with padded class blocks."""
 
     def __init__(
@@ -78,50 +76,16 @@ class PaddedOVMapping2D(OVMapping2D):
         return self._pad
 
     @property
-    def padded_length(self) -> int:
-        return self._length + self._pad
+    def class_stride(self) -> int:
+        return self.perpendicular_size + self._pad
 
     @property
     def size(self) -> int:
         # The final class needs no trailing pad.
-        return self._g * self._length + (self._g - 1) * self._pad
-
-    def __call__(self, point: Sequence[int]) -> int:
-        self.check_point(point)
-        base = (
-            self._mvp[0] * point[0] + self._mvp[1] * point[1] - self._lo
-        )
-        if self._g == 1:
-            return base
-        cls = (
-            self._beta[0] * point[0] + self._beta[1] * point[1]
-        ) % self._g
-        return base + cls * self.padded_length
-
-    def expression(self, variables: Sequence[str]) -> Expr:
-        from repro.mapping.expr import Const, Mod, affine
-
-        if self._g == 1:
-            return affine(self._mvp, variables, -self._lo)
-        modterm = Mod.make(
-            affine(self._beta, variables, 0), Const(self._g)
-        )
-        base = affine(self._mvp, variables, -self._lo)
-        return base + modterm * self.padded_length
-
-    def expression_with_class(
-        self, variables: Sequence[str], cls: int
-    ) -> Expr:
-        from repro.mapping.expr import affine
-
-        if not 0 <= cls < self._g:
-            raise ValueError(f"class {cls} out of range for gcd {self._g}")
-        return affine(
-            self._mvp, variables, -self._lo + cls * self.padded_length
-        )
+        return self._g * self.perpendicular_size + (self._g - 1) * self._pad
 
     def __repr__(self) -> str:
         return (
-            f"PaddedOVMapping2D(ov={self._ov}, pad={self._pad}, "
+            f"PaddedOVMapping(ov={self._ov}, pad={self._pad}, "
             f"size={self.size})"
         )

@@ -16,8 +16,7 @@ from repro.core.stencil import Stencil
 from repro.mapping.array import RowMajorMapping
 from repro.mapping.base import StorageMapping
 from repro.mapping.optimized import RollingBufferMapping
-from repro.mapping.ov2d import OVMapping2D
-from repro.mapping.ovnd import OVMappingND
+from repro.mapping.ov import OVMapping
 from repro.util.polyhedron import Polytope
 from repro.util.registry import Registry
 
@@ -47,10 +46,7 @@ def _isg(bounds: Bounds) -> Polytope:
 def _ov_mapping(stencil, bounds, ov, layout) -> StorageMapping:
     if ov is None:
         raise ValueError("OV mappings need an occupancy vector (run uov-search)")
-    isg = _isg(bounds)
-    if len(bounds) == 2:
-        return OVMapping2D(ov, isg, layout=layout)
-    return OVMappingND(ov, isg, layout=layout)
+    return OVMapping(ov, _isg(bounds), layout=layout)
 
 
 @MAPPINGS.register(

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.certify import (
-    UOVCertificate,
-    UOVCounterexample,
-    certify,
-    ov_mapping_for,
-)
+from repro.analysis.certify import UOVCertificate, UOVCounterexample, certify
 from repro.analysis.legality import is_schedule_legal
 from repro.core.stencil import Stencil
 
@@ -111,16 +106,6 @@ class TestValidation:
     def test_dimension_mismatch_rejected(self, fig1_stencil):
         with pytest.raises(ValueError, match="dimensionality"):
             certify((1, 1, 1), fig1_stencil)
-
-    def test_ov_mapping_for_dispatches_on_dim(self):
-        from repro.mapping.ov2d import OVMapping2D
-        from repro.mapping.ovnd import OVMappingND
-        from repro.util.polyhedron import Polytope
-
-        box2 = Polytope.from_box((0, 0), (3, 3))
-        box3 = Polytope.from_box((0, 0, 0), (2, 2, 2))
-        assert isinstance(ov_mapping_for((1, 1), box2), OVMapping2D)
-        assert isinstance(ov_mapping_for((1, 1, 1), box3), OVMappingND)
 
 
 class TestPropertyBased:

@@ -13,7 +13,7 @@ from repro.analysis.fuzz import (
 )
 from repro.core.stencil import Stencil
 from repro.mapping.optimized import RollingBufferMapping
-from repro.mapping.ov2d import OVMapping2D
+from repro.mapping.ov import OVMapping
 from repro.util.polyhedron import Polytope
 
 #: (stencil vectors, certified UOV, bounds) — one entry per corpus code.
@@ -56,7 +56,7 @@ class TestMappingSide:
     def test_clean_mapping_survives_sampling(self, fig1_stencil):
         box = Polytope.from_loop_bounds(((0, 5), (0, 6)))
         report = differential_fuzz_mapping(
-            OVMapping2D((1, 1), box), fig1_stencil, ((0, 5), (0, 6)),
+            OVMapping((1, 1), box), fig1_stencil, ((0, 5), (0, 6)),
             samples=25,
         )
         assert report.verdict == "clean" and report.ok
@@ -78,10 +78,10 @@ class TestMappingSide:
         box = Polytope.from_loop_bounds(((0, 4), (0, 4)))
         kwargs = dict(samples=10, seed=7)
         a = differential_fuzz_mapping(
-            OVMapping2D((1, 1), box), fig1_stencil, ((0, 4), (0, 4)), **kwargs
+            OVMapping((1, 1), box), fig1_stencil, ((0, 4), (0, 4)), **kwargs
         )
         b = differential_fuzz_mapping(
-            OVMapping2D((1, 1), box), fig1_stencil, ((0, 4), (0, 4)), **kwargs
+            OVMapping((1, 1), box), fig1_stencil, ((0, 4), (0, 4)), **kwargs
         )
         assert (a.verdict, a.disagreements, a.dynamic_violations) == (
             b.verdict, b.disagreements, b.dynamic_violations

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.analysis.liveness import find_mapping_violation, is_mapping_legal
-from repro.mapping import OVMapping2D, RollingBufferMapping
+from repro.mapping import OVMapping, RollingBufferMapping
 from repro.schedule import (
     LexicographicSchedule,
     TiledSchedule,
@@ -19,7 +19,7 @@ class TestUovMappingsUniversal:
     def test_legal_under_every_schedule_family(self, fig1_stencil):
         bounds = [(0, 6), (0, 7)]
         isg = Polytope.from_box((0, 0), (6, 7))
-        mapping = OVMapping2D((1, 1), isg)
+        mapping = OVMapping((1, 1), isg)
         for schedule in (
             LexicographicSchedule(),
             WavefrontSchedule((1, 1)),
@@ -35,7 +35,7 @@ class TestUovMappingsUniversal:
         rng = random.Random(11)
         bounds = [(0, 5), (0, 5)]
         isg = Polytope.from_box((0, 0), (5, 5))
-        mapping = OVMapping2D((1, 1), isg)
+        mapping = OVMapping((1, 1), isg)
         for _ in range(15):
             order = random_legal_order(fig1_stencil, bounds, rng)
             assert is_mapping_legal(mapping, fig1_stencil, order)
@@ -46,7 +46,7 @@ class TestUovMappingsUniversal:
         bounds = [(1, 8), (0, 11)]
         isg = Polytope.from_box((1, 0), (8, 11))
         for layout in ("interleaved", "consecutive"):
-            mapping = OVMapping2D((2, 0), isg, layout=layout)
+            mapping = OVMapping((2, 0), isg, layout=layout)
             sched = TiledSchedule((3, 4), skew=required_skew(stencil5))
             assert is_mapping_legal(
                 mapping, stencil5, sched.order(bounds)
@@ -57,7 +57,7 @@ class TestNonUniversalMappings:
     def test_non_uov_caught_with_evidence(self, fig1_stencil):
         bounds = [(0, 5), (0, 5)]
         isg = Polytope.from_box((0, 0), (5, 5))
-        mapping = OVMapping2D((1, 0), isg)  # not a UOV
+        mapping = OVMapping((1, 0), isg)  # not a UOV
         order = list(LexicographicSchedule().order(bounds))
         violation = find_mapping_violation(mapping, fig1_stencil, order)
         assert violation is not None
@@ -82,7 +82,7 @@ class TestNonUniversalMappings:
 
     def test_duplicate_points_rejected(self, fig1_stencil):
         isg = Polytope.from_box((0, 0), (2, 2))
-        mapping = OVMapping2D((1, 1), isg)
+        mapping = OVMapping((1, 1), isg)
         with pytest.raises(ValueError):
             is_mapping_legal(
                 mapping, fig1_stencil, [(0, 0), (0, 0), (1, 1)]
@@ -96,6 +96,6 @@ class TestSelfConsumptionSemantics:
         legal — the heart of the DEAD-set definition."""
         bounds = [(0, 4), (0, 4)]
         isg = Polytope.from_box((0, 0), (4, 4))
-        mapping = OVMapping2D((1, 1), isg)
+        mapping = OVMapping((1, 1), isg)
         order = list(LexicographicSchedule().order(bounds))
         assert is_mapping_legal(mapping, fig1_stencil, order)

@@ -150,7 +150,7 @@ class TestSymbolicPass:
         from repro.analysis.passes import build_target, lint_target
         from repro.codes import get_versions
 
-        from repro.analysis.certify import ov_mapping_for
+        from repro.mapping import OVMapping
         from repro.util.polyhedron import Polytope
 
         versions = dict(get_versions("simple2d"))
@@ -158,7 +158,7 @@ class TestSymbolicPass:
 
         def bad_factory(sizes):
             isg = Polytope.from_loop_bounds(good.code.bounds(sizes))
-            return ov_mapping_for((0, 1), isg)
+            return OVMapping((0, 1), isg)
 
         versions["ov"] = dataclasses.replace(
             good, mapping_factory=bad_factory

@@ -15,9 +15,8 @@ from repro.analysis.races import (
 from repro.core.cone import done_set
 from repro.core.stencil import Stencil
 from repro.mapping.optimized import RollingBufferMapping
-from repro.mapping.ov2d import OVMapping2D
-from repro.mapping.ovnd import OVMappingND
-from repro.mapping.padding import PaddedOVMapping2D
+from repro.mapping.ov import OVMapping
+from repro.mapping.padding import PaddedOVMapping
 from repro.util.polyhedron import Polytope
 from repro.util.vectors import add, dot
 from tests.analysis.test_symcert_property import build_stencil, vectors_strategy
@@ -32,16 +31,16 @@ def box():
 
 class TestRaceFreedom:
     def test_uov_mapping_has_no_races(self, fig1_stencil, box):
-        mapping = OVMapping2D((1, 1), box)
+        mapping = OVMapping((1, 1), box)
         assert find_storage_races(mapping, fig1_stencil, box) == []
 
     def test_trivial_uov_mapping_has_no_races(self, fig1_stencil, box):
-        mapping = OVMapping2D((2, 2), box)
+        mapping = OVMapping((2, 2), box)
         assert find_storage_races(mapping, fig1_stencil, box) == []
 
     def test_padded_mapping_inherits_race_freedom(self, stencil5):
         box = Polytope.from_loop_bounds(((1, 5), (0, 8)))
-        mapping = PaddedOVMapping2D((2, 0), box, pad=3)
+        mapping = PaddedOVMapping((2, 0), box, pad=3)
         assert find_storage_races(mapping, stencil5, box) == []
 
     def test_injective_mapping_cannot_race(self, fig1_stencil, box):
@@ -55,7 +54,7 @@ class TestRaceFreedom:
 class TestRaceDetection:
     def test_non_uov_mapping_races(self, fig1_stencil, box):
         # (1, 0) skips the (0, 1) dependence: real races must surface.
-        mapping = OVMapping2D((1, 0), box)
+        mapping = OVMapping((1, 0), box)
         races = find_storage_races(mapping, fig1_stencil, box)
         assert races
         for race in races:
@@ -146,7 +145,7 @@ def assert_index_matches_oracle(stencil, region):
     for q in (*index.points, outside):
         assert index.done(q) == frozenset(done_set(stencil, q, region)), q
     for mapping in (
-        OVMappingND(stencil.initial_uov, region),
+        OVMapping(stencil.initial_uov, region),
         RollingBufferMapping(stencil, region),
     ):
         assert find_storage_races(mapping, stencil, region) == (
@@ -200,7 +199,7 @@ class TestBoxBoundaryRegression:
     def scan(self, extent):
         bounds = [(0, extent - 1)] * 3
         box = Polytope.from_loop_bounds(bounds)
-        mapping = OVMappingND(self.OV, box)
+        mapping = OVMapping(self.OV, box)
         races = find_storage_races(mapping, BOUNDARY_STENCIL, box)
         return bounds, mapping, races
 

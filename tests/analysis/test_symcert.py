@@ -112,14 +112,13 @@ class TestCodeLevel:
     def test_version_ovs_certify(self, name):
         """Every OV an actual shipped version uses is parametrically safe."""
         from repro.analysis.passes import LINT_SIZES
-        from repro.mapping.ov2d import OVMapping2D
-        from repro.mapping.ovnd import OVMappingND
+        from repro.mapping import OVMapping
 
         versions = get_versions(name)
         code = next(iter(versions.values())).code
         for key, version in versions.items():
             mapping = version.mapping(LINT_SIZES[name])
-            if not isinstance(mapping, (OVMapping2D, OVMappingND)):
+            if not isinstance(mapping, OVMapping):
                 continue
             outcome = symbolic_certify_code(
                 code, tuple(mapping.ov), sizes=LINT_SIZES[name]

@@ -10,10 +10,11 @@ non-power-of-two ones.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.certify import UOVCertificate, certify, ov_mapping_for
+from repro.analysis.certify import UOVCertificate, certify
 from repro.analysis.liveness import find_mapping_violation
 from repro.analysis.symcert import symbolic_certify, SymbolicCertificate
 from repro.core.stencil import Stencil
+from repro.mapping import OVMapping
 from repro.schedule.random_legal import sample_legal_orders
 from repro.util.fm import FMBudgetExceeded
 from repro.util.polyhedron import Polytope
@@ -81,7 +82,7 @@ def test_symbolic_matches_enumerative(dim, data):
     assert symbolic.verify()
     for extent in EXTENTS:
         box = tuple((0, extent - 1) for _ in range(dim))
-        mapping = ov_mapping_for(ov, Polytope.from_loop_bounds(box))
+        mapping = OVMapping(ov, Polytope.from_loop_bounds(box))
         for order in sample_legal_orders(stencil, box, samples=2, seed=extent):
             assert (
                 find_mapping_violation(mapping, stencil, order) is None

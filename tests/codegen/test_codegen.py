@@ -7,7 +7,7 @@ from repro.codegen import build_runner, generate_c, generate_python
 from repro.codegen.unroll import unroll_offsets, unrollable_modulus
 from repro.codes import make_jacobi, make_psm, make_simple2d, make_stencil5
 from repro.execution import execute
-from repro.mapping import OVMapping2D, RollingBufferMapping
+from repro.mapping import OVMapping, RollingBufferMapping
 from repro.util.polyhedron import Polytope
 
 
@@ -61,6 +61,24 @@ class TestPythonGeneration:
     )
     def test_unrolled_matches_interpreter(self, maker, key, sizes):
         assert_generated_matches_interpreter(maker()[key], sizes, unroll=True)
+
+    @pytest.mark.parametrize("pad", [0, 1, 3])
+    def test_unrolled_padded_matches_interpreter(self, pad):
+        # The hoisted class offset must step by the padded class stride.
+        from dataclasses import replace
+
+        from repro.mapping import PaddedOVMapping
+
+        version = make_stencil5()["ov"]
+        padded = replace(
+            version,
+            mapping_factory=lambda s: PaddedOVMapping(
+                (2, 0), Polytope.from_loop_bounds(version.code.bounds(s)), pad
+            ),
+        )
+        assert_generated_matches_interpreter(
+            padded, {"T": 5, "L": 16}, unroll=True
+        )
 
     def test_unrolled_source_has_no_inner_mod(self):
         version = make_psm()["ov"]
@@ -190,19 +208,19 @@ class TestCGeneration:
 class TestUnrollHelpers:
     def test_period_of_stencil5_uov(self):
         isg = Polytope.from_box((1, 0), (8, 15))
-        m = OVMapping2D((2, 0), isg)
+        m = OVMapping((2, 0), isg)
         # class functional is t-based: constant along the inner loop.
         assert unrollable_modulus(m, inner_axis=1) == 1
         assert unrollable_modulus(m, inner_axis=0) == 2
 
     def test_period_of_psm_uov(self):
         isg = Polytope.from_box((1, 1), (8, 8))
-        m = OVMapping2D((2, 2), isg)
+        m = OVMapping((2, 2), isg)
         assert unrollable_modulus(m, inner_axis=1) == 2
 
     def test_prime_has_no_period(self):
         isg = Polytope.from_box((0, 0), (8, 8))
-        assert unrollable_modulus(OVMapping2D((1, 1), isg), 1) == 1
+        assert unrollable_modulus(OVMapping((1, 1), isg), 1) == 1
 
     def test_rolling_buffer_not_unrollable(self, fig1_stencil):
         isg = Polytope.from_box((1, 1), (5, 5))
@@ -211,7 +229,7 @@ class TestUnrollHelpers:
 
     def test_offsets_cycle_correctly(self):
         isg = Polytope.from_box((1, 1), (8, 8))
-        m = OVMapping2D((2, 2), isg)
+        m = OVMapping((2, 2), isg)
         offsets = unroll_offsets(m, inner_axis=1, start=(1, 1))
         assert len(offsets) == 2
         assert offsets == [m.storage_class((1, 1)), m.storage_class((1, 2))]

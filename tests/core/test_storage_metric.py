@@ -1,5 +1,6 @@
 """Storage cost of occupancy vectors over ISGs (Sections 3.2.1, 4.3)."""
 
+import itertools
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from repro.core.storage_metric import (
     search_length_bound,
     storage_for_ov,
 )
+from repro.mapping import OVMapping
 from repro.util.polyhedron import Polytope
 
 
@@ -98,6 +100,30 @@ class TestHigherDim:
         isg = Polytope.from_box((0,), (99,))
         assert storage_for_ov((3,), isg) == 3
         assert storage_for_ov((1,), isg) == 1
+
+
+class TestMatchesTheMapping:
+    """``storage_for_ov`` keeps a 2-D fast path (it runs tens of thousands
+    of times per storage-objective search); it must still report exactly
+    what :class:`OVMapping` allocates, in every dimension."""
+
+    @staticmethod
+    def assert_sizes_agree(isg, components):
+        for ov in itertools.product(components, repeat=isg.dim):
+            if any(ov):
+                assert storage_for_ov(ov, isg) == OVMapping(ov, isg).size, ov
+
+    def test_1d(self):
+        self.assert_sizes_agree(Polytope.from_box((0,), (9,)), range(-4, 5))
+
+    @pytest.mark.parametrize("shape", ["box", "fig3"])
+    def test_2d(self, shape, fig3_isg):
+        isg = Polytope.from_box((0, 0), (8, 9)) if shape == "box" else fig3_isg
+        self.assert_sizes_agree(isg, range(-4, 5))
+
+    def test_3d(self):
+        isg = Polytope.from_box((0, 1, -1), (3, 4, 2))
+        self.assert_sizes_agree(isg, range(-2, 3))
 
 
 class TestSearchBounds:

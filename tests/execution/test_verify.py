@@ -6,7 +6,7 @@ import pytest
 
 from repro.codes import make_simple2d, make_stencil5
 from repro.execution.verify import VersionMismatch, verify_versions
-from repro.mapping import OVMapping2D
+from repro.mapping import OVMapping
 from repro.util.polyhedron import Polytope
 
 
@@ -31,7 +31,7 @@ class TestVerify:
             isg = Polytope.from_loop_bounds(
                 ((1, sizes["n"]), (1, sizes["m"]))
             )
-            return OVMapping2D((1, 0), isg)  # NOT a UOV for this stencil
+            return OVMapping((1, 0), isg)  # NOT a UOV for this stencil
 
         bad = replace(
             versions["ov-tiled"],

@@ -127,27 +127,26 @@ def _mapping_families():
     from repro.core.stencil import Stencil
     from repro.mapping import (
         ColMajorMapping,
-        OVMapping2D,
-        OVMappingND,
+        OVMapping,
         RollingBufferMapping,
         RowMajorMapping,
     )
-    from repro.mapping.padding import PaddedOVMapping2D
+    from repro.mapping.padding import PaddedOVMapping
 
     fig1 = Stencil([(1, 0), (0, 1), (1, 1)])
     box, box3 = _box_2d(), _box_3d()
     return {
         "row-major": RowMajorMapping((6, 8), origin=(1, -2)),
         "col-major": ColMajorMapping((6, 8), origin=(1, -2)),
-        "ov-prime": OVMapping2D((1, 1), box),
-        "ov-psm-paper": OVMapping2D((2, 2), box, layout="consecutive"),
-        "ov-consecutive": OVMapping2D((2, 0), box, layout="consecutive"),
-        "ov-interleaved": OVMapping2D((2, 0), box, layout="interleaved"),
-        "ov-interleaved-skew": OVMapping2D((3, -3), box),
-        "ov-padded": PaddedOVMapping2D((2, 0), box, pad=5),
-        "ovnd-prime": OVMappingND((1, 0, 1), box3),
-        "ovnd-interleaved": OVMappingND((2, 2, 0), box3),
-        "ovnd-consecutive": OVMappingND(
+        "ov-prime": OVMapping((1, 1), box),
+        "ov-psm-paper": OVMapping((2, 2), box, layout="consecutive"),
+        "ov-consecutive": OVMapping((2, 0), box, layout="consecutive"),
+        "ov-interleaved": OVMapping((2, 0), box, layout="interleaved"),
+        "ov-interleaved-skew": OVMapping((3, -3), box),
+        "ov-padded": PaddedOVMapping((2, 0), box, pad=5),
+        "ovnd-prime": OVMapping((1, 0, 1), box3),
+        "ovnd-interleaved": OVMapping((2, 2, 0), box3),
+        "ovnd-consecutive": OVMapping(
             (0, 2, -2), box3, layout="consecutive"
         ),
         "rolling": RollingBufferMapping(fig1, box),

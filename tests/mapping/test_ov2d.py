@@ -1,12 +1,19 @@
-"""The 2-D OV storage mapping: correctness of the Section 4 construction."""
+"""The OV storage mapping on 2-D ISGs: the Section 4 construction.
 
+The unimodular completion behind :class:`OVMapping` must reproduce the
+paper's own 2-D closed form address for address
+(``TestAgainstPaperClosedForm``).
+"""
+
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapping.ov2d import OVMapping2D
+from repro.mapping.ov import OVMapping
+from repro.util.intmath import extended_gcd
 from repro.util.polyhedron import Polytope
 
 ovs = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
@@ -24,7 +31,7 @@ class TestPaperExamples:
         # SM(q) = (-1,1).q + n over the bordered ISG.
         n, m = 6, 8
         isg = Polytope.from_box((0, 0), (n, m))
-        sm = OVMapping2D((1, 1), isg)
+        sm = OVMapping((1, 1), isg)
         assert sm.mapping_vector == (-1, 1)
         assert sm.shift == n
         assert sm.size == n + m + 1
@@ -32,7 +39,7 @@ class TestPaperExamples:
 
     def test_fig5_interleaved(self):
         isg = Polytope.from_box((1, 0), (8, 9))
-        sm = OVMapping2D((2, 0), isg, layout="interleaved")
+        sm = OVMapping((2, 0), isg, layout="interleaved")
         assert sm.mapping_vector == (0, 2)
         assert sm.gcd == 2
         assert sm((3, 4)) - sm((3, 3)) == 2  # interleaved classes
@@ -40,7 +47,7 @@ class TestPaperExamples:
 
     def test_fig5_consecutive(self):
         isg = Polytope.from_box((1, 0), (8, 9))
-        sm = OVMapping2D((2, 0), isg, layout="consecutive")
+        sm = OVMapping((2, 0), isg, layout="consecutive")
         assert sm.mapping_vector == (0, 1)
         assert sm((3, 4)) - sm((3, 3)) == 1  # unit stride per class
         assert sm.expression(["t", "x"]).to_python() == "x + 10 * (t % 2)"
@@ -49,17 +56,17 @@ class TestPaperExamples:
 class TestValidation:
     def test_zero_ov(self):
         with pytest.raises(ValueError):
-            OVMapping2D((0, 0), box())
+            OVMapping((0, 0), box())
 
     def test_wrong_dims(self):
         with pytest.raises(ValueError):
-            OVMapping2D((1, 1, 1), box())
+            OVMapping((1, 1, 1), box())
         with pytest.raises(ValueError):
-            OVMapping2D((1, 1), Polytope.from_box((0, 0, 0), (1, 1, 1)))
+            OVMapping((1, 1), Polytope.from_box((0, 0, 0), (1, 1, 1)))
 
     def test_bad_layout(self):
         with pytest.raises(ValueError):
-            OVMapping2D((1, 1), box(), layout="diagonal")
+            OVMapping((1, 1), box(), layout="diagonal")
 
 
 class TestStorageEquivalence:
@@ -70,7 +77,7 @@ class TestStorageEquivalence:
     @given(ovs, layouts)
     def test_iff_multiple_of_ov(self, ov, layout):
         isg = box()
-        sm = OVMapping2D(ov, isg, layout=layout)
+        sm = OVMapping(ov, isg, layout=layout)
         points = [(i, j) for i in range(9) for j in range(10)]
         locations = {p: sm(p) for p in points}
         for p in points:
@@ -98,7 +105,7 @@ class TestStorageEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(ovs, layouts)
     def test_range_and_density(self, ov, layout):
-        sm = OVMapping2D(ov, box(), layout=layout)
+        sm = OVMapping(ov, box(), layout=layout)
         points = [(i, j) for i in range(9) for j in range(10)]
         used = {sm(p) for p in points}
         assert min(used) >= 0
@@ -121,7 +128,7 @@ class TestStorageEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(ovs, layouts)
     def test_compiled_matches_direct(self, ov, layout):
-        sm = OVMapping2D(ov, box(), layout=layout)
+        sm = OVMapping(ov, box(), layout=layout)
         f = sm.compiled()
         for i in range(0, 9, 2):
             for j in range(0, 10, 3):
@@ -130,26 +137,26 @@ class TestStorageEquivalence:
 
 class TestClassBookkeeping:
     def test_prime_single_class(self):
-        sm = OVMapping2D((3, 1), box())
+        sm = OVMapping((3, 1), box())
         assert sm.gcd == 1
         assert sm.storage_class((4, 7)) == 0
 
     def test_nonprime_classes_cycle(self):
-        sm = OVMapping2D((3, 0), box(12, 5))
+        sm = OVMapping((3, 0), box(12, 5))
         assert sm.gcd == 3
         classes = [sm.storage_class((t, 2)) for t in range(6)]
         assert classes == [0, 1, 2, 0, 1, 2]
 
     def test_size_is_gcd_times_projection(self):
         isg = box(10, 7)
-        prime = OVMapping2D((1, 1), isg)
-        scaled = OVMapping2D((3, 3), isg)
+        prime = OVMapping((1, 1), isg)
+        scaled = OVMapping((3, 3), isg)
         assert scaled.size == 3 * prime.size
 
     def test_expression_with_class_matches_call(self):
         isg = box(8, 9)
         for layout in ("interleaved", "consecutive"):
-            sm = OVMapping2D((2, 2), isg, layout=layout)
+            sm = OVMapping((2, 2), isg, layout=layout)
             for i in range(9):
                 for j in range(10):
                     cls = sm.storage_class((i, j))
@@ -158,19 +165,66 @@ class TestClassBookkeeping:
                     assert value == sm((i, j))
 
     def test_expression_with_class_bounds(self):
-        sm = OVMapping2D((2, 0), box())
+        sm = OVMapping((2, 0), box())
         with pytest.raises(ValueError):
             sm.expression_with_class(["i", "j"], 2)
 
 
 class TestEffectiveOpCost:
     def test_prime_cost_unchanged(self):
-        sm = OVMapping2D((1, 1), box())
+        sm = OVMapping((1, 1), box())
         assert sm.effective_op_cost() == sm.op_cost()
 
     def test_nonprime_mod_removed(self):
-        sm = OVMapping2D((2, 0), box(), layout="consecutive")
+        sm = OVMapping((2, 0), box(), layout="consecutive")
         assert sm.op_cost().mods == 1
         eff = sm.effective_op_cost()
         assert eff.mods == 0
         assert eff.total < sm.op_cost().total
+
+
+def paper_address(ov, isg, layout, q):
+    """Section 4's 2-D mapping, written out from the paper's formulas."""
+    g = math.gcd(*ov)
+    u = (ov[0] // g, ov[1] // g)
+    mv = (-u[1], u[0])
+    _, b0, b1 = extended_gcd(*u)
+    projections = [mv[0] * x + mv[1] * y for x, y in isg.vertices]
+    lo, length = min(projections), max(projections) - min(projections) + 1
+    base = mv[0] * q[0] + mv[1] * q[1] - lo
+    cls = (b0 * q[0] + b1 * q[1]) % g
+    if layout == "interleaved":
+        return g * base + cls
+    return base + cls * length
+
+
+class TestAgainstPaperClosedForm:
+    """Exact addresses, not just the partition: ``mv = (-u2, u1)``, the
+    Bezout ``beta`` and ``lo = min mv.q``.  The one OV family left out is
+    ``(-k, 0)``: its completion row is ``(0, 1)``, the paper's ``(0, -1)``
+    (the same partition, mirrored addresses; such an OV is
+    lexicographically negative, so no search produces one)."""
+
+    OVS = [
+        ov
+        for ov in itertools.product(range(-4, 5), repeat=2)
+        if not (ov[1] == 0 and ov[0] <= 0)
+    ]
+
+    @pytest.mark.parametrize("layout", ["interleaved", "consecutive"])
+    @pytest.mark.parametrize("shape", ["box", "fig3"])
+    def test_addresses_equal_the_closed_form(self, shape, layout, fig3_isg):
+        isg = box() if shape == "box" else fig3_isg
+        lower, upper = isg.bounding_box()
+        points = [
+            p
+            for p in itertools.product(
+                *(range(lo, hi + 1) for lo, hi in zip(lower, upper))
+            )
+            if isg.contains(p)
+        ]
+        for ov in self.OVS:
+            sm = OVMapping(ov, isg, layout=layout)
+            assert [sm(p) for p in points] == [
+                paper_address(ov, isg, layout, p) for p in points
+            ], ov

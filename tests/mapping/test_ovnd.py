@@ -1,11 +1,14 @@
-"""The general-dimension OV mapping (our extension of Section 4)."""
+"""The OV mapping beyond two dimensions (our extension of Section 4).
+
+The 2-D cases, checked against the paper's closed form, are in
+``test_ov2d.py``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mapping.ov2d import OVMapping2D
-from repro.mapping.ovnd import OVMappingND
+from repro.mapping.ov import OVMapping
 from repro.util.polyhedron import Polytope
 
 ov3 = st.tuples(
@@ -17,40 +20,12 @@ def box3(a=4, b=5, c=6):
     return Polytope.from_box((0, 0, 0), (a, b, c))
 
 
-class TestAgainst2D:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
-            lambda v: v != (0, 0)
-        ),
-        st.sampled_from(["interleaved", "consecutive"]),
-    )
-    def test_same_equivalence_classes_as_2d(self, ov, layout):
-        isg = Polytope.from_box((0, 0), (7, 8))
-        m2 = OVMapping2D(ov, isg, layout=layout)
-        mn = OVMappingND(ov, isg, layout=layout)
-        points = [(i, j) for i in range(8) for j in range(9)]
-        # Same partition into storage classes (locations may be permuted).
-        group2 = {}
-        groupn = {}
-        for p in points:
-            group2.setdefault(m2(p), set()).add(p)
-            groupn.setdefault(mn(p), set()).add(p)
-        assert set(map(frozenset, group2.values())) == set(
-            map(frozenset, groupn.values())
-        )
-
-    def test_same_gcd(self):
-        isg = Polytope.from_box((0, 0), (7, 8))
-        assert OVMappingND((2, 4), isg).gcd == 2
-
-
 class TestThreeD:
     @settings(max_examples=30, deadline=None)
     @given(ov3, st.sampled_from(["interleaved", "consecutive"]))
     def test_storage_equivalence(self, ov, layout):
         isg = box3()
-        sm = OVMappingND(ov, isg, layout=layout)
+        sm = OVMapping(ov, isg, layout=layout)
         import itertools
 
         points = list(itertools.product(range(5), range(6), range(7)))
@@ -66,7 +41,7 @@ class TestThreeD:
     @given(ov3)
     def test_no_false_sharing(self, ov):
         """Cohabiting points must differ by an integral multiple of ov."""
-        sm = OVMappingND(ov, box3())
+        sm = OVMapping(ov, box3())
         import itertools
 
         by_loc = {}
@@ -82,7 +57,7 @@ class TestThreeD:
                 assert all(d[i] == k * ov[i] for i in range(3))
 
     def test_compiled_and_expression_agree(self):
-        sm = OVMappingND((2, 2, 0), box3(), layout="consecutive")
+        sm = OVMapping((2, 2, 0), box3(), layout="consecutive")
         f = sm.compiled()
         import itertools
 
@@ -90,13 +65,13 @@ class TestThreeD:
             assert f(*p) == sm(p)
 
     def test_perpendicular_size(self):
-        sm = OVMappingND((1, 0, 0), box3(4, 5, 6))
+        sm = OVMapping((1, 0, 0), box3(4, 5, 6))
         # perpendicular box: the (j, k) face -> 6 * 7 locations
         assert sm.perpendicular_size == 6 * 7
         assert sm.size == 6 * 7
 
     def test_effective_op_cost_removes_mod(self):
-        sm = OVMappingND((2, 2, 2), box3())
+        sm = OVMapping((2, 2, 2), box3())
         assert sm.op_cost().mods == 1
         assert sm.effective_op_cost().mods == 0
 
@@ -104,17 +79,17 @@ class TestThreeD:
 class TestValidation:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            OVMappingND((0, 0, 0), box3())
+            OVMapping((0, 0, 0), box3())
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            OVMappingND((1, 1), box3())
+            OVMapping((1, 1), box3())
 
     def test_bad_layout(self):
         with pytest.raises(ValueError):
-            OVMappingND((1, 1, 1), box3(), layout="weird")
+            OVMapping((1, 1, 1), box3(), layout="weird")
 
     def test_class_expression_bounds(self):
-        sm = OVMappingND((2, 0, 0), box3())
+        sm = OVMapping((2, 0, 0), box3())
         with pytest.raises(ValueError):
             sm.expression_with_class(["a", "b", "c"], 5)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.liveness import is_mapping_legal
 from repro.core.stencil import Stencil
-from repro.mapping import OVMapping2D, PaddedOVMapping2D, pad_for_cache
+from repro.mapping import OVMapping, PaddedOVMapping, pad_for_cache
 from repro.schedule import TiledSchedule, required_skew
 from repro.util.polyhedron import Polytope
 
@@ -16,7 +16,7 @@ def isg(t=8, length=16):
 class TestSemantics:
     @pytest.mark.parametrize("pad", [0, 1, 4, 7])
     def test_storage_equivalence_preserved(self, pad):
-        pm = PaddedOVMapping2D((2, 0), isg(), pad=pad)
+        pm = PaddedOVMapping((2, 0), isg(), pad=pad)
         for t in range(1, 7):
             for x in range(16):
                 assert pm((t, x)) == pm((t + 2, x))
@@ -24,7 +24,7 @@ class TestSemantics:
                 assert 0 <= pm((t, x)) < pm.size
 
     def test_no_cross_class_collisions(self):
-        pm = PaddedOVMapping2D((2, 0), isg(), pad=3)
+        pm = PaddedOVMapping((2, 0), isg(), pad=3)
         seen = {}
         for t in range(1, 9):
             for x in range(16):
@@ -37,23 +37,23 @@ class TestSemantics:
                     seen[key] = loc
 
     def test_size_accounting(self):
-        base = OVMapping2D((2, 0), isg(), layout="consecutive")
-        pm = PaddedOVMapping2D((2, 0), isg(), pad=5)
+        base = OVMapping((2, 0), isg(), layout="consecutive")
+        pm = PaddedOVMapping((2, 0), isg(), pad=5)
         assert pm.size == base.size + (pm.gcd - 1) * 5
 
     def test_negative_pad_rejected(self):
         with pytest.raises(ValueError):
-            PaddedOVMapping2D((2, 0), isg(), pad=-1)
+            PaddedOVMapping((2, 0), isg(), pad=-1)
 
     def test_expression_matches_call(self):
-        pm = PaddedOVMapping2D((2, 0), isg(), pad=4)
+        pm = PaddedOVMapping((2, 0), isg(), pad=4)
         f = pm.compiled()
         for t in range(1, 9):
             for x in range(16):
                 assert f(t, x) == pm((t, x))
 
     def test_class_expression_matches(self):
-        pm = PaddedOVMapping2D((2, 2), isg(), pad=2)
+        pm = PaddedOVMapping((2, 2), isg(), pad=2)
         for t in range(1, 7):
             for x in range(16):
                 cls = pm.storage_class((t, x))
@@ -64,7 +64,7 @@ class TestSemantics:
                 )
 
     def test_still_universal(self, stencil5):
-        pm = PaddedOVMapping2D((2, 0), isg(), pad=4)
+        pm = PaddedOVMapping((2, 0), isg(), pad=4)
         sched = TiledSchedule((3, 4), skew=required_skew(stencil5))
         assert is_mapping_legal(
             pm, stencil5, sched.order([(1, 8), (0, 15)])
@@ -80,7 +80,7 @@ class TestCollisionsAtOddBounds:
     def test_collision_groups_are_exactly_ov_cosets(self):
         from repro.analysis.races import region_points
 
-        pm = PaddedOVMapping2D((2, 0), self.ODD, pad=5)
+        pm = PaddedOVMapping((2, 0), self.ODD, pad=5)
         points = region_points(self.ODD)
         for group in pm.collision_groups(points).values():
             group = sorted(group)
@@ -91,10 +91,10 @@ class TestCollisionsAtOddBounds:
     def test_padding_preserves_collision_groups(self):
         from repro.analysis.races import region_points
 
-        base = OVMapping2D((2, 0), self.ODD, layout="consecutive")
+        base = OVMapping((2, 0), self.ODD, layout="consecutive")
         points = region_points(self.ODD)
         for pad in (1, 3, 9):
-            pm = PaddedOVMapping2D((2, 0), self.ODD, pad=pad)
+            pm = PaddedOVMapping((2, 0), self.ODD, pad=pad)
             assert {
                 frozenset(g) for g in pm.collision_groups(points).values()
             } == {
@@ -104,7 +104,7 @@ class TestCollisionsAtOddBounds:
     def test_race_detector_proves_padded_mapping_safe(self, stencil5):
         from repro.analysis.races import find_storage_races
 
-        pm = PaddedOVMapping2D((2, 0), self.ODD, pad=4)
+        pm = PaddedOVMapping((2, 0), self.ODD, pad=4)
         assert find_storage_races(pm, stencil5, self.ODD) == []
 
 
@@ -135,8 +135,8 @@ class TestPaddingFixesThrashing:
 
         length = 64  # elements per class block
         big_isg = Polytope.from_box((1, 0), (8, length - 1))
-        unpadded = OVMapping2D((2, 0), big_isg, layout="consecutive")
-        padded = PaddedOVMapping2D(
+        unpadded = OVMapping((2, 0), big_isg, layout="consecutive")
+        padded = PaddedOVMapping(
             (2, 0), big_isg, pad=pad_for_cache(length, 32)
         )
 

@@ -8,7 +8,7 @@ from repro.analysis.legality import is_schedule_legal
 from repro.analysis.liveness import is_mapping_legal
 from repro.core.stencil import Stencil
 from repro.core.uov import enumerate_uovs, is_uov
-from repro.mapping import OVMapping2D
+from repro.mapping import OVMapping
 from repro.schedule.exhaustive import all_legal_orders, count_legal_orders
 from repro.util.polyhedron import Polytope
 
@@ -62,7 +62,7 @@ class TestLiteralUniversality:
         orders = list(all_legal_orders(fig1_stencil, bounds))
         assert len(orders) > 10  # the quantifier is not vacuous
         for ov in uovs:
-            mapping = OVMapping2D(ov, isg)
+            mapping = OVMapping(ov, isg)
             for order in orders:
                 assert is_mapping_legal(mapping, fig1_stencil, order), (
                     f"UOV {ov} failed a legal schedule — "
@@ -74,7 +74,7 @@ class TestLiteralUniversality:
         bounds = [(0, 2), (0, 2)]
         isg = Polytope.from_loop_bounds(bounds)
         assert not is_uov(ov, fig1_stencil)
-        mapping = OVMapping2D(ov, isg)
+        mapping = OVMapping(ov, isg)
         failed = any(
             not is_mapping_legal(mapping, fig1_stencil, order)
             for order in all_legal_orders(fig1_stencil, bounds)
@@ -88,7 +88,7 @@ class TestLiteralUniversality:
         bounds = [(0, 2), (0, 2)]
         isg = Polytope.from_loop_bounds(bounds)
         orders = list(all_legal_orders(stencil5, bounds, limit=2000))
-        mapping = OVMapping2D((2, 0), isg, layout="interleaved")
+        mapping = OVMapping((2, 0), isg, layout="interleaved")
         assert all(
             is_mapping_legal(mapping, stencil5, order) for order in orders
         )

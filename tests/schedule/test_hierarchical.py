@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.legality import is_schedule_legal
 from repro.analysis.liveness import is_mapping_legal
-from repro.mapping import OVMapping2D
+from repro.mapping import OVMapping
 from repro.schedule import HierarchicalTiledSchedule, required_skew
 from repro.util.polyhedron import Polytope
 
@@ -78,7 +78,7 @@ class TestLegality:
             (8, 8), (2, 4), skew=required_skew(stencil5)
         )
         for layout in ("interleaved", "consecutive"):
-            mapping = OVMapping2D((2, 0), isg, layout=layout)
+            mapping = OVMapping((2, 0), isg, layout=layout)
             assert is_mapping_legal(
                 mapping, stencil5, sched.order(bounds)
             )

@@ -49,6 +49,22 @@ class TestMap:
         assert main(["map", "--ov", "1,1,1", "--box", "0,0,0:4,4,4"]) == 0
         assert "SM(" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "ov,box,reason",
+        [
+            ("0,0", "0,0:3,3", "zero vector"),
+            ("1,1,1", "0,0:3,3", "dimensionality mismatch"),
+            ("1,x", "0,0:3,3", "invalid literal"),
+            ("1,1", "3,3:0,0", "empty box"),
+        ],
+        ids=["zero-ov", "dim-mismatch", "non-integer", "empty-box"],
+    )
+    def test_malformed_input_is_a_usage_error(self, ov, box, reason, capsys):
+        assert main(["map", "--ov", ov, "--box", box]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("map: ") and reason in captured.err
+
 
 class TestCodegen:
     def test_python_output(self, capsys):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.stencil import Stencil
-from repro.mapping import OVMapping2D, RowMajorMapping
+from repro.mapping import OVMapping, RowMajorMapping
 from repro.util.polyhedron import Polytope
 from repro.viz import render_done_dead, render_mapping, render_stencil
 
@@ -45,7 +45,7 @@ class TestMappingRendering:
     def test_ov_grid_shows_reuse(self):
         isg = Polytope.from_box((0, 0), (5, 7))
         art = render_mapping(
-            OVMapping2D((2, 0), isg, "consecutive"), [(0, 5), (0, 7)]
+            OVMapping((2, 0), isg, "consecutive"), [(0, 5), (0, 7)]
         )
         lines = art.splitlines()
         assert lines[0] == lines[2] == lines[4]  # period two down columns
