@@ -21,7 +21,10 @@ inspection:
   the sign-safe Euclidean form, matching Python's floor semantics.
 
 :mod:`repro.codegen.build` compiles this output into a shared object and
-:mod:`repro.execution.native` runs it through ctypes; the differential
+:mod:`repro.execution.native` runs it through ctypes.  One translation
+unit may hold several kernels (:func:`translation_unit`): the native
+engine builds every version of one batch into one object, so a batch
+costs one compiler run.  The differential
 test suite holds the compiled results bit-for-bit equal to both the
 scalar interpreter and the vectorized NumPy engine.  A structural test
 pass additionally checks text properties (balanced braces, one store
@@ -32,23 +35,43 @@ emitted source whenever a toolchain is present.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.codes.base import CodeVersion
 from repro.schedule.lex import InterchangedSchedule, LexicographicSchedule
 from repro.schedule.tiling import TiledSchedule
 
-__all__ = ["combine_to_c", "generate_c", "halo_geometry"]
-
-#: The fixed entry-point signature every generated translation unit
-#: exports (``combine`` is NULL / unused for inlined-combine codes).
-C_PROLOGUE = [
-    "typedef double (*combine_fn)(const double *v, const int *q);",
-    "",
-    "void run(double *restrict storage,",
-    "         const double *restrict halo,",
-    "         combine_fn combine) {",
+__all__ = [
+    "CKernel",
+    "combine_to_c",
+    "generate_c",
+    "halo_geometry",
+    "kernel_symbols",
+    "lower_kernel",
+    "translation_unit",
 ]
+
+#: The hook-combine callback type every translation unit declares once
+#: (``combine`` is NULL / unused for inlined-combine codes).
+_COMBINE_TYPEDEF = "typedef double (*combine_fn)(const double *v, const int *q);"
+
+_FP_NOTE = [
+    " * compile with -ffp-contract=off: FMA contraction would break",
+    " * bit-identity with the interpreter.",
+]
+
+
+def kernel_symbols(count: int) -> list[tuple[str, str]]:
+    """``(entry point, kernel-time global)`` of each kernel of a unit.
+
+    A one-kernel unit, which is every :func:`generate_c` output, exports
+    ``run`` (and ``repro_kernel_ns`` when profiled).  Kernel ``k`` of a
+    unit of several exports ``run_k`` (and ``repro_kernel_ns_k``).
+    """
+    if count == 1:
+        return [("run", "repro_kernel_ns")]
+    return [(f"run_{k}", f"repro_kernel_ns_{k}") for k in range(count)]
 
 
 def halo_geometry(
@@ -209,6 +232,28 @@ def generate_c(
     stay bit-identical to the unprofiled object (which has a different
     content hash and therefore its own cache slot).
     """
+    return translation_unit([lower_kernel(version, sizes)], profile)
+
+
+@dataclass(frozen=True)
+class CKernel:
+    """One version lowered to C, ready to be placed in a unit.
+
+    ``notes`` are its header-comment lines, ``helpers`` the prelude
+    definitions its combine needs, and ``nest`` its loop nest, indented
+    for a function body.
+    """
+
+    notes: tuple[str, ...]
+    helpers: frozenset[str]
+    nest: tuple[str, ...]
+
+
+def lower_kernel(version: CodeVersion, sizes: Mapping[str, int]) -> CKernel:
+    """Lower one version at concrete sizes; the lowering every unit uses.
+
+    Raises ``NotImplementedError`` for a schedule with no C form.
+    """
     code = version.code
     indices = list(code.program.loop.indices)
     bounds = code.bounds(sizes)
@@ -234,24 +279,50 @@ def generate_c(
         if inlined is not None
         else f"function pointer (hook {combine_json.get('name', '?')!r})"
     )
-    lines = [
-        "/* generated by repro.codegen.c_gen",
+    notes = (
         f" * code: {code.name}, version: {version.key}",
         f" * schedule: {schedule.name}",
         f" * mapping: {mapping!r} ({mapping.size} doubles)",
         f" * combine: {combine_note}",
         f" * halo: box {list(ext_lo)}..{list(ext_hi)} row-major, "
         f"{halo_size} doubles",
-        " * compile with -ffp-contract=off: FMA contraction would break",
-        " * bit-identity with the interpreter.",
-        " */",
-    ]
+    )
+    depth, loops = _loops_c(schedule, indices, bounds)
+    nest = ["    " + ln for ln in loops]
+    pad = "    " * (depth + 1)
+    body = _body_c(version, mapping, indices, bounds, ext_lo, strides, inlined)
+    nest.extend(pad + ln for ln in body)
+    for k in range(depth, 0, -1):
+        nest.append("    " * k + "}")
+    return CKernel(notes, frozenset(helpers), tuple(nest))
+
+
+def translation_unit(kernels: Sequence[CKernel], profile: bool = False) -> str:
+    """One self-contained translation unit exporting every kernel.
+
+    The prelude (includes, combine helpers, the ``combine_fn`` typedef)
+    is written once, then one entry point per kernel, named by
+    :func:`kernel_symbols`.  ``profile=True`` gives each kernel its own
+    kernel-time global; see :func:`generate_c`.
+    """
+    symbols = kernel_symbols(len(kernels))
+    lines = ["/* generated by repro.codegen.c_gen"]
+    for (entry, _), kernel in zip(symbols, kernels):
+        if len(kernels) > 1:
+            lines.append(f" * {entry}():")
+        lines.extend(kernel.notes)
+    lines.extend(_FP_NOTE)
+    lines.append(" */")
     if profile:
         lines.append("#include <time.h>")
-        lines.append("/* kernel-only wall time of the last run() call,")
-        lines.append(" * readable through the dynamic symbol table. */")
-        lines.append("double repro_kernel_ns;")
+        for entry, timer in symbols:
+            lines.append(
+                f"/* kernel-only wall time of the last {entry}() call,"
+            )
+            lines.append(" * readable through the dynamic symbol table. */")
+            lines.append(f"double {timer};")
         lines.append("")
+    helpers = set().union(*(kernel.helpers for kernel in kernels))
     if "fabs" in helpers:
         lines.append("#include <math.h>")
         helpers.discard("fabs")
@@ -259,29 +330,36 @@ def generate_c(
         lines.append(_HELPER_DEFS[helper])
     if helpers:
         lines.append("")
-    lines.extend(C_PROLOGUE)
-    if profile:
+    lines.append(_COMBINE_TYPEDEF)
+    for (entry, timer), kernel in zip(symbols, kernels):
+        lines.append("")
+        lines.extend(_function_c(entry, timer if profile else None, kernel))
+    return "\n".join(lines) + "\n"
+
+
+def _function_c(entry: str, timer, kernel: CKernel) -> list[str]:
+    """One kernel's entry point; ``timer`` names its kernel-time global
+    when the unit is profiled, else ``None``."""
+    indent = " " * len(f"void {entry}(")
+    lines = [
+        f"void {entry}(double *restrict storage,",
+        f"{indent}const double *restrict halo,",
+        f"{indent}combine_fn combine) {{",
+    ]
+    if timer is not None:
         lines.append("    struct timespec repro_t0, repro_t1;")
         lines.append("    clock_gettime(CLOCK_MONOTONIC, &repro_t0);")
-
-    depth, loops = _loops_c(schedule, indices, bounds)
-    lines.extend("    " + ln for ln in loops)
-    pad = "    " * (depth + 1)
-    body = _body_c(version, mapping, indices, bounds, ext_lo, strides, inlined)
-    lines.extend(pad + ln for ln in body)
-    for k in range(depth, 0, -1):
-        lines.append("    " * k + "}")
-    if profile:
+    lines.extend(kernel.nest)
+    if timer is not None:
         lines.append("    clock_gettime(CLOCK_MONOTONIC, &repro_t1);")
         lines.append(
-            "    repro_kernel_ns = "
-            "(repro_t1.tv_sec - repro_t0.tv_sec) * 1e9"
+            f"    {timer} = (repro_t1.tv_sec - repro_t0.tv_sec) * 1e9"
         )
         lines.append(
             "        + (repro_t1.tv_nsec - repro_t0.tv_nsec);"
         )
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _loops_c(schedule, indices, bounds):

@@ -19,7 +19,12 @@
   computes bit-identical live-out values.
 """
 
-from repro.execution.engines import DEFAULT_ENGINE, ENGINES, run_engine
+from repro.execution.engines import (
+    DEFAULT_ENGINE,
+    ENGINES,
+    run_engine,
+    run_engine_batch,
+)
 from repro.execution.interpreter import ExecutionResult, execute
 from repro.execution.multi import (
     MultiAssignmentPlan,
@@ -40,6 +45,7 @@ __all__ = [
     "execute_vectorized",
     "execute_native",
     "run_engine",
+    "run_engine_batch",
     "ENGINES",
     "DEFAULT_ENGINE",
     "VectorizationFallback",

@@ -21,6 +21,12 @@ with the code generator), so the compiled loop reads two flat ``double``
 arrays and touches Python only for :class:`SemanticsHook` combines
 (psm's table lookup), which keep a ctypes callback.
 
+One compiler run serves a whole batch: :func:`native_runners` lowers
+every version of the batch into one translation unit, with one entry
+point per kernel (:func:`~repro.codegen.c_gen.kernel_symbols`), and
+loads the object once.  :func:`execute_native` is a batch of one, whose
+object is exactly the ``generate_c`` artifact.
+
 When the tier is unavailable — no compiler on PATH, ``REPRO_CC=none``,
 codegen gap, compile failure — the engine *degrades, never lies*: it
 records a structured :class:`~repro.resilience.budget.Degradation`
@@ -35,7 +41,8 @@ from __future__ import annotations
 
 import ctypes
 import os
-from typing import Mapping, Optional
+from functools import partial
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -45,7 +52,7 @@ from repro.execution.interpreter import ExecutionResult
 from repro.execution.vectorized import execute_vectorized
 from repro.resilience.budget import Degradation, record_degradation
 
-__all__ = ["NativeFallback", "execute_native", "fill_halo"]
+__all__ = ["NativeFallback", "execute_native", "fill_halo", "native_runners"]
 
 
 class NativeFallback(UserWarning):
@@ -118,20 +125,24 @@ def _hook_callback(code: Code, ctx: Context):
     return _COMBINE_FN(call)
 
 
-def _bind_run(lib: ctypes.CDLL):
-    """``(lib, run)`` of one loaded object, argtypes set.
+def _bind_runs(entries, lib: ctypes.CDLL):
+    """``(lib, [run, ...])`` of one loaded object, argtypes set on each
+    of its kernels' ``entries`` (entry-point names).
 
-    The library handle rides along so profiled objects can expose
-    globals (``repro_kernel_ns``) read back via ``in_dll``.
+    The library handle rides along so profiled objects can expose their
+    kernel-time globals, read back via ``in_dll``.
     """
-    run = lib.run
-    run.restype = None
-    run.argtypes = [
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double),
-        _COMBINE_FN,
-    ]
-    return lib, run
+    runs = []
+    for entry in entries:
+        run = getattr(lib, entry)
+        run.restype = None
+        run.argtypes = [
+            ctypes.POINTER(ctypes.c_double),
+            ctypes.POINTER(ctypes.c_double),
+            _COMBINE_FN,
+        ]
+        runs.append(run)
+    return lib, runs
 
 
 def _degrade(
@@ -170,6 +181,85 @@ def _degrade(
     return result
 
 
+def native_runners(
+    versions: Iterable[CodeVersion],
+    sizes: Mapping[str, int],
+    seed: int = 0,
+    check_legality: bool = False,
+    fallback: bool = True,
+    cache_dir: Optional[os.PathLike] = None,
+    profile: Optional[bool] = None,
+) -> list[Callable[[], ExecutionResult]]:
+    """Build one shared object for ``versions``; one runner per version.
+
+    Every version that lowers to C becomes one kernel of a single
+    translation unit, so the batch costs one compiler run (none on a
+    warm ``.so`` cache) and one load.  Calling a runner runs its version
+    and returns its :class:`ExecutionResult`.
+
+    A version that cannot run natively gets a runner that degrades it
+    alone: a codegen gap degrades only its own version, while a missing
+    toolchain, a compile failure or a load failure degrades every version
+    of the object, each with its own record.  The other arguments are
+    :func:`execute_native`'s.
+    """
+    from repro.codegen import c_gen
+    from repro.codegen.build import (
+        NO_TOOLCHAIN,
+        NativeUnavailable,
+        discover_toolchain,
+        load_library,
+    )
+
+    versions = list(versions)
+    if profile is None:
+        profile = obs.profiling()
+
+    kernels: dict[int, c_gen.CKernel] = {}
+    unavailable: dict[int, NativeUnavailable] = {}
+    if discover_toolchain() is None:
+        # A missing toolchain is reported before a codegen gap.
+        unavailable = dict.fromkeys(
+            range(len(versions)),
+            NativeUnavailable("no-toolchain", NO_TOOLCHAIN),
+        )
+    else:
+        for k, version in enumerate(versions):
+            try:
+                kernels[k] = c_gen.lower_kernel(version, sizes)
+            except NotImplementedError as exc:
+                unavailable[k] = NativeUnavailable(
+                    "codegen-unsupported", str(exc)
+                )
+    runners: dict[int, Callable[[], ExecutionResult]] = {}
+    if kernels:
+        symbols = c_gen.kernel_symbols(len(kernels))
+        try:
+            lib, runs = load_library(
+                c_gen.translation_unit(list(kernels.values()), profile),
+                partial(_bind_runs, [entry for entry, _ in symbols]),
+                "+".join(
+                    f"{versions[k].code.name}/{versions[k].key}"
+                    for k in kernels
+                ),
+                cache_dir,
+            )
+        except NativeUnavailable as exc:
+            unavailable.update(dict.fromkeys(kernels, exc))
+        else:
+            for k, run, (_, timer) in zip(kernels, runs, symbols):
+                runners[k] = partial(
+                    _run_kernel, versions[k], sizes, seed, check_legality,
+                    lib, run, timer if profile else None,
+                )
+    for k, exc in unavailable.items():
+        runners[k] = partial(
+            _degrade, versions[k], sizes, seed, check_legality, fallback,
+            exc.reason, exc.detail,
+        )
+    return [runners[k] for k in range(len(versions))]
+
+
 def execute_native(
     version: CodeVersion,
     sizes: Mapping[str, int],
@@ -189,35 +279,25 @@ def execute_native(
     ``native.kernel_s`` histogram; the default (None) follows the global
     ``obs.profiling()`` flag that ``--profile`` arms.
     """
-    from repro.codegen.build import (
-        NO_TOOLCHAIN,
-        NativeUnavailable,
-        discover_toolchain,
-        load_library,
+    (run,) = native_runners(
+        [version], sizes, seed=seed, check_legality=check_legality,
+        fallback=fallback, cache_dir=cache_dir, profile=profile,
     )
-    from repro.codegen.c_gen import generate_c
+    return run()
 
+
+def _run_kernel(
+    version: CodeVersion,
+    sizes: Mapping[str, int],
+    seed: int,
+    check_legality: bool,
+    lib: ctypes.CDLL,
+    run,
+    timer: Optional[str],
+) -> ExecutionResult:
+    """Run one loaded kernel; ``timer`` names its kernel-time global
+    when the object is profiled, else ``None``."""
     code: Code = version.code
-    if profile is None:
-        profile = obs.profiling()
-
-    try:
-        # A missing toolchain is reported before a codegen gap.
-        if discover_toolchain() is None:
-            raise NativeUnavailable("no-toolchain", NO_TOOLCHAIN)
-        try:
-            source = generate_c(version, sizes, profile=profile)
-        except NotImplementedError as exc:
-            raise NativeUnavailable("codegen-unsupported", str(exc)) from exc
-        lib, run = load_library(
-            source, _bind_run, f"{code.name}/{version.key}", cache_dir
-        )
-    except NativeUnavailable as exc:
-        return _degrade(
-            version, sizes, seed, check_legality, fallback,
-            exc.reason, exc.detail,
-        )
-
     ctx = code.make_context(sizes, seed)
     bounds = code.bounds(sizes)
     mapping = version.mapping(sizes)
@@ -248,19 +328,17 @@ def execute_native(
         version=version.key,
         sizes=dict(sizes),
         so=os.path.basename(lib._name),  # CDLL's public path attribute
-        profiled=profile,
+        profiled=timer is not None,
     ) as sp:
         run(
             storage.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
             halo.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
             combine_cb,
         )
-        if profile:
+        if timer is not None:
             # The instrumented object reports its own clock_gettime
             # bracket around the loop nest — FFI and halo setup excluded.
-            kernel_s = (
-                ctypes.c_double.in_dll(lib, "repro_kernel_ns").value * 1e-9
-            )
+            kernel_s = ctypes.c_double.in_dll(lib, timer).value * 1e-9
             sp.set(kernel_s=kernel_s)
 
     metrics = obs.get_metrics()

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.codes.base import CodeVersion
-from repro.execution.interpreter import execute
+from repro.execution.engines import run_engine_batch
 
 __all__ = ["verify_versions", "VersionMismatch"]
 
@@ -35,7 +35,8 @@ def verify_versions(
     Returns the (shared) output vector.  Raises :class:`VersionMismatch`
     naming the offending version and the first differing output index.
     ``engine`` selects the execution engine (all versions run through
-    the same one; cross-engine agreement is the native differential
+    the same one, as one batch, so the native engine compiles them into
+    one object; cross-engine agreement is the native differential
     suite's job, not this referee's).
     """
     versions = list(versions)
@@ -43,13 +44,8 @@ def verify_versions(
         raise ValueError("no versions to verify")
     reference = None
     reference_key = None
-    for version in versions:
-        if engine == "interpreter":
-            result = execute(version, sizes, seed=seed)
-        else:
-            from repro.execution.engines import run_engine
-
-            result = run_engine(engine, version, sizes, seed=seed)
+    results = run_engine_batch(engine, versions, sizes, seed=seed)
+    for version, result in zip(versions, results):
         outputs = result.output_values()
         if reference is None:
             reference, reference_key = outputs, version.key

@@ -202,7 +202,9 @@ def _render_engines(summary: TraceSummary) -> list[str]:
     Tallies ``engine.run`` spans (which carry ``requested`` and
     ``engine_used``) plus any span with an ``engine_used`` attribute, so
     a native run that silently degraded to the vectorized engine shows
-    up as ``native -> vectorized`` instead of disappearing.
+    up as ``native -> vectorized`` instead of disappearing.  The count
+    and wall time of ``native.compile`` spans say how much of a cold
+    run went to the C compiler.
     """
     tally: dict[tuple[str, str], dict] = {}
     for node in summary.spans.values():
@@ -222,7 +224,12 @@ def _render_engines(summary: TraceSummary) -> list[str]:
         if node.name == "native.run"
         and isinstance(node.attrs.get("kernel_s"), (int, float))
     ]
-    if not tally and not kernel_s:
+    compiles = [
+        node.wall_s
+        for node in summary.spans.values()
+        if node.name == "native.compile"
+    ]
+    if not tally and not kernel_s and not compiles:
         return []
     lines = ["engines:"]
     for (requested, used), slot in sorted(tally.items()):
@@ -236,6 +243,11 @@ def _render_engines(summary: TraceSummary) -> list[str]:
         lines.append(
             f"  native kernel time (profiled)  x{len(kernel_s)}  "
             f"total {_ms(sum(kernel_s))}"
+        )
+    if compiles:
+        lines.append(
+            f"  native compile (C compiler)    x{len(compiles)}  "
+            f"wall {_ms(sum(compiles))}"
         )
     return lines
 

@@ -288,11 +288,13 @@ def _execute_payload(ctx) -> dict:
 def _execute_run(ctx) -> ExecuteArtifact:
     import numpy as np
 
-    from repro.execution.engines import run_engine
+    from repro.execution.engines import run_engine_batch
 
+    # One batch: the native engine builds both kernels in one object.
     reference = ctx.family["natural"]
-    ref_result = run_engine(ctx.engine, reference, ctx.sizes, seed=ctx.seed)
-    subject_result = run_engine(ctx.engine, ctx.subject, ctx.sizes, seed=ctx.seed)
+    ref_result, subject_result = run_engine_batch(
+        ctx.engine, [reference, ctx.subject], ctx.sizes, seed=ctx.seed
+    )
     outputs = ref_result.output_values()
     subject_outputs = subject_result.output_values()
     if subject_outputs.shape != outputs.shape:

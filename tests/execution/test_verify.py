@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.codes import make_simple2d, make_stencil5
 from repro.execution.verify import VersionMismatch, verify_versions
 from repro.mapping import OVMapping
@@ -16,6 +17,16 @@ class TestVerify:
             make_simple2d().values(), {"n": 6, "m": 7}
         )
         assert out.shape == (7,)
+
+    def test_every_run_goes_through_the_engine_registry(self):
+        # One engine.run per version, so traces and the engine.runs
+        # counters see the interpreter runs too.
+        obs.reset()
+        versions = make_simple2d()
+        verify_versions(versions.values(), {"n": 6, "m": 7})
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters["engine.runs.interpreter"] == len(versions)
+        obs.reset()
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

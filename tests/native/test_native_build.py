@@ -145,7 +145,7 @@ class TestDegradation:
         def unsupported(*args, **kwargs):
             raise NotImplementedError("synthetic codegen gap")
 
-        monkeypatch.setattr(c_gen, "generate_c", unsupported)
+        monkeypatch.setattr(c_gen, "lower_kernel", unsupported)
         result = execute_native(make_stencil5()["ov"], SIZES)
         assert result.degradation.reason == "no-toolchain"
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.codes import make_jacobi, make_psm, make_simple2d, make_stencil5
 from repro.execution import (
     execute,
@@ -96,8 +97,10 @@ class TestNativeDifferential:
             scalar = execute(version, sizes, seed=seed)
             assert np.array_equal(native.storage, scalar.storage)
 
-    def test_verify_versions_accepts_native(self, so_cache, monkeypatch):
-        monkeypatch.setenv("REPRO_SO_CACHE", so_cache)
+    def test_verify_versions_accepts_native(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SO_CACHE", str(tmp_path))
+        compiles = obs.get_metrics().counter("native.compiles")
+        before = compiles.value
         family = make_stencil5()
         outputs = verify_versions(
             [family["natural"], family["ov"], family["ov-tiled"]],
@@ -105,3 +108,5 @@ class TestNativeDifferential:
             engine="native",
         )
         assert outputs.size > 0
+        # The three versions are one batch: one object, one compiler run.
+        assert compiles.value - before == 1

@@ -159,6 +159,17 @@ class TestEngineSections:
         assert "native kernel time (profiled)" in text
         assert "2.00ms" in text
 
+    def test_compiler_time_is_summed(self):
+        spans = [
+            {"type": "span", "id": k, "parent": None,
+             "name": "native.compile", "t0": float(k), "wall_s": wall,
+             "cpu_s": 0.0, "attrs": {"label": "stencil5/natural+stencil5/ov"}}
+            for k, wall in ((1, 0.05), (2, 0.03))
+        ]
+        text = render_summary(load_trace(json.dumps(s) for s in spans))
+        assert "engines:" in text
+        assert "native compile (C compiler)    x2  wall 80.00ms" in text
+
     def test_degradations_section_lists_reasons(self):
         text = render_summary(load_trace(_engine_trace_lines()))
         assert "degradations:" in text
