@@ -136,10 +136,6 @@ def test_ablation_padding_fixes_consecutive_layout(
         key="ov-tiled-padded",
         label="OV-Mapped Tiled (padded)",
         mapping_factory=padded_mapping,
-        storage_formula=lambda s: 2 * s["L"]
-        + pad_for_cache(
-            s["L"], ultra.l1.line_bytes, cache_bytes=ultra.l1.size_bytes
-        ),
     )
 
     consec = simulate(base, S5_LARGE, ultra).cycles_per_iteration

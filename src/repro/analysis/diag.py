@@ -190,11 +190,10 @@ class Diagnostics:
 class FindingSpec:
     """Registry entry for one stable diagnostic code.
 
-    ``severity`` is the *typical* severity as emitted (a few codes vary:
-    ``STO001`` downgrades to info for under-allocation); ``emitter``
-    names the lint pass or subsystem that produces it.  The registry is
-    the single source of truth behind ``docs/LINT_CODES.md`` (generated
-    by ``repro lint-codes``, freshness-checked in CI) and the
+    ``severity`` is the *typical* severity as emitted; ``emitter`` names
+    the lint pass or subsystem that produces it.  The registry is the
+    single source of truth behind ``docs/LINT_CODES.md`` (generated by
+    ``repro lint-codes``, freshness-checked in CI) and the
     registry-coverage test that keeps ad-hoc codes from creeping in.
     """
 
@@ -264,11 +263,6 @@ FINDING_REGISTRY: tuple[FindingSpec, ...] = (
     FindingSpec(
         "RACE003", "error", "storage-race",
         "a mapping is illegal even under the schedule it ships with",
-    ),
-    FindingSpec(
-        "STO001", "warning", "storage-accounting",
-        "a mapping's allocated size differs from the published storage "
-        "formula (warning when over-allocating, info when under)",
     ),
     FindingSpec(
         "FUZ001", "error", "differential-fuzz",

@@ -25,7 +25,6 @@ pass                   codes    meaning
 ``storage-race``       RACE001  schedule-independent mapping has a race
                        RACE002  schedule-dependent mapping's expected races
                        RACE003  mapping illegal even under its own schedule
-``storage-accounting`` STO001   allocated size differs from the table formula
 ``differential-fuzz``  FUZ001   static and dynamic verdicts disagree
 =====================  =======  ==============================================
 
@@ -46,7 +45,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 from repro import obs
 from repro.analysis.diag import Diagnostics, Severity
-from repro.codes import MAKERS
+from repro.codes import MAKERS, get_spec
 from repro.codes.base import CodeVersion
 from repro.core.stencil import Stencil
 from repro.util.polyhedron import Polytope
@@ -64,14 +63,13 @@ __all__ = [
     "LINT_SIZES",
 ]
 
-#: Per-code sizes the lint corpus is instantiated at.  Small enough that
-#: exact region-restricted analyses are instant; non-power-of-two on
-#: purpose so layout/collision bugs that powers of two mask stay visible.
+#: Per-code sizes the lint corpus is instantiated at: each registered
+#: spec's ``sizes`` directive, which ``repro compile <code> --lint``
+#: lints at too.  Small enough that exact region-restricted analyses are
+#: instant; non-power-of-two on purpose so layout/collision bugs that
+#: powers of two mask stay visible.
 LINT_SIZES: dict[str, dict[str, int]] = {
-    "simple2d": {"n": 6, "m": 7},
-    "stencil5": {"T": 5, "L": 9},
-    "jacobi": {"T": 5, "L": 9},
-    "psm": {"n0": 5, "n1": 6},
+    name: dict(get_spec(name).sizes) for name in MAKERS
 }
 
 
@@ -396,30 +394,6 @@ def _pass_storage_race(target: LintTarget, diag: Diagnostics) -> None:
 
 
 @lint_pass(
-    "storage-accounting",
-    "allocated mapping size matches the published storage formula",
-)
-def _pass_storage_accounting(target: LintTarget, diag: Diagnostics) -> None:
-    for key, version in target.versions.items():
-        mapping = version.mapping(target.sizes)
-        formula = version.storage(target.sizes)
-        if mapping.size != formula:
-            severity = (
-                Severity.WARNING if mapping.size > formula else Severity.INFO
-            )
-            diag.emit(
-                "STO001",
-                severity,
-                target.subject(key),
-                f"mapping allocates {mapping.size} locations but the "
-                f"storage formula claims {formula} at {dict(target.sizes)}",
-                fix_hint="reconcile the Tables 1/2 formula with the mapping",
-                allocated=mapping.size,
-                formula=formula,
-            )
-
-
-@lint_pass(
     "differential-fuzz",
     "sampled random legal schedules agree with every static verdict",
     default=False,
@@ -507,13 +481,9 @@ def build_targets(
             raise KeyError(
                 f"unknown code {name!r}; one of {sorted(MAKERS)}"
             )
-        versions = MAKERS[name]()
-        sizes = LINT_SIZES.get(name)
-        if sizes is None:
-            raise KeyError(f"no lint sizes registered for code {name!r}")
         targets.append(
             build_target(
-                name, versions, sizes, fuzz=fuzz, seed=seed,
+                name, MAKERS[name](), LINT_SIZES[name], fuzz=fuzz, seed=seed,
                 symbolic=symbolic,
             )
         )

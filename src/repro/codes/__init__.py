@@ -9,8 +9,12 @@ they differ only in where values live and in what order iterations run,
 which is the entire subject of the paper.
 
 Every code is declared as a :class:`~repro.frontend.spec.StencilSpec`
-(module-level ``*_SPEC`` constants) and synthesized through the frontend;
-the modules only curate the version families:
+(module-level ``*_SPEC`` constants) and synthesized through the frontend,
+and its versions are the standard family of
+:func:`~repro.frontend.synth.make_versions` — the same versions
+``repro compile <code> --lint`` lints.  Only psm adds rows of its own
+(the searched UOV and the Alpern/Carter/Gatlin buffer), through the same
+:func:`~repro.frontend.synth.build_version`:
 
 - :mod:`repro.codes.simple2d` — the running example of Figure 1.
 - :mod:`repro.codes.stencil5` — the 5-point 1-D stencil over time

@@ -11,14 +11,14 @@ matching, ...) with:
 
 A :class:`CodeVersion` is one (storage mapping, schedule) pair over that
 computation — "Natural", "OV-Mapped Interleaved Tiled", and so on, the
-legend entries of Figures 7–14.  Versions are constructed by each code's
-``make_*`` factory so that the storage formulas of Tables 1 and 2 are
-stated next to the mappings that realise them.
+legend entries of Figures 7–14.  Every version is assembled by
+:func:`repro.frontend.synth.build_version` from a registered mapping and
+schedule, so its storage is always its mapping's allocated size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -117,11 +117,6 @@ class Code:
             n *= hi - lo + 1
         return n
 
-    def domain_polytope(self, sizes: Mapping[str, int]):
-        from repro.util.polyhedron import Polytope
-
-        return Polytope.from_loop_bounds(self.bounds(sizes))
-
 
 @dataclass(frozen=True)
 class CodeVersion:
@@ -132,8 +127,6 @@ class CodeVersion:
     code: Code
     mapping_factory: Callable[[Mapping[str, int]], StorageMapping]
     schedule_factory: Callable[[Mapping[str, int]], Schedule]
-    #: Temporary-storage formula (the Tables 1 / 2 entries), in elements.
-    storage_formula: Callable[[Mapping[str, int]], int]
     tiled: bool = False
     #: False for mappings whose storage dependences forbid tiling.
     tilable: bool = True
@@ -146,7 +139,8 @@ class CodeVersion:
         return self.schedule_factory(sizes)
 
     def storage(self, sizes: Mapping[str, int]) -> int:
-        return self.storage_formula(sizes)
+        """Temporary storage in elements: the mapping's allocation."""
+        return self.mapping_factory(sizes).size
 
     def address_ops(
         self, sizes: Mapping[str, int], unrolled: bool = True

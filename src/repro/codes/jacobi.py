@@ -13,18 +13,16 @@ Stencil ``{(1,-1), (1,0), (1,1)}``; the search finds the UOV ``(2, 0)``
 ``T*L`` natural and ``L+2`` storage-optimized.
 
 Declared as :data:`JACOBI_SPEC` (Dirichlet boundary = ``padded-line``
-with one zero guard cell per side) and synthesized through the frontend.
+with one zero guard cell per side) and synthesized through the frontend;
+the versions are the standard family of
+:func:`~repro.frontend.synth.make_versions`, tiled ``8 x 64`` after the
+skew ``x' = x + t`` unless the size binding says otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.codes.base import CodeVersion
-from repro.frontend import SpecBuilder, synthesize_code
-from repro.mapping import OVMapping, RollingBufferMapping, RowMajorMapping
-from repro.schedule import LexicographicSchedule, TiledSchedule, required_skew
-from repro.util.polyhedron import Polytope
+from repro.frontend import SpecBuilder, make_versions, synthesize_code
 
 __all__ = ["make_jacobi", "JACOBI_SPEC", "JACOBI_UOV"]
 
@@ -43,65 +41,13 @@ JACOBI_SPEC = (
     .inputs("padded-line", axis=1, pad=1, pad_value=0.0)
     .costs(flops=5)
     .sizes(T=5, L=9)
+    .tile(8, 64)
     .uov(*JACOBI_UOV)
     .build()
 )
 
 
-def _isg(sizes: Mapping[str, int]) -> Polytope:
-    return Polytope.from_loop_bounds(JACOBI_SPEC.bounds_fn(sizes))
-
-
 def make_jacobi() -> dict[str, CodeVersion]:
-    """Natural / OV-mapped / storage-optimized Jacobi, tiled variants too."""
-    code = synthesize_code(JACOBI_SPEC)
-    stencil = code.stencil
-    skew = required_skew(stencil)
-
-    def tile_sizes(sizes):
-        return (sizes.get("tile_h", 8), sizes.get("tile_w", 64))
-
-    versions = {}
-
-    def mk(key, label, mapping_factory, schedule_factory, storage, **kw):
-        versions[key] = CodeVersion(
-            key=key,
-            label=label,
-            code=code,
-            mapping_factory=mapping_factory,
-            schedule_factory=schedule_factory,
-            storage_formula=storage,
-            **kw,
-        )
-
-    mk(
-        "natural",
-        "Natural",
-        lambda s: RowMajorMapping((s["T"], s["L"]), origin=(1, 0)),
-        lambda s: LexicographicSchedule(),
-        lambda s: s["T"] * s["L"],
-    )
-    mk(
-        "ov",
-        "OV-Mapped",
-        lambda s: OVMapping(JACOBI_UOV, _isg(s), layout="consecutive"),
-        lambda s: LexicographicSchedule(),
-        lambda s: 2 * s["L"],
-    )
-    mk(
-        "ov-tiled",
-        "OV-Mapped Tiled",
-        lambda s: OVMapping(JACOBI_UOV, _isg(s), layout="consecutive"),
-        lambda s: TiledSchedule(tile_sizes(s), skew=skew),
-        lambda s: 2 * s["L"],
-        tiled=True,
-    )
-    mk(
-        "storage-optimized",
-        "Storage Optimized",
-        lambda s: RollingBufferMapping(stencil, _isg(s)),
-        lambda s: LexicographicSchedule(),
-        lambda s: s["L"] + 2,
-        tilable=False,
-    )
-    return versions
+    """Natural / OV-mapped (consecutive and interleaved) /
+    storage-optimized Jacobi, with the tiled variants of the tilable ones."""
+    return make_versions(synthesize_code(JACOBI_SPEC))

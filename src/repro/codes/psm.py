@@ -29,6 +29,14 @@ The storage-optimized version follows Alpern/Carter/Gatlin [1]: the loop
 runs interchanged (inner loop over the first string) with two columns of
 intermediate values plus three scalars — ``2*n0 + 3`` locations (Table 2).
 
+Every other version is the standard family of
+:func:`~repro.frontend.synth.make_versions` (natural, OV-mapped
+consecutive and interleaved, each untiled and tiled ``48 x 48`` by the
+spec's ``tile`` directive).  Three rows are psm's own, because a spec
+cannot state them: ``ov-optimal`` and ``ov-optimal-tiled`` with the
+searched UOV, and the interchanged double-column ``storage-optimized``
+in place of the family's lexicographic rolling buffer.
+
 The inner loop's three data-dependent ``max`` selections are modelled as
 branches; on the in-order Ultra 2 / Alpha cost models they dominate the
 cycle count, which is exactly the paper's explanation for why tiling does
@@ -42,14 +50,14 @@ from typing import Mapping
 import numpy as np
 
 from repro.codes.base import CodeVersion
-from repro.frontend import COMBINE_HOOKS, SemanticsHook, SpecBuilder, synthesize_code
-from repro.mapping import OVMapping, RollingBufferMapping, RowMajorMapping
-from repro.schedule import (
-    InterchangedSchedule,
-    LexicographicSchedule,
-    TiledSchedule,
+from repro.frontend import (
+    COMBINE_HOOKS,
+    SemanticsHook,
+    SpecBuilder,
+    build_version,
+    make_versions,
+    synthesize_code,
 )
-from repro.util.polyhedron import Polytope
 
 __all__ = [
     "make_psm",
@@ -65,8 +73,6 @@ PSM_GAP = 4.0
 PSM_DISTANCES = ((1, 1), (1, 0), (0, 1))
 PSM_PAPER_UOV = (2, 2)  # the initial UOV; reproduces Table 2's 2n0+2n1+O(1)
 PSM_OPTIMAL_UOV = (1, 1)  # what the branch-and-bound search returns
-
-DEFAULT_TILE = 48
 
 _TABLE_ELEMENTS = PSM_ALPHABET * PSM_ALPHABET
 
@@ -169,114 +175,41 @@ PSM_SPEC = (
     .output_axis(1)
     .array("H")
     .sizes(n0=5, n1=6)
+    .tile(48, 48)
     .uov(*PSM_PAPER_UOV)
     .build()
 )
-
-
-def _isg(sizes: Mapping[str, int]) -> Polytope:
-    return Polytope.from_loop_bounds(PSM_SPEC.bounds_fn(sizes))
-
-
-def _tile_sizes(sizes: Mapping[str, int]) -> tuple[int, int]:
-    t = sizes.get("tile", DEFAULT_TILE)
-    return (sizes.get("tile_h", t), sizes.get("tile_w", t))
 
 
 def make_psm() -> dict[str, CodeVersion]:
     """All versions of protein string matching (Figure 12-14 legend plus
     the optimal-UOV extension)."""
     code = synthesize_code(PSM_SPEC)
-    stencil = code.stencil
-
-    def natural_mapping(sizes):
-        return RowMajorMapping((sizes["n0"], sizes["n1"]), origin=(1, 1))
-
-    def ov_mapping(ov):
-        def factory(sizes):
-            return OVMapping(ov, _isg(sizes), layout="consecutive")
-
-        return factory
-
-    def optimized_mapping(sizes):
-        # Alpern/Carter/Gatlin run the inner loop along the first string
-        # and keep two length-n0 columns plus three scalars.
-        return RollingBufferMapping(
-            stencil, _isg(sizes), window=2 * sizes["n0"] + 3, perm=(1, 0)
-        )
-
-    def lex(sizes):
-        return LexicographicSchedule()
-
-    def interchanged(sizes):
-        return InterchangedSchedule((1, 0))
-
-    def tiled(sizes):
-        # PSM's stencil is already fully permutable: no skew needed.
-        return TiledSchedule(_tile_sizes(sizes))
-
-    def mk(key, label, mapping_factory, schedule_factory, storage, **kw):
-        return CodeVersion(
-            key=key,
-            label=label,
-            code=code,
-            mapping_factory=mapping_factory,
-            schedule_factory=schedule_factory,
-            storage_formula=storage,
-            **kw,
-        )
-
-    natural_storage = lambda s: s["n0"] * s["n1"]
-    paper_ov_storage = lambda s: 2 * (s["n0"] + s["n1"] - 1)
-    optimal_ov_storage = lambda s: s["n0"] + s["n1"] - 1
-    optimized_storage = lambda s: 2 * s["n0"] + 3
-
-    return {
-        "natural": mk("natural", "Natural", natural_mapping, lex, natural_storage),
-        "natural-tiled": mk(
-            "natural-tiled",
-            "Natural Tiled",
-            natural_mapping,
-            tiled,
-            natural_storage,
-            tiled=True,
-        ),
-        "ov": mk(
-            "ov", "OV-Mapped", ov_mapping(PSM_PAPER_UOV), lex, paper_ov_storage
-        ),
-        "ov-tiled": mk(
-            "ov-tiled",
-            "OV-Mapped Tiled",
-            ov_mapping(PSM_PAPER_UOV),
-            tiled,
-            paper_ov_storage,
-            tiled=True,
-        ),
-        "ov-optimal": mk(
-            "ov-optimal",
-            "OV-Mapped (optimal UOV)",
-            ov_mapping(PSM_OPTIMAL_UOV),
-            lex,
-            optimal_ov_storage,
+    versions = make_versions(code)
+    # Alpern/Carter/Gatlin run the inner loop along the first string and
+    # keep two length-n0 columns plus three scalars.
+    versions["storage-optimized"] = build_version(
+        code,
+        "storage-optimized",
+        "Storage Optimized",
+        "rolling-buffer",
+        "interchange",
+        mapping_options=lambda s: {"window": 2 * s["n0"] + 3, "perm": (1, 0)},
+        tilable=False,
+        notes="Alpern/Carter/Gatlin double-column variant, interchanged loops",
+    )
+    for key, label, schedule in (
+        ("ov-optimal", "OV-Mapped (optimal UOV)", "lex"),
+        ("ov-optimal-tiled", "OV-Mapped (optimal UOV) Tiled", "tiled"),
+    ):
+        versions[key] = build_version(
+            code,
+            key,
+            label,
+            "ov",
+            schedule,
+            PSM_OPTIMAL_UOV,
             notes="extension: the searched UOV (1,1) rather than the "
             "paper's initial UOV (2,2)",
-        ),
-        "ov-optimal-tiled": mk(
-            "ov-optimal-tiled",
-            "OV-Mapped (optimal UOV) Tiled",
-            ov_mapping(PSM_OPTIMAL_UOV),
-            tiled,
-            optimal_ov_storage,
-            tiled=True,
-        ),
-        "storage-optimized": mk(
-            "storage-optimized",
-            "Storage Optimized",
-            optimized_mapping,
-            interchanged,
-            optimized_storage,
-            tilable=False,
-            notes="Alpern/Carter/Gatlin double-column variant, "
-            "interchanged loops",
-        ),
-    }
+        )
+    return versions

@@ -20,6 +20,7 @@ from repro.frontend.combine import (
 from repro.frontend.inputs import INPUT_RULES, InputBindings, build_input_rule
 from repro.frontend.spec import SpecBuilder, SpecError, StencilSpec, validate_spec
 from repro.frontend.synth import (
+    build_version,
     code_to_spec,
     make_versions,
     resolve_uov,
@@ -37,6 +38,7 @@ __all__ = [
     "SpecError",
     "StencilSpec",
     "build_input_rule",
+    "build_version",
     "code_to_spec",
     "compile_combine",
     "make_versions",

@@ -5,18 +5,23 @@ everything a hand-written ``codes/*.py`` module used to provide — the IR
 :class:`~repro.ir.program.Program`, the :class:`~repro.core.stencil.Stencil`,
 executable combine/input semantics (scalar *and* batched), costs — from
 the declarative spec, so an arbitrary stencil runs through analysis,
-interpretation, and codegen without any new Python.  :func:`make_versions`
-then derives the standard version family (natural / OV-mapped /
-storage-optimized, tiled variants) from the registries, and
-:func:`spec_version` builds the single version a spec's directive fields
-ask for.
+interpretation, and codegen without any new Python.
+
+:func:`build_version` is the only place a ``CodeVersion`` is assembled,
+from a registered mapping name, a registered schedule name, an OV and
+registry options; every ``tiled`` version takes its tile from
+:func:`tile_shape`.  :func:`make_versions` builds the standard family
+with it (natural / OV-mapped / storage-optimized, tiled variants) — the
+family of every registered code and of the pipeline's lint stage — and
+:func:`spec_version` the single version a spec's directive fields ask
+for.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from typing import TYPE_CHECKING
 
@@ -33,8 +38,16 @@ from repro.ir import ArrayDecl, ArrayRef, Assignment, LoopNest, Program
 from repro.ir.affine import AffineExpr
 from repro.mapping import build_mapping
 from repro.schedule import build_schedule
+from repro.schedule.registry import DEFAULT_TILE
 
-__all__ = ["code_to_spec", "make_versions", "spec_version", "synthesize_code"]
+__all__ = [
+    "build_version",
+    "code_to_spec",
+    "make_versions",
+    "spec_version",
+    "synthesize_code",
+    "tile_shape",
+]
 
 
 def _subscript(index: str, delta: int) -> str:
@@ -154,22 +167,77 @@ def resolve_uov(spec: StencilSpec, stencil: Stencil) -> tuple[int, ...]:
     return tuple(find_optimal_uov(stencil).ov)
 
 
-def _mapping_factory(spec: StencilSpec, stencil: Stencil, name: str, ov, options=None):
-    def factory(sizes: Mapping[str, int]):
-        return build_mapping(name, stencil, spec.bounds_fn(sizes), ov, options)
+def tile_shape(
+    spec: StencilSpec, sizes: Mapping[str, int]
+) -> tuple[int, ...]:
+    """The tile a ``tiled`` version runs at ``sizes``.
 
-    return factory
+    The size binding's ``tile`` (every axis), ``tile_h`` (axis 0) and
+    ``tile_w`` (axis 1) entries win; otherwise the spec's ``tile``
+    directive, otherwise the schedule registry's default edge.
+    """
+    if "tile" in sizes:
+        tile = [sizes["tile"]] * spec.ndim
+    elif spec.tile is not None:
+        tile = list(spec.tile)
+    else:
+        tile = [DEFAULT_TILE] * spec.ndim
+    for axis, name in enumerate(("tile_h", "tile_w")[: spec.ndim]):
+        if name in sizes:
+            tile[axis] = sizes[name]
+    return tuple(tile)
 
 
-def _schedule_factory(spec: StencilSpec, stencil: Stencil, name: str, options=None):
-    def factory(sizes: Mapping[str, int]):
-        return build_schedule(name, stencil, spec.bounds_fn(sizes), options)
+def build_version(
+    code: Code,
+    key: str,
+    label: str,
+    mapping: str,
+    schedule: str,
+    ov: Optional[Sequence[int]] = None,
+    *,
+    mapping_options: Union[Mapping, Callable[[Mapping], Mapping], None] = None,
+    tilable: bool = True,
+    notes: str = "",
+) -> CodeVersion:
+    """The one place a :class:`~repro.codes.base.CodeVersion` is assembled.
 
-    return factory
+    ``mapping`` and ``schedule`` name :data:`~repro.mapping.MAPPINGS` and
+    :data:`~repro.schedule.SCHEDULES` entries, built at each size binding
+    over the spec's box.  ``mapping_options`` is the registry's option
+    mapping, or a function of the size binding returning one.  A
+    ``tiled`` schedule takes its tile from :func:`tile_shape`.  The
+    version's storage is its mapping's size.
+    """
+    from repro.codes.base import CodeVersion
 
+    spec = code_to_spec(code)
+    stencil = code.stencil
 
-def _storage_formula(mapping_factory):
-    return lambda sizes: mapping_factory(sizes).size
+    def mapping_factory(sizes: Mapping[str, int]):
+        options = mapping_options
+        if callable(options):
+            options = options(sizes)
+        bounds = spec.bounds_fn(sizes)
+        return build_mapping(mapping, stencil, bounds, ov, options)
+
+    def schedule_factory(sizes: Mapping[str, int]):
+        options = None
+        if schedule == "tiled":
+            options = {"tile": tile_shape(spec, sizes)}
+        bounds = spec.bounds_fn(sizes)
+        return build_schedule(schedule, stencil, bounds, options)
+
+    return CodeVersion(
+        key=key,
+        label=label,
+        code=code,
+        mapping_factory=mapping_factory,
+        schedule_factory=schedule_factory,
+        tiled=schedule == "tiled",
+        tilable=tilable,
+        notes=notes,
+    )
 
 
 def spec_version(
@@ -179,21 +247,15 @@ def spec_version(
 ) -> CodeVersion:
     """The single version a spec's ``mapping``/``schedule``/``tile``
     directives select."""
-    from repro.codes.base import CodeVersion
-
     spec = code_to_spec(code)
     ov = tuple(ov) if ov is not None else resolve_uov(spec, code.stencil)
-    mapping_factory = _mapping_factory(spec, code.stencil, spec.mapping, ov)
-    options = {"tile": spec.tile} if spec.tile is not None else None
-    schedule_factory = _schedule_factory(spec, code.stencil, spec.schedule, options)
-    return CodeVersion(
-        key=key,
-        label=f"{spec.mapping}/{spec.schedule}",
-        code=code,
-        mapping_factory=mapping_factory,
-        schedule_factory=schedule_factory,
-        storage_formula=_storage_formula(mapping_factory),
-        tiled=spec.schedule == "tiled",
+    return build_version(
+        code,
+        key,
+        f"{spec.mapping}/{spec.schedule}",
+        spec.mapping,
+        spec.schedule,
+        ov,
         notes=spec.notes,
     )
 
@@ -201,51 +263,28 @@ def spec_version(
 def make_versions(
     code: Code, ov: Optional[Sequence[int]] = None
 ) -> dict[str, CodeVersion]:
-    """The standard version family for a spec-synthesized code.
+    """The standard version family of a spec-synthesized code.
 
-    Natural and OV-mapped versions (plus tiled variants), an interleaved
-    layout when the OV is non-prime in 2-D, and the schedule-dependent
-    rolling-buffer floor — the same families the hand-written codes
-    curate, derived here from the registries.
+    Natural and OV-mapped versions, each untiled and tiled; the
+    interleaved layout, untiled and tiled, when the OV is non-prime in
+    2-D; and the schedule-dependent rolling-buffer floor, which cannot
+    be tiled.  This is the grid of the paper's Section 5.
     """
-    from repro.codes.base import CodeVersion
-
     spec = code_to_spec(code)
-    stencil = code.stencil
-    ov = tuple(ov) if ov is not None else resolve_uov(spec, stencil)
-    tile_options = {"tile": spec.tile} if spec.tile is not None else None
-
-    versions: dict[str, CodeVersion] = {}
-
-    def mk(key, label, mapping_name, schedule_name, *, mapping_ov=None, **kw):
-        mapping_factory = _mapping_factory(spec, stencil, mapping_name, mapping_ov)
-        schedule_options = tile_options if schedule_name == "tiled" else None
-        versions[key] = CodeVersion(
-            key=key,
-            label=label,
-            code=code,
-            mapping_factory=mapping_factory,
-            schedule_factory=_schedule_factory(
-                spec, stencil, schedule_name, schedule_options
-            ),
-            storage_formula=_storage_formula(mapping_factory),
-            tiled=schedule_name == "tiled",
-            **kw,
-        )
-
-    mk("natural", "Natural", "natural", "lex")
-    mk("natural-tiled", "Natural Tiled", "natural", "tiled")
-    mk("ov", "OV-Mapped", "ov", "lex", mapping_ov=ov)
-    mk("ov-tiled", "OV-Mapped Tiled", "ov", "tiled", mapping_ov=ov)
+    ov = tuple(ov) if ov is not None else resolve_uov(spec, code.stencil)
+    rows = [("natural", "Natural", "natural"), ("ov", "OV-Mapped", "ov")]
     if len(ov) == 2 and math.gcd(*(abs(c) for c in ov)) > 1:
-        mk(
-            "ov-interleaved",
-            "OV-Mapped Interleaved",
-            "ov-interleaved",
-            "lex",
-            mapping_ov=ov,
+        rows.append(
+            ("ov-interleaved", "OV-Mapped Interleaved", "ov-interleaved")
         )
-    mk(
+    versions: dict[str, CodeVersion] = {}
+    for key, label, mapping in rows:
+        versions[key] = build_version(code, key, label, mapping, "lex", ov)
+        versions[f"{key}-tiled"] = build_version(
+            code, f"{key}-tiled", f"{label} Tiled", mapping, "tiled", ov
+        )
+    versions["storage-optimized"] = build_version(
+        code,
         "storage-optimized",
         "Storage Optimized",
         "rolling-buffer",

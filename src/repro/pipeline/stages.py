@@ -226,10 +226,11 @@ def _schedule_run(ctx) -> ScheduleArtifact:
             f"schedule {ctx.spec.schedule!r} violates a value dependence "
             f"of {[list(v) for v in ctx.code.stencil.vectors]}",
         )
+    tile = getattr(schedule, "tile_sizes", None)
     return ScheduleArtifact(
         name=ctx.spec.schedule,
         legal=legal,
-        tile=list(ctx.spec.tile) if ctx.spec.tile is not None else None,
+        tile=list(tile) if tile is not None else None,
         batches=_count_batches(schedule, bounds, ctx.code.stencil),
     )
 

@@ -380,16 +380,27 @@ class SqliteBackend:
         # One connection per process: a forked worker must not share the
         # parent's sqlite handle, so reopen lazily after a fork.
         if self._conn is None or self._conn_pid != os.getpid():
-            conn = sqlite3.connect(
-                str(self.path), timeout=30.0, isolation_level=None
-            )
+            self._conn = self._retry_locked("open", self._open)
+            self._conn_pid = os.getpid()
+        return self._conn
+
+    def _open(self) -> sqlite3.Connection:
+        # Switching a fresh file to WAL reports "database is locked" at
+        # once, without waiting out busy_timeout, while another
+        # connection holds a write transaction; so the whole setup runs
+        # under the write retry.
+        conn = sqlite3.connect(
+            str(self.path), timeout=30.0, isolation_level=None
+        )
+        try:
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute("PRAGMA busy_timeout=30000")
             conn.execute(self._SCHEMA)
-            self._conn = conn
-            self._conn_pid = os.getpid()
-        return self._conn
+        except BaseException:
+            conn.close()
+            raise
+        return conn
 
     def _retry_locked(self, label: str, attempt):
         """Run ``attempt()`` again after a lock-contention error, backing
@@ -431,8 +442,12 @@ class SqliteBackend:
         return body
 
     def _heal(self, key: str, problem: str) -> None:
-        conn = self._connect()
-        conn.execute("DELETE FROM entries WHERE key = ?", (key,))
+        self._retry_locked(
+            "heal",
+            lambda: self._connect().execute(
+                "DELETE FROM entries WHERE key = ?", (key,)
+            ),
+        )
         note_corruption(self.site, entry=key, problem=problem)
 
     def put(

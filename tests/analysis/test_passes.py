@@ -18,7 +18,6 @@ EXPECTED_PASSES = {
     "uov-certificate",
     "uov-symbolic-certificate",
     "storage-race",
-    "storage-accounting",
     "differential-fuzz",
 }
 
@@ -35,6 +34,13 @@ class TestRegistry:
 
     def test_every_code_has_lint_sizes(self):
         assert set(LINT_SIZES) == set(MAKERS)
+
+    def test_lint_sizes_are_the_spec_sizes(self):
+        """`repro lint --codes X` lints where `repro compile X --lint` does."""
+        from repro.codes import get_spec
+
+        for name, sizes in LINT_SIZES.items():
+            assert sizes == dict(get_spec(name).sizes), name
 
     def test_lint_sizes_are_not_powers_of_two(self):
         for sizes in LINT_SIZES.values():

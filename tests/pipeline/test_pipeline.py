@@ -83,6 +83,30 @@ class TestCompile:
         )
         assert result.artifact("dependence").ok
 
+    def test_tiled_compile_honours_the_binding_tile(self):
+        spec = dataclasses.replace(get_spec("stencil5"), schedule="tiled")
+        result = compile_spec(
+            spec,
+            sizes={"T": 8, "L": 64, "tile_h": 4, "tile_w": 8},
+            execute=False,
+            cache=ArtifactCache(),
+        )
+        schedule = result.artifact("schedule-select")
+        assert schedule.tile == [4, 8]
+        assert schedule.batches == 70
+
+    def test_schedule_artifact_reports_the_tile_it_runs(self):
+        spec = get_spec("stencil5")
+        lex = compile_spec(spec, execute=False, cache=ArtifactCache())
+        assert spec.tile == (8, 64)
+        assert lex.artifact("schedule-select").tile is None
+        tiled = compile_spec(
+            dataclasses.replace(spec, schedule="tiled"),
+            execute=False,
+            cache=ArtifactCache(),
+        )
+        assert tiled.artifact("schedule-select").tile == [8, 64]
+
     def test_empty_box_is_a_value_error(self):
         with pytest.raises(ValueError, match="empty loop range"):
             compile_spec(

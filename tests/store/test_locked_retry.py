@@ -117,3 +117,50 @@ class TestOtherWrites:
         assert backend.delete("k") is True
         assert flaky.raised == 2
         assert len(no_sleep) == 2
+
+    def test_heal_retries_its_delete(self, backend, monkeypatch, no_sleep):
+        backend.put("k", {"v": 6})
+        raw = sqlite3.connect(str(backend.path), isolation_level=None)
+        raw.execute("UPDATE entries SET digest = 'bad' WHERE key = 'k'")
+        raw.close()
+        flaky = make_flaky(backend, monkeypatch, failures=1)
+        assert backend.get("k") is None
+        assert flaky.raised == 1
+        assert no_sleep == [SqliteBackend.LOCKED_BACKOFF_S[0]]
+        monkeypatch.undo()
+        assert backend.get("k") is None
+
+
+class TestOpenRetries:
+    def test_fresh_store_opens_while_another_connection_writes(
+        self, tmp_path
+    ):
+        """Switching a fresh file to WAL fails at once, busy_timeout or
+        not, while another connection holds a write transaction; the
+        open must wait for it like any other write."""
+        import threading
+        import time
+
+        path = tmp_path / "fresh.sqlite"
+        writer = sqlite3.connect(
+            str(path), isolation_level=None, check_same_thread=False
+        )
+        writer.execute("BEGIN IMMEDIATE")
+        writer.execute("CREATE TABLE other (x INTEGER)")
+        timer = threading.Timer(0.3, lambda: writer.execute("COMMIT"))
+        timer.start()
+        started = time.monotonic()
+        try:
+            backend = SqliteBackend(path, site="test")
+        finally:
+            timer.join(timeout=10)
+            writer.close()
+        assert not timer.is_alive()
+        try:
+            assert time.monotonic() - started >= 0.25
+            mode = backend._connect().execute("PRAGMA journal_mode").fetchone()
+            assert mode[0] == "wal"
+            backend.put("k", {"v": 7})
+            assert backend.get("k") == {"v": 7}
+        finally:
+            backend.close()

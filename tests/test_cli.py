@@ -218,7 +218,7 @@ class TestLint:
 
         def fake_run_lint(**kwargs):
             diag = Diagnostics(metrics=Metrics())
-            diag.emit("STO001", Severity.WARNING, "x/y", "size mismatch")
+            diag.emit("APP001", Severity.WARNING, "x/y", "non-uniform reference")
             return diag
 
         monkeypatch.setattr(passes, "run_lint", fake_run_lint)
