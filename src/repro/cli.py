@@ -103,6 +103,7 @@ logging for the ``repro.*`` loggers) — see DESIGN.md §8 and §14.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro import obs
@@ -223,8 +224,6 @@ def _spec_overrides(args) -> dict:
 def _load_spec(ref: str):
     """Resolve a spec reference: a JSON file path, or a registered code
     name.  Returns (spec, None) or (None, exit_code) after printing."""
-    import os
-
     from repro.frontend import SpecError, StencilSpec
 
     if ref.endswith(".json") or os.path.sep in ref or os.path.exists(ref):
@@ -664,19 +663,11 @@ def _cmd_trace_summary(args) -> int:
     except ValueError as exc:
         print(f"{args.file} is not a valid trace: {exc}", file=sys.stderr)
         return 2
-    try:
-        print(render_summary(summary, top=args.top))
-    except BrokenPipeError:
-        # Output piped into head/less and truncated: not an error.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print(render_summary(summary, top=args.top))
     return 0
 
 
 def _cmd_stats(args) -> int:
-    import os
-
     from repro.obs.ledger import LEDGER_ENV, render_stats
 
     path = args.file or os.environ.get(LEDGER_ENV)
@@ -1301,7 +1292,15 @@ def main(argv=None) -> int:
         # otherwise ledger_record stays a no-op.
         obs.configure_ledger(args.ledger)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Buffered output meets a closed pipe here, not at exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Output piped into head/less and truncated: not an error.  Point
+        # stdout at devnull so the interpreter's exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     finally:
         if args.profile:
             # Disarm, or every later native run in this process would

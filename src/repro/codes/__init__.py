@@ -28,6 +28,8 @@ codes register themselves there (or arrive as spec files through
 ``repro compile`` without registering at all).
 """
 
+import functools
+
 from repro.codes.base import Code, CodeVersion
 from repro.codes.jacobi import JACOBI_SPEC, make_jacobi
 from repro.codes.psm import PSM_SPEC, make_psm
@@ -50,9 +52,10 @@ __all__ = [
 ]
 
 #: Name -> version-factory registry.  The parallel experiment harness
-#: ships only ``(code name, version key)`` across process boundaries
-#: (CodeVersion closures do not pickle) and rebuilds the version here;
-#: the factories are deterministic, so the rebuilt version is identical.
+#: and the serve daemon ship only ``(code name, version key)`` across
+#: process boundaries (CodeVersion closures do not pickle) and look the
+#: version up here; :func:`get_versions` builds each family once per
+#: process (the factories are deterministic and a CodeVersion is frozen).
 CODES: Registry = Registry("code")
 CODES.register(
     "simple2d",
@@ -83,14 +86,27 @@ CODES.register(
 MAKERS = CODES.as_dict()
 
 
-def get_versions(code_name: str) -> dict[str, CodeVersion]:
-    """All versions of the named benchmark code."""
+@functools.lru_cache(maxsize=None)
+def _family(code_name: str) -> dict[str, CodeVersion]:
+    # The registry is write-once, so a name always means one factory.
+    # Nothing outside this module sees this dict: get_versions hands out
+    # copies.
     return CODES.get(code_name)()
+
+
+def get_versions(code_name: str) -> dict[str, CodeVersion]:
+    """All versions of the named benchmark code.
+
+    The family is built once per process; each call returns a new dict
+    over the same frozen :class:`CodeVersion` objects, so a caller may
+    edit its dict without touching the next caller's.
+    """
+    return dict(_family(code_name))
 
 
 def get_version(code_name: str, key: str) -> CodeVersion:
     """One version of the named benchmark code, by version key."""
-    versions = get_versions(code_name)
+    versions = _family(code_name)
     try:
         return versions[key]
     except KeyError:

@@ -9,8 +9,9 @@ EXPERIMENTS.md.
 The *running* half is :class:`SimulationRunner`: every simulation point
 an experiment needs is described as a picklable :class:`SimTask`
 (code name, version key, sizes, machine, passes, seed — CodeVersion
-closures themselves do not cross process boundaries; workers rebuild the
-version from the deterministic factory registry in :mod:`repro.codes`).
+closures themselves do not cross process boundaries; workers look the
+version up in the deterministic factory registry of :mod:`repro.codes`,
+which builds each family once per process).
 The runner fans cache misses out over the shared crash-only worker pool
 (:mod:`repro.resilience.pool`) when ``jobs > 1`` and memoizes results in
 a content-addressed on-disk cache keyed by the task plus a fingerprint
@@ -249,11 +250,13 @@ class TaskFailure(RuntimeError):
 
 
 def _run_sim_task(task: SimTask) -> tuple[SimResult, float, int]:
-    """Rebuild the version locally and simulate it; also return the wall
+    """Look the version up by name and simulate it; also return the wall
     time and the id of the process that ran it.
 
     The harness's pool handler: top-level (not a closure) so it pickles,
-    imports deferred so a fresh worker process pays them once.
+    imports deferred so a fresh worker process pays them once.  The
+    code's version family is built once per process, not once per task
+    (:func:`repro.codes.get_versions`).
     """
     from repro.codes import get_version
     from repro.execution.simulator import simulate
@@ -307,7 +310,9 @@ class SimulationRunner:
     crash-only worker processes (a crash or hang is contained to its
     task); ``cache_dir`` enables the content-addressed result cache
     (a :class:`~repro.store.core.Store`: one digest-verified,
-    self-healing entry per point).
+    self-healing entry per point) — a path the runner opens (see
+    :meth:`open_store`) and :meth:`close` closes, or an open store it
+    uses and leaves open.
     ``simulated`` and ``cache_hits`` count what actually happened — the
     warm-cache experiment test asserts ``simulated == 0`` on a second
     run.
@@ -330,21 +335,19 @@ class SimulationRunner:
     def __init__(
         self,
         jobs: int = 1,
-        cache_dir: str | os.PathLike | None = None,
+        cache_dir: str | os.PathLike | Store | None = None,
         timeout_s: Optional[float] = None,
         retry: "int | RetryPolicy | None" = None,
         checkpoint_path: str | os.PathLike | None = None,
         resume: bool = False,
     ):
         self.jobs = max(1, int(jobs))
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        opened = cache_dir is not None and not isinstance(cache_dir, Store)
+        self.cache_dir = Path(cache_dir) if opened else None
         # Fail fast on an unusable cache location, before any simulation
-        # time is spent (Store.open creates the directory / database).
-        self._store = (
-            Store.open(cache_dir, site="harness.cache")
-            if cache_dir is not None
-            else None
-        )
+        # time is spent (opening creates the directory / database).
+        self._store = self.open_store(cache_dir) if opened else cache_dir
+        self._owned_store = self._store if opened else None
         self.timeout_s = timeout_s
         self.retry = RetryPolicy.of(retry)
         self.simulated = 0
@@ -370,9 +373,16 @@ class SimulationRunner:
         # Only a resumed run reads the checkpoint back.
         self._resume_from = self._checkpoint if resume else None
 
+    @staticmethod
+    def open_store(path: str | os.PathLike) -> Store:
+        """The result store a cache path names, opened as the runner
+        opens it."""
+        return Store.open(path, site="harness.cache")
+
     def close(self) -> None:
-        """Close the cache and checkpoint stores (idempotent)."""
-        for store in (self._store, self._checkpoint):
+        """Close the stores this runner opened (idempotent); a store
+        passed in open stays open."""
+        for store in (self._owned_store, self._checkpoint):
             if store is not None:
                 store.close()
 

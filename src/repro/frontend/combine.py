@@ -20,14 +20,19 @@ IR callable for :class:`~repro.ir.stmt.Assignment`.  Three kinds:
   :class:`SemanticsHook` in :data:`COMBINE_HOOKS` supplies the callables
   (and any extra context / table reads) directly.
 
-Expressions are validated and compiled once per spec; malformed input
-raises ``ValueError`` with the offending construct, which the spec
-validator converts into a structured diagnostic.
+Each ``(expression, source count)`` pair is validated and compiled once
+per process, behind a bounded cache (:data:`EXPR_CACHE_SIZE` entries):
+validating a spec and synthesizing its code, in the CLI or in every
+serve request, reuse the same two callables.  Malformed input raises
+``ValueError`` with the offending construct on every call (failures are
+not cached), which the spec validator converts into a structured
+diagnostic.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -189,14 +194,29 @@ def _compile_fn(tree: ast.Expression, batched: bool) -> Callable:
     return namespace["_combine"]
 
 
-def _expr_combine(expr: str, n_sources: int, json_form: Mapping) -> CompiledCombine:
+#: Bound of the per-process expression cache.  A server validates specs
+#: from its clients, so the cache must not grow without limit.
+EXPR_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=EXPR_CACHE_SIZE)
+def _expr_callables(expr: str, n_sources: int) -> tuple[Callable, Callable]:
+    """The scalar and batched callables of one expression, compiled once.
+
+    Only the two functions are cached, never a :class:`CompiledCombine`:
+    its ``json`` dict ends up inside specs, which callers own.  A
+    malformed expression raises and is not cached.
+    """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse combine expression {expr!r}: {exc}")
     _validate_expr(tree, n_sources)
-    scalar = _compile_fn(tree, batched=False)
-    batch = _compile_fn(tree, batched=True)
+    return _compile_fn(tree, batched=False), _compile_fn(tree, batched=True)
+
+
+def _expr_combine(expr: str, n_sources: int, json_form: Mapping) -> CompiledCombine:
+    scalar, batch = _expr_callables(expr, n_sources)
     return CompiledCombine(
         kind="expr",
         combine=scalar,

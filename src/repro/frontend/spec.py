@@ -58,8 +58,9 @@ _DIRECTIVE_FIELDS = ("sizes", "mapping", "schedule", "tile", "uov", "seed", "not
 
 #: Bound strings parsed once and shared between specs (an ``AffineExpr``
 #: is immutable): every trace block of a spec code evaluates the bounds,
-#: and parsing costs ten times as much as evaluating.  Bounded, because a
-#: server validates specs from its clients.
+#: every validation lists their size symbols, and parsing costs ten times
+#: as much as evaluating.  Bounded, because a server validates specs from
+#: its clients.
 _parse_bound = functools.lru_cache(maxsize=1024)(AffineExpr.parse)
 
 
@@ -115,7 +116,7 @@ class StencilSpec:
         seen: list[str] = []
         for lo, hi in self.bounds:
             for bound in (lo, hi):
-                for name in AffineExpr.parse(bound).variables:
+                for name in _parse_bound(bound).variables:
                     if name not in self.indices and name not in seen:
                         seen.append(name)
         return tuple(seen)

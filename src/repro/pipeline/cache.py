@@ -17,7 +17,9 @@ one-JSON-file-per-artifact directory layout (``<stage>-<key>.json``,
 digest-wrapped, self-healing via ``.corrupt/`` quarantine — DESIGN.md
 §12/§16), so cache directories written before the unified store keep
 hitting.  Pass a ``*.sqlite`` path as ``cache_dir`` to share one
-database between concurrent processes instead.
+database between concurrent processes instead, or an open
+:class:`~repro.store.core.Store` to reuse one (a serve worker keeps its
+store open across jobs).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from pathlib import Path
 from typing import Mapping, Optional, Union
 
 from repro.store.core import Store
@@ -40,20 +41,26 @@ class ArtifactCache:
 
     ``cache_dir=None`` keeps artifacts for the lifetime of the process
     only (enough for repeated ``compile_spec`` calls in one run); with a
-    directory (or sqlite file), artifacts persist across processes.
+    directory (or sqlite file), artifacts persist across processes.  An
+    open :class:`Store` (see :meth:`open_store`) is used as it is.
     ``hits`` and ``misses`` count lookups, for tests and telemetry.
     """
 
-    def __init__(self, cache_dir: Optional[Union[str, os.PathLike]] = None):
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._store = (
-            Store.open(cache_dir, site="pipeline.cache", indent=2)
-            if cache_dir is not None
-            else None
-        )
+    def __init__(
+        self, cache_dir: Union[str, os.PathLike, Store, None] = None
+    ):
+        if cache_dir is None or isinstance(cache_dir, Store):
+            self._store = cache_dir
+        else:
+            self._store = self.open_store(cache_dir)
         self._memory: dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
+
+    @staticmethod
+    def open_store(path: Union[str, os.PathLike]) -> Store:
+        """The store a cache path names, opened as this cache opens it."""
+        return Store.open(path, site="pipeline.cache", indent=2)
 
     def key(self, stage: str, parent_key: Optional[str], payload: Mapping) -> str:
         """Chained content hash identifying one stage invocation."""

@@ -165,9 +165,12 @@ def normalize_experiment_request(data: Any) -> dict:
 
     ``{"code": name, "version": key, "sizes": {...}, "machine": name,
     "passes": int, "seed": int}`` — one simulation point, exactly the
-    harness's :class:`~repro.experiments.harness.SimTask` shape.
+    harness's :class:`~repro.experiments.harness.SimTask` shape.  A point
+    that can never simulate (``passes`` below 1, a size symbol of the
+    code left unbound) is refused here, as ``/compile`` refuses unbound
+    sizes, instead of failing in a worker.
     """
-    from repro.codes import CODES, get_versions
+    from repro.codes import CODES, get_spec, get_versions
     from repro.machine.configs import MACHINES
 
     data = _require_mapping(data, "request body")
@@ -198,6 +201,11 @@ def normalize_experiment_request(data: Any) -> dict:
     for name, value in (("passes", passes), ("seed", seed)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise RequestError(f"'{name}' must be an integer")
+    if passes < 1:
+        raise RequestError("'passes' must be at least 1")
+    missing = [s for s in get_spec(code).size_symbols if s not in sizes]
+    if missing:
+        raise RequestError(f"no binding for size symbol(s) {missing}")
     return {
         "kind": "experiment",
         "code": code,

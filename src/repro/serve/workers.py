@@ -10,16 +10,29 @@ the worker as a job starts — ``REPRO_FAULTS=serve.worker:kill:times=2``
 kills two workers mid-job across the whole daemon; ``serve.toolchain``
 fires before a native-engine compile, so toolchain wedges are
 deterministically reproducible.
+
+A worker opens its ``pipeline.cache`` and ``harness.cache`` stores on
+its first job and keeps them for the life of the process (each job still
+builds a fresh cache over them, so every read verifies its digest); a
+respawned worker opens them again.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.resilience.faults import maybe_fault
 
 __all__ = ["execute_job", "serve_job"]
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_store(open_store: Callable, cache_dir: Optional[str]):
+    """``open_store(cache_dir)`` (None without a store), opened on this
+    process's first job and kept for its life."""
+    return open_store(cache_dir) if cache_dir is not None else None
 
 
 def serve_job(job: dict, cache_dir: Optional[str] = None) -> dict:
@@ -60,7 +73,7 @@ def _execute_compile(job: dict, cache_dir: Optional[str]) -> dict:
         lint=job.get("lint", False),
         execute=job.get("execute", True),
         codegen=job.get("codegen", False),
-        cache=ArtifactCache(cache_dir=cache_dir),
+        cache=ArtifactCache(_kept_store(ArtifactCache.open_store, cache_dir)),
         engine=job["engine"],
     )
     execute = next((r for r in result.records if r.name == "execute"), None)
@@ -106,7 +119,9 @@ def _execute_experiment(job: dict, cache_dir: Optional[str]) -> dict:
         passes=job["passes"],
         seed=job["seed"],
     )
-    runner = SimulationRunner(jobs=1, cache_dir=cache_dir)
+    runner = SimulationRunner(
+        jobs=1, cache_dir=_kept_store(SimulationRunner.open_store, cache_dir)
+    )
     try:
         sim = runner.run_tasks([task])[0]
         return {

@@ -259,6 +259,9 @@ class DirBackend:
         label: str = "",
     ) -> None:
         path = self._path(key)
+        # A store kept open (a serve worker's) can outlive its directory;
+        # recreate it, as opening the store again would.
+        self.root.mkdir(parents=True, exist_ok=True)
         _atomic_write(path, body, self.indent)
         if provenance is not None:
             self.annotate(key, provenance)

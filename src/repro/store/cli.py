@@ -31,8 +31,7 @@ __all__ = ["add_store_parser", "parse_since", "render_store_stats"]
 
 
 def _command(fn):
-    """A missing store is a usage error (exit 2); output piped into
-    head/less and truncated is not an error."""
+    """A missing store is a usage error (exit 2)."""
 
     @functools.wraps(fn)
     def wrapper(args) -> int:
@@ -41,9 +40,6 @@ def _command(fn):
         except FileNotFoundError as exc:
             print(f"store {args.store_command}: {exc}", file=sys.stderr)
             return 2
-        except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
 
     return wrapper
 

@@ -207,3 +207,29 @@ class TestOneFamily:
                 assert _signature(registered[key], sizes) != _signature(
                     standard[key], sizes
                 ), key
+
+
+class TestFamilyBuiltOnce:
+    """``get_versions`` shares one family per process, never one dict."""
+
+    @pytest.mark.parametrize("name", sorted(CODES))
+    def test_new_dict_same_versions(self, name):
+        first, second = get_versions(name), get_versions(name)
+        assert first is not second
+        assert list(first) == list(second)
+        assert all(first[key] is second[key] for key in first)
+
+    def test_mutating_a_result_leaves_the_next_call_alone(self):
+        from repro.codes import get_version
+
+        versions = get_versions("stencil5")
+        keys = list(versions)
+        ov = versions.pop("ov")
+        versions["natural"] = ov
+        versions["extra"] = ov
+        again = get_versions("stencil5")
+        assert list(again) == keys
+        assert again["ov"] is ov and again["natural"] is not ov
+        assert get_version("stencil5", "natural") is again["natural"]
+        with pytest.raises(KeyError, match="unknown version"):
+            get_version("stencil5", "extra")

@@ -278,3 +278,58 @@ class TestSynthesizedEquivalence:
     def test_registry_metadata_carries_specs(self):
         for entry in CODES.entries():
             assert entry.meta["spec"].name == entry.name
+
+
+class TestCombineCache:
+    """Each (expression, source count) compiles once per process."""
+
+    def test_same_expression_same_callables(self):
+        from repro.frontend import compile_combine
+
+        doc = {"kind": "expr", "expr": "0.5*v0 + max(v1, 0.0)"}
+        a = compile_combine(doc, 2)
+        b = compile_combine(dict(doc), 2)
+        assert a.combine is b.combine
+        assert a.combine_batch is b.combine_batch
+        # The CompiledCombine and its json are the caller's own.
+        assert a is not b and a.json is not b.json
+        assert compile_combine(doc, 3).combine is not a.combine
+
+    def test_validating_a_spec_twice_compiles_it_once(self, monkeypatch):
+        from repro.frontend import combine
+
+        compiled = []
+        real = combine._compile_fn
+
+        def counting(tree, batched):
+            compiled.append(batched)
+            return real(tree, batched)
+
+        monkeypatch.setattr(combine, "_compile_fn", counting)
+        # Weights no other test uses, so the first validation misses.
+        doc = minimal_doc(
+            combine={"kind": "weighted-sum", "weights": [0.125, 0.625, 0.25]}
+        )
+        validate_spec(doc)
+        assert sorted(compiled) == [False, True]  # scalar + batched
+        validate_spec(doc)
+        assert sorted(compiled) == [False, True]
+
+    @pytest.mark.parametrize(
+        "expr", ["v0 +", "v0 + v7", "__import__('os')", "v0 ** 2"]
+    )
+    def test_malformed_expression_raises_every_time_uncached(self, expr):
+        from repro.frontend.combine import _expr_callables
+
+        doc = minimal_doc(combine={"kind": "expr", "expr": expr})
+        size = _expr_callables.cache_info().currsize
+        first = [f.message for f in findings_for(doc) if f.code == "SPEC005"]
+        again = [f.message for f in findings_for(doc) if f.code == "SPEC005"]
+        assert first and first == again
+        assert _expr_callables.cache_info().currsize == size
+
+    def test_cache_is_bounded(self):
+        from repro.frontend.combine import EXPR_CACHE_SIZE, _expr_callables
+
+        assert EXPR_CACHE_SIZE == 1024
+        assert _expr_callables.cache_info().maxsize == EXPR_CACHE_SIZE

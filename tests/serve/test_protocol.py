@@ -1,5 +1,7 @@
 """Request validation, canonicalisation, and content-hash identity."""
 
+import re
+
 import pytest
 
 from repro.serve.protocol import (
@@ -98,6 +100,72 @@ class TestExperimentRequests:
             normalize_experiment_request(
                 {"code": "stencil5", "version": "ov"}
             )
+
+    @pytest.mark.parametrize("passes", [0, -2])
+    def test_rejects_passes_below_one(self, passes):
+        with pytest.raises(RequestError, match="'passes' must be at least 1"):
+            normalize_experiment_request(
+                {
+                    "code": "stencil5",
+                    "version": "ov",
+                    "sizes": {"T": 4, "L": 16},
+                    "passes": passes,
+                }
+            )
+
+    @pytest.mark.parametrize(
+        "code, sizes, missing",
+        [
+            ("stencil5", {"T": 4}, "['L']"),
+            ("psm", {"n0": 8, "tile_h": 4}, "['n1']"),
+            ("simple2d", {"N": 7, "M": 9}, "['n', 'm']"),
+        ],
+    )
+    def test_rejects_unbound_size_symbols(self, code, sizes, missing):
+        with pytest.raises(RequestError, match=re.escape(missing)):
+            normalize_experiment_request(
+                {"code": code, "version": "natural", "sizes": sizes}
+            )
+
+
+class TestMalformedExperimentAtTheDoor:
+    """A point that can never simulate is a 400 on every repeat: it
+    reaches no worker and counts no failure on the spec breaker."""
+
+    @pytest.fixture
+    def app(self):
+        from repro.serve.app import ServeApp
+
+        app = ServeApp(workers=1)
+        app.pool.start()
+        yield app
+        app.pool.shutdown(grace_s=2.0)
+
+    @pytest.mark.parametrize(
+        "change", [{"passes": 0}, {"sizes": {"T": 4}}], ids=["passes", "sizes"]
+    )
+    def test_bad_request_every_time(self, app, change):
+        import asyncio
+        import json
+
+        from repro import obs
+        from repro.serve.http import Request
+
+        body = {"code": "stencil5", "version": "ov", "sizes": {"T": 4, "L": 16}}
+        request = Request(
+            "POST", "/experiment", {}, json.dumps(body | change).encode()
+        )
+        for _ in range(4):
+            response = asyncio.run(
+                asyncio.wait_for(app.handle(request), timeout=60)
+            )
+            assert response.status == 400
+            assert response.body["error"]["code"] == "bad-request"
+        assert app.spec_breakers.snapshot()["total"] == 0
+        assert app.pool.snapshot()["completed"] == 0
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters.get("serve.responses.400") == 4
+        assert "serve.jobs.failed" not in counters
 
 
 class TestRequestIdentity:

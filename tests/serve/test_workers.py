@@ -6,6 +6,8 @@ failure mode is deterministic and each test stays fast.
 """
 
 import concurrent.futures
+import functools
+import sqlite3
 import threading
 import time
 
@@ -33,9 +35,12 @@ def make_pool():
     copy the environment at fork time; arming afterwards is invisible)."""
     pools = []
 
-    def factory(workers=2, deadline_s=None):
+    def factory(workers=2, deadline_s=None, cache_dir=None):
         pool = WorkerPool(
-            serve_job, workers=workers, deadline_s=deadline_s, name="serve"
+            functools.partial(serve_job, cache_dir=cache_dir),
+            workers=workers,
+            deadline_s=deadline_s,
+            name="serve",
         )
         pool.start()
         pools.append(pool)
@@ -256,3 +261,91 @@ class TestExecuteJob:
         result = execute_job(job, None)
         assert result["task"].startswith("stencil5/ov")
         assert result["result"]["cycles_per_iteration"] > 0
+
+
+class TestKeptStores:
+    """A worker opens its stores on its first job and keeps them; every
+    read still verifies its digest, and a failed write leaves the store
+    usable for the next job."""
+
+    @staticmethod
+    def compile_job(spec):
+        from repro.serve.protocol import normalize_compile_request
+
+        return normalize_compile_request({"spec": spec})
+
+    def test_warm_jobs_open_each_store_once(
+        self, relax3_spec, tmp_path, monkeypatch
+    ):
+        from repro.serve.protocol import normalize_experiment_request
+        from repro.store.core import Store
+
+        opened = []
+        real_open = Store.open.__func__
+
+        def counting(cls, path, site="store", indent=None):
+            opened.append(site)
+            return real_open(cls, path, site=site, indent=indent)
+
+        monkeypatch.setattr(Store, "open", classmethod(counting))
+        cache = str(tmp_path / "store.sqlite")
+        jobs = [
+            self.compile_job(relax3_spec),
+            normalize_experiment_request(
+                {"code": "stencil5", "version": "ov", "sizes": {"T": 4, "L": 12}}
+            ),
+        ]
+        for _ in range(4):
+            results = [execute_job(job, cache) for job in jobs]
+        assert sorted(opened) == ["harness.cache", "pipeline.cache"]
+        assert all(result["cached"] for result in results)
+
+    def test_directory_store_removed_between_jobs_is_recreated(
+        self, relax3_spec, tmp_path
+    ):
+        import shutil
+
+        cache = tmp_path / "store"
+        job = self.compile_job(relax3_spec)
+        execute_job(job, str(cache))
+        shutil.rmtree(cache)
+        assert execute_job(job, str(cache))["cached"] is False
+        assert execute_job(job, str(cache))["cached"] is True
+
+    def test_row_corrupted_between_jobs_heals(
+        self, make_pool, relax3_spec, tmp_path
+    ):
+        cache = tmp_path / "store.sqlite"
+        pool = make_pool(workers=1, cache_dir=str(cache))
+        job = self.compile_job(relax3_spec)
+        cold = pool.submit(dict(job)).result(timeout=120)
+        parse_key = cold["stages"][0]["key"]
+        assert parse_key.startswith("parse-")
+        with sqlite3.connect(cache) as conn:
+            conn.execute(
+                "UPDATE entries SET body = ? WHERE key = ?",
+                ('{"tampered": true}', parse_key),
+            )
+        healed = pool.submit(dict(job)).result(timeout=120)
+        cached = {s["name"]: s["cached"] for s in healed["stages"]}
+        assert cached.pop("parse") is False  # recomputed
+        assert all(cached.values())
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters.get("store.heal.pipeline.cache") == 1
+        assert pool.submit(dict(job)).result(timeout=120)["cached"] is True
+        assert pool.restarts == 0
+
+    def test_failed_put_leaves_the_store_usable(
+        self, make_pool, relax3_spec, tmp_path
+    ):
+        arm("pipeline.cache.sqlite.put:crash:times=1", tmp_path)
+        pool = make_pool(workers=1, cache_dir=str(tmp_path / "store.sqlite"))
+        job = self.compile_job(relax3_spec)
+        with pytest.raises(JobFailed, match="pipeline.cache.sqlite.put"):
+            pool.submit(dict(job)).result(timeout=120)
+        cold = pool.submit(dict(job)).result(timeout=120)
+        assert cold["cached"] is False  # read (all misses) and wrote
+        warm = pool.submit(dict(job)).result(timeout=120)
+        assert warm["cached"] is True  # the writes landed
+        assert warm["outputs_sha256"] == cold["outputs_sha256"]
+        assert pool.restarts == 0  # the same worker served all three

@@ -1,5 +1,11 @@
 """The command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -98,6 +104,54 @@ class TestCodegen:
         assert (
             main(["codegen", "stencil5", "nope", "--sizes", "T=1,L=2"]) == 2
         )
+
+
+class TestClosedStdout:
+    """A reader that stops early (``| head``) is not an error for any
+    subcommand: no traceback, exit 0."""
+
+    @staticmethod
+    def long_trace(path):
+        # About 400 KB of rendered spans: far more than a pipe buffers,
+        # so the writer is still writing when the reader goes away.
+        records = [{"type": "meta", "schema": 1, "program": "t", "pid": 1}]
+        records += [
+            {
+                "type": "span", "id": i, "parent": None, "name": f"span.{i}",
+                "t0": 0.0, "wall_s": 1e-3, "cpu_s": 1e-3,
+                "attrs": {"pad": "x" * 80},
+            }
+            for i in range(3000)
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace-summary", "{trace}"],
+            ["codegen", "jacobi", "ov-interleaved-tiled", "--sizes",
+             "T=8,L=64", "--lang", "python"],
+        ],
+        ids=["trace-summary", "codegen"],
+    )
+    def test_reader_closing_after_the_first_line(self, tmp_path, argv):
+        trace = self.long_trace(tmp_path / "t.jsonl")
+        argv = [arg.format(trace=trace) for arg in argv]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == ""
 
 
 class TestParsing:
