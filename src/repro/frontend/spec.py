@@ -185,8 +185,18 @@ class StencilSpec:
 # -- validation ---------------------------------------------------------------
 
 
-def _canonical_bound(raw: Any) -> Union[int, str]:
-    expr = AffineExpr.parse(raw)
+def _parse_raw_bound(raw: Any) -> AffineExpr:
+    """A bound as the spec wrote it, parsed; ``ValueError`` or
+    ``TypeError`` if it is not affine."""
+    if isinstance(raw, (str, int, AffineExpr)):
+        return _parse_bound(raw)
+    raise TypeError(
+        f"expected an integer or an affine string, got "
+        f"{type(raw).__name__} {raw!r}"
+    )
+
+
+def _canonical_bound(expr: AffineExpr) -> Union[int, str]:
     if expr.is_constant():
         return expr.const
     return str(expr)
@@ -280,7 +290,7 @@ def validate_spec(
             canon = []
             for which, raw in zip(("lower", "upper"), pair):
                 try:
-                    expr = AffineExpr.parse(raw)
+                    expr = _parse_raw_bound(raw)
                 except (ValueError, TypeError) as exc:
                     err(
                         "SPEC003",
@@ -300,7 +310,7 @@ def validate_spec(
                     )
                     ok = False
                     continue
-                canon.append(_canonical_bound(raw))
+                canon.append(_canonical_bound(expr))
             if len(canon) == 2:
                 parsed.append((canon[0], canon[1]))
         if ok and len(parsed) == ndim:

@@ -5,11 +5,11 @@ in the ledger: *what* ran (spec hash, code/version, engine), *under
 which toolchain* (engine fingerprint), *how long* it took, and a metrics
 snapshot slice.  The file is plain JSONL so it appends in O(1), tails
 cleanly, and survives concurrent writers (each line is a single
-``write`` of under PIPE_BUF bytes); each line carries the same
-``{"schema": 1, "digest": ..., "body": ...}`` wrapper the store's
-entries use (:func:`repro.store.backend.wrap`), so a torn or corrupted
-line is *detected and skipped* on read — the ledger self-heals by
-ignoring damage rather than dying on it.
+``write`` of under PIPE_BUF bytes); each line is the same compact
+``{"body": ..., "digest": ..., "schema": 1}`` wrapper the store's
+directory entries are (:func:`repro.store.backend.encode_entry`), so a
+torn or corrupted line is *detected and skipped* on read — the ledger
+self-heals by ignoring damage rather than dying on it.
 
 The ledger is the durable half of observability: traces and metrics die
 with the process, the ledger accumulates across runs and feeds
@@ -24,7 +24,6 @@ loads it (or sqlite).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -66,11 +65,11 @@ class RunLedger:
     def record(self, kind: str, **fields: Any) -> dict:
         """Append one entry; returns the body that was written."""
         from repro import obs
-        from repro.store.backend import wrap
+        from repro.store.backend import encode_entry
 
         body = {"ts": round(time.time(), 3), "kind": kind}
         body.update(fields)
-        self._fh.write(json.dumps(wrap(body), sort_keys=True) + "\n")
+        self._fh.write(encode_entry(body).decode() + "\n")
         self.entries_written += 1
         obs.get_metrics().counter("ledger.entries").inc()
         return body
@@ -134,23 +133,20 @@ def read_entries(path: os.PathLike) -> tuple[list[dict], int]:
     per file, so a ledger shared by a crashing fleet still reads.
     """
     from repro import obs
-    from repro.store.backend import unwrap
+    from repro.store.backend import decode_entry
 
     path = Path(path)
     entries: list[dict] = []
     corrupt = 0
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().splitlines()
     except FileNotFoundError:
         return [], 0
     for line in lines:
         line = line.strip()
         if not line:
             continue
-        try:
-            body, problem = unwrap(json.loads(line))
-        except ValueError:
-            problem = "bad JSON"
+        body, problem = decode_entry(line)
         if problem is not None:
             corrupt += 1
             continue

@@ -15,9 +15,11 @@ hits.  The pipeline-caching tests assert both directions.
 Persistence is a :class:`repro.store.Store` over the historical
 one-JSON-file-per-artifact directory layout (``<stage>-<key>.json``,
 digest-wrapped, self-healing via ``.corrupt/`` quarantine — DESIGN.md
-§12/§16), so cache directories written before the unified store keep
-hitting.  Pass a ``*.sqlite`` path as ``cache_dir`` to share one
-database between concurrent processes instead, or an open
+§12/§16).  Entries are written in the store's one compact format, so a
+warm load hashes the stored bytes and parses them once; the indented
+entries this cache wrote before still hit, through the store's
+re-hashing fallback.  Pass a ``*.sqlite`` path as ``cache_dir`` to
+share one database between concurrent processes instead, or an open
 :class:`~repro.store.core.Store` to reuse one (a serve worker keeps its
 store open across jobs).
 """
@@ -60,7 +62,7 @@ class ArtifactCache:
     @staticmethod
     def open_store(path: Union[str, os.PathLike]) -> Store:
         """The store a cache path names, opened as this cache opens it."""
-        return Store.open(path, site="pipeline.cache", indent=2)
+        return Store.open(path, site="pipeline.cache")
 
     def key(self, stage: str, parent_key: Optional[str], payload: Mapping) -> str:
         """Chained content hash identifying one stage invocation."""

@@ -3,15 +3,25 @@ on-disk entry format (DESIGN.md §16).
 
 Directory entries and run-ledger lines carry one integrity wrapper::
 
-    {"schema": 1, "digest": content_hash(body, length=16), "body": body}
+    {"body": body, "digest": content_hash(body, length=16), "schema": 1}
 
 and sqlite rows keep the same digest beside the body, so silent
 corruption (bit rot, a broken writer, an interrupted copy) is
-*detected*, not deserialised.  :func:`wrap` and :func:`unwrap` are the
-only code that knows this wrapper.  A present but unusable directory
-entry is moved into a ``.corrupt/`` sidecar beside it (evidence for
-debugging, never re-read), counted and warned about by
-:func:`note_corruption`, and read as a plain miss, so the value is
+*detected*, not deserialised.  The wrapper is a text codec, and this
+module is the only code that knows it.  A write encodes its body to
+canonical JSON once, takes the digest of those bytes and, for a file
+or a ledger line, writes the compact wrapper around them
+(:func:`encode_entry`: the bytes ``json.dumps(wrapper,
+sort_keys=True)`` gives).  A read accepts an entry when its stored
+body bytes hash to its digest, then parses only those bytes
+(:func:`decode_entry`; a sqlite row's body column is that canonical
+text already).  A file or line that is not a compact wrapper (an
+indented one the pipeline cache wrote before every store wrote one
+format, which ``repro store migrate`` adopts untouched) falls back to
+parsing the entry and hashing its re-encoded body.  A present but
+unusable directory entry is moved into a ``.corrupt/`` sidecar beside
+it (evidence for debugging, never re-read), counted and warned about
+by :func:`note_corruption`, and read as a plain miss, so the value is
 recomputed and the cache heals itself.
 
 A backend stores digest-verified JSON bodies plus optional provenance
@@ -35,16 +45,15 @@ below) is:
 
 Backends:
 
-- :class:`DirBackend` — the repo's historical local-directory layout,
-  byte-compatible with the three pre-store caches: one
-  ``<key>.json`` wrapped file per entry (atomic temp + ``os.replace``
-  writes, ``.corrupt/`` quarantine) plus a ``.prov/<key>.json``
-  provenance sidecar.  Warm caches written before the unified store
-  hit unchanged.
+- :class:`DirBackend` — the historical local-directory layout: one
+  ``<key>.json`` compact wrapper per entry (atomic temp +
+  ``os.replace`` writes, ``.corrupt/`` quarantine) plus a
+  ``.prov/<key>.json`` provenance sidecar.  Entries written by the
+  three pre-store caches, indented ones included, still hit.
 - :class:`SqliteBackend` — one WAL-mode sqlite file, safe under
   concurrent harness worker processes: writes are transactions
-  (last-write-wins, never torn), reads re-verify the body digest and
-  heal corrupt rows by deleting them.
+  (last-write-wins, never torn), reads verify the stored body text
+  against its digest and heal corrupt rows by deleting them.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.resilience.faults import maybe_corrupt, maybe_fault
-from repro.store.fingerprint import content_hash
+from repro.store.fingerprint import canonical_json, content_hash, hash_bytes
 from repro.store.provenance import Provenance
 
 __all__ = [
@@ -66,10 +75,10 @@ __all__ = [
     "EntryInfo",
     "DirBackend",
     "SqliteBackend",
+    "decode_entry",
+    "encode_entry",
     "open_backend",
     "quarantine_file",
-    "unwrap",
-    "wrap",
 ]
 
 #: File suffixes that select the sqlite backend in ``open_backend``.
@@ -86,18 +95,76 @@ WRAPPER_SCHEMA = 1
 #: Hex digits of the body digest a wrapper carries.
 DIGEST_LENGTH = 16
 
+#: The compact wrapper's bytes around the canonical body, as
+#: ``json.dumps`` with ``sort_keys`` orders them: ``body``, ``digest``,
+#: ``schema``.
+_HEAD = b'{"body": '
+_DIGEST_KEY = b', "digest": "'
+_TAIL = b'", "schema": %d}' % WRAPPER_SCHEMA
+_AFTER_BODY = len(_DIGEST_KEY) + DIGEST_LENGTH + len(_TAIL)
 
-def wrap(body: Any) -> dict:
-    """The integrity wrapper persisted around ``body``."""
-    return {
-        "schema": WRAPPER_SCHEMA,
-        "digest": content_hash(body, DIGEST_LENGTH),
-        "body": body,
-    }
+
+def _digest(blob: bytes) -> str:
+    return hash_bytes(blob, DIGEST_LENGTH)
 
 
-def unwrap(obj: Any) -> tuple[Any, Optional[str]]:
-    """``(body, None)`` for a valid wrapper, else ``(None, problem)``."""
+def _seal(body: Any) -> tuple[bytes, str]:
+    """``(blob, digest)``: the canonical JSON bytes of ``body`` and their
+    digest, which equals ``content_hash(body, 16)``.  The one
+    serialisation a write makes."""
+    blob = canonical_json(body)
+    return blob, _digest(blob)
+
+
+def _unseal(blob: bytes, digest: str) -> tuple[Any, Optional[str]]:
+    """The body stored as ``blob`` beside ``digest`` (a sqlite row):
+    ``(body, None)`` if the bytes hash to ``digest``, then parsed once;
+    else ``(None, problem)``."""
+    if _digest(blob) != digest:
+        return None, "digest mismatch"
+    try:
+        return json.loads(blob), None
+    except ValueError as exc:
+        return None, f"bad JSON: {exc}"
+
+
+def encode_entry(body: Any) -> bytes:
+    """The compact wrapper around ``body``, byte-identical to
+    ``json.dumps(wrapper, sort_keys=True)`` but encoding ``body`` once."""
+    blob, digest = _seal(body)
+    return b"".join((_HEAD, blob, _DIGEST_KEY, digest.encode(), _TAIL))
+
+
+def _compact_body(data: bytes) -> Optional[bytes]:
+    """The body bytes of a compact wrapper, if they hash to its digest."""
+    end = len(data) - _AFTER_BODY
+    if (
+        end < len(_HEAD)
+        or not data.startswith(_HEAD)
+        or not data.startswith(_DIGEST_KEY, end)
+        or not data.endswith(_TAIL)
+    ):
+        return None
+    blob = data[len(_HEAD):end]
+    digest = data[end + len(_DIGEST_KEY):-len(_TAIL)]
+    return blob if _digest(blob).encode() == digest else None
+
+
+def decode_entry(data: bytes) -> tuple[Any, Optional[str]]:
+    """``(body, None)`` for a verified wrapper, else ``(None, problem)``.
+
+    A compact wrapper is verified over its stored body bytes, and only
+    those are parsed.  Any other bytes are parsed whole and the body's
+    re-encoding is hashed, so an indented wrapper with matching content
+    still reads.
+    """
+    blob = _compact_body(data)
+    try:
+        if blob is not None:
+            return json.loads(blob), None
+        obj = json.loads(data)
+    except ValueError as exc:
+        return None, f"bad JSON: {exc}"
     if (
         not isinstance(obj, dict)
         or obj.get("schema") != WRAPPER_SCHEMA
@@ -105,10 +172,11 @@ def unwrap(obj: Any) -> tuple[Any, Optional[str]]:
         or "body" not in obj
     ):
         return None, "missing digest wrapper"
-    body = obj["body"]
-    if content_hash(body, DIGEST_LENGTH) != obj["digest"]:
+    # Not a compact wrapper that verifies as stored: hash the parsed
+    # body's re-encoding.
+    if content_hash(obj["body"], DIGEST_LENGTH) != obj["digest"]:
         return None, "digest mismatch"
-    return body, None
+    return obj["body"], None
 
 
 def note_corruption(site: str, entry: str, problem: str) -> None:
@@ -151,9 +219,7 @@ def quarantine_file(path: os.PathLike, site: str, problem: str) -> None:
     note_corruption(site, entry=path.name, problem=problem)
 
 
-def _atomic_write(
-    path: Path, body: Any, indent: Optional[int] = None
-) -> None:
+def _atomic_write(path: Path, body: Any) -> None:
     """Wrap ``body`` and write it to ``path`` through a temp file.
 
     ``os.replace`` is atomic, so a reader never observes a torn file and
@@ -165,7 +231,7 @@ def _atomic_write(
     """
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(wrap(body), sort_keys=True, indent=indent))
+        tmp.write_bytes(encode_entry(body))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -179,18 +245,13 @@ def _read_verified(path: Path, site: str) -> Optional[Any]:
     trips over it again.
     """
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except FileNotFoundError:
         return None
     except OSError as exc:
         quarantine_file(path, site, f"unreadable: {exc}")
         return None
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:
-        quarantine_file(path, site, f"bad JSON: {exc}")
-        return None
-    body, problem = unwrap(obj)
+    body, problem = decode_entry(data)
     if problem is not None:
         quarantine_file(path, site, problem)
     return body
@@ -224,21 +285,17 @@ class DirBackend:
     sites: a write fires the ``<site>.store`` corruption hook (the chaos
     suite's ``harness.cache.store:corrupt`` / ``pipeline.cache.store``
     sites keep working verbatim), and a corrupt read quarantines into
-    ``.corrupt/`` exactly as the pre-store caches did.  ``indent``
-    preserves each legacy cache's on-disk formatting (the pipeline wrote
-    ``indent=2``; the harness wrote compact JSON) so healed entries stay
-    bit-identical to what the previous code produced.
+    ``.corrupt/`` exactly as the pre-store caches did.  Every entry is
+    written in the one compact format, so a healed entry is
+    bit-identical to the one it replaces; entries in another layout
+    (the pre-store pipeline cache wrote ``indent=2``) still read.
     """
 
     def __init__(
-        self,
-        root: Union[str, os.PathLike],
-        site: str = "store",
-        indent: Optional[int] = None,
+        self, root: Union[str, os.PathLike], site: str = "store"
     ) -> None:
         self.root = Path(root)
         self.site = site
-        self.indent = indent
         # Fail fast on an unusable location, before any work is spent.
         self.root.mkdir(parents=True, exist_ok=True)
 
@@ -262,7 +319,7 @@ class DirBackend:
         # A store kept open (a serve worker's) can outlive its directory;
         # recreate it, as opening the store again would.
         self.root.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, body, self.indent)
+        _atomic_write(path, body)
         if provenance is not None:
             self.annotate(key, provenance)
         # Fault-injection hook: the chaos suite corrupts the entry just
@@ -336,11 +393,12 @@ class SqliteBackend:
     Writes are single transactions with ``INSERT OR REPLACE``: two
     processes racing on the same key converge on last-write-wins and a
     reader never observes a torn row; a process killed mid-write rolls
-    back, leaving the previous value (or nothing) visible.  Reads
-    re-verify the body digest — a corrupt row (disk damage, a broken
-    writer) is deleted, counted through the same
-    ``store.heal.*``/``resilience.cache.corrupt`` counters as the
-    directory backend, and reported as a miss.
+    back, leaving the previous value (or nothing) visible.  The body
+    column holds the body's canonical text, so a read hashes it as
+    stored and parses it once — a row whose text does not hash to its
+    digest (disk damage, a broken writer, a hand edit) is deleted,
+    counted through the same ``store.heal.*``/``resilience.cache.corrupt``
+    counters as the directory backend, and reported as a miss.
 
     ``PRAGMA busy_timeout`` makes sqlite itself wait on a plain row
     lock, but "database is locked" can still escape it — a competing
@@ -435,13 +493,9 @@ class SqliteBackend:
         ).fetchone()
         if row is None:
             return None
-        try:
-            body = json.loads(row[0])
-        except ValueError:
-            body = None
-        if body is None or content_hash(body, DIGEST_LENGTH) != row[1]:
-            self._heal(key, "digest mismatch")
-            return None
+        body, problem = _unseal(row[0].encode(), row[1])
+        if problem is not None:
+            self._heal(key, problem)
         return body
 
     def _heal(self, key: str, problem: str) -> None:
@@ -460,7 +514,7 @@ class SqliteBackend:
         provenance: Optional[Provenance] = None,
         label: str = "",
     ) -> None:
-        blob = json.dumps(body, sort_keys=True)
+        blob, digest = _seal(body)
         prov_blob = (
             json.dumps(provenance.to_json(), sort_keys=True)
             if provenance is not None
@@ -476,8 +530,8 @@ class SqliteBackend:
                     "VALUES (?, ?, ?, ?, ?, ?)",
                     (
                         key,
-                        blob,
-                        content_hash(body, DIGEST_LENGTH),
+                        blob.decode(),
+                        digest,
                         prov_blob,
                         (
                             provenance.created_at
@@ -572,15 +626,11 @@ class SqliteBackend:
         self._conn_pid = None
 
 
-def open_backend(
-    path: Union[str, os.PathLike],
-    site: str = "store",
-    indent: Optional[int] = None,
-):
+def open_backend(path: Union[str, os.PathLike], site: str = "store"):
     """Pick a backend from a path: ``*.sqlite``/``*.db`` files get the
     sqlite backend, anything else the directory backend — so every
     legacy ``--cache-dir`` flag transparently accepts both."""
     name = str(path)
     if name.endswith(SQLITE_SUFFIXES):
         return SqliteBackend(path, site=site)
-    return DirBackend(path, site=site, indent=indent)
+    return DirBackend(path, site=site)

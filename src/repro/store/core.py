@@ -40,14 +40,11 @@ class Store:
 
     @classmethod
     def open(
-        cls,
-        path: Union[str, os.PathLike],
-        site: str = "store",
-        indent: Optional[int] = None,
+        cls, path: Union[str, os.PathLike], site: str = "store"
     ) -> "Store":
         """Open a store at ``path`` — a directory, or a ``*.sqlite`` /
         ``*.db`` file for the sqlite backend."""
-        return cls(open_backend(path, site=site, indent=indent))
+        return cls(open_backend(path, site=site))
 
     # -- the core five -------------------------------------------------
 

@@ -18,11 +18,13 @@ the old import paths re-export from here.
   path + ``--version`` banner + flag set), or ``"none"`` when native
   compilation is unavailable.
 - :func:`content_hash` — the canonical content hash of any
-  JSON-serialisable payload (``sha256`` over ``json.dumps(...,
+  JSON-serialisable payload (:func:`hash_bytes` over ``json.dumps(...,
   sort_keys=True)``), the idiom every key scheme and digest wrapper in
   the repo is built from.  Its exact byte format is pinned by
   ``tests/store/test_fingerprint.py``: changing it silently would
   invalidate every on-disk cache in the field.
+- :func:`hash_bytes` — the same hash over bytes already in canonical
+  form (the store verifies an entry's body as stored with it).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "canonical_json",
     "content_hash",
     "engine_fingerprint",
+    "hash_bytes",
     "reset_engine_fingerprint",
     "toolchain_fingerprint",
 ]
@@ -46,13 +49,19 @@ def canonical_json(payload: Any) -> bytes:
     return json.dumps(payload, sort_keys=True).encode()
 
 
+def hash_bytes(blob: bytes, length: int = 64) -> str:
+    """The content hash of ``blob``: its sha256 hex digest, truncated to
+    ``length`` digits (64 = full sha256)."""
+    return hashlib.sha256(blob).hexdigest()[:length]
+
+
 def content_hash(payload: Any, length: int = 64) -> str:
     """Canonical content hash of a JSON-serialisable payload.
 
     ``length`` truncates the hex digest (64 = full sha256); the format
     (sort_keys JSON, sha256) is pinned — see the module docstring.
     """
-    return hashlib.sha256(canonical_json(payload)).hexdigest()[:length]
+    return hash_bytes(canonical_json(payload), length)
 
 
 def toolchain_fingerprint() -> str:

@@ -213,6 +213,47 @@ class TestValidation:
         findings = findings_for(["not", "a", "spec"])
         assert "SPEC001" in codes_of(findings)
 
+    @pytest.mark.parametrize(
+        "bound", [1.0, 2.5, None, [1], {"lo": 1}],
+        ids=["integral-float", "float", "null", "list", "object"],
+    )
+    def test_bound_neither_string_nor_integer(self, bound):
+        # 1 is parsed (and cached) first: 1.0 must not be handed its parse.
+        validate_spec(minimal_doc(bounds=[[1, "T"], [0, "L - 1"]]))
+        findings = findings_for(minimal_doc(bounds=[[bound, "T"], [0, "L - 1"]]))
+        assert codes_of(findings) == {"SPEC003"}
+        assert type(bound).__name__ in findings[0].message
+
+
+class TestBoundParseCache:
+    """Bounds parse through the bounded ``_parse_bound`` cache."""
+
+    def test_validating_a_spec_twice_parses_its_bounds_once(self, monkeypatch):
+        from repro.ir import affine
+
+        parsed = []
+        real = affine._parse_affine
+
+        def counting(source):
+            parsed.append(source)
+            return real(source)
+
+        monkeypatch.setattr(affine, "_parse_affine", counting)
+        # Bound strings no other test uses, so the first validation misses.
+        doc = minimal_doc(bounds=[[1, "2*T - T"], [0, "L - 2 + 1"]])
+        first = validate_spec(doc)
+        assert parsed.count("2*T - T") == 1
+        assert parsed.count("L - 2 + 1") == 1
+        seen = len(parsed)
+        assert validate_spec(doc) == first
+        assert len(parsed) == seen
+        assert first.bounds == ((1, "T"), (0, "L - 1"))
+
+    def test_true_bound_canonicalises_to_one(self):
+        spec = validate_spec(minimal_doc(bounds=[[True, "T"], [0, "L - 1"]]))
+        assert spec.bounds == ((1, "T"), (0, "L - 1"))
+        assert type(spec.bounds[0][0]) is int
+
 
 class TestBuilder:
     def test_builder_matches_from_json(self):

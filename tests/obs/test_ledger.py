@@ -96,6 +96,50 @@ class TestSelfHealing:
         counters = obs.get_metrics().snapshot()["counters"]
         assert counters["ledger.corrupt_lines"] == 2
 
+    def test_lines_read_without_reencoding(self, tmp_path, monkeypatch):
+        from repro.store import backend
+
+        path = tmp_path / "runs.jsonl"
+        ledger = RunLedger(path)
+        ledger.record("execute", engine="native", wall_s=0.5)
+        ledger.close()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a read re-encoded its body")
+
+        monkeypatch.setattr(backend, "content_hash", boom)
+        monkeypatch.setattr(backend, "canonical_json", boom)
+        entries, corrupt = read_entries(path)
+        assert corrupt == 0
+        assert entries[0]["wall_s"] == 0.5
+
+    def test_tampered_digit_is_a_corrupt_line(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        ledger = RunLedger(path)
+        ledger.record("execute", engine="native", wall_s=12345)
+        ledger.record("execute", engine="native", wall_s=0.6)
+        ledger.close()
+        text = path.read_text()
+        path.write_text(text.replace("12345", "12346", 1))
+        with pytest.warns(UserWarning, match="corrupt"):
+            entries, corrupt = read_entries(path)
+        assert corrupt == 1
+        assert [e["wall_s"] for e in entries] == [0.6]
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters["ledger.corrupt_lines"] == 1
+
+    def test_undecodable_line_is_a_corrupt_line(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        ledger = RunLedger(path)
+        ledger.record("execute", engine="native", wall_s=0.5)
+        ledger.close()
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe torn\n")
+        with pytest.warns(UserWarning, match="corrupt"):
+            entries, corrupt = read_entries(path)
+        assert corrupt == 1
+        assert [e["wall_s"] for e in entries] == [0.5]
+
     def test_corrupt_warning_deduplicated_per_file(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         path.write_text("garbage\n")

@@ -62,6 +62,34 @@ class TestCompileRequests:
         with pytest.raises(RequestError, match="seed"):
             normalize_compile_request({"spec": relax3_spec, "seed": True})
 
+    @pytest.mark.parametrize(
+        "bound", [1.5, None, [1], {"lo": 1}],
+        ids=["float", "null", "list", "object"],
+    )
+    def test_rejects_ill_typed_bound(self, relax3_spec, bound):
+        relax3_spec["bounds"][0][0] = bound
+        with pytest.raises(RequestError, match="invalid spec") as info:
+            normalize_compile_request({"spec": relax3_spec})
+        findings = info.value.__cause__.diagnostics.findings
+        assert {f.code for f in findings} == {"SPEC003"}
+
+    def test_ill_typed_bound_is_a_bad_request(self, relax3_spec):
+        import asyncio
+        import json
+
+        from repro.serve.app import ServeApp
+        from repro.serve.http import Request
+
+        relax3_spec["bounds"][0][0] = 1.5
+        body = json.dumps({"spec": relax3_spec}).encode()
+        app = ServeApp(workers=1)  # never started: no job may reach it
+        response = asyncio.run(
+            app.handle(Request("POST", "/compile", {}, body))
+        )
+        assert response.status == 400
+        assert response.body["error"]["code"] == "bad-request"
+        assert "invalid spec" in response.body["error"]["message"]
+
 
 class TestExperimentRequests:
     def test_valid_request_defaults(self):

@@ -283,9 +283,9 @@ class TestKeptStores:
         opened = []
         real_open = Store.open.__func__
 
-        def counting(cls, path, site="store", indent=None):
+        def counting(cls, path, site="store"):
             opened.append(site)
-            return real_open(cls, path, site=site, indent=indent)
+            return real_open(cls, path, site=site)
 
         monkeypatch.setattr(Store, "open", classmethod(counting))
         cache = str(tmp_path / "store.sqlite")

@@ -15,6 +15,7 @@ from repro.store.fingerprint import (
     canonical_json,
     content_hash,
     engine_fingerprint,
+    hash_bytes,
     reset_engine_fingerprint,
 )
 
@@ -45,6 +46,13 @@ class TestContentHashPinnedFormat:
             == hashlib.sha256(b'{"a": 1}').hexdigest()
         )
         assert content_hash({"a": 1}, length=24) == content_hash({"a": 1})[:24]
+
+    def test_hash_bytes_is_content_hash_of_canonical_bytes(self):
+        payload = {"b": [1, 2], "a": "é"}
+        for length in (16, 64):
+            assert hash_bytes(canonical_json(payload), length) == (
+                content_hash(payload, length)
+            )
 
     def test_full_length_is_64_hex(self):
         digest = content_hash([1, 2, 3])

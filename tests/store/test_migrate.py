@@ -78,9 +78,14 @@ class TestInPlace:
     def test_value_bytes_untouched(self, tmp_path):
         root = tmp_path / "legacy"
         seed_legacy(root)
-        before = (root / f"{SIM_KEY}.json").read_bytes()
+        entries = [root / f"{SIM_KEY}.json", root / f"execute-{STAGE_KEY}.json"]
+        before = [path.read_bytes() for path in entries]
         migrate_path(root)
-        assert (root / f"{SIM_KEY}.json").read_bytes() == before
+        assert [path.read_bytes() for path in entries] == before
+        # The indented pipeline entry reads through the re-hashing check.
+        assert Store.open(root).get(f"execute-{STAGE_KEY}") == {
+            "verified": True,
+        }
 
     def test_idempotent(self, tmp_path):
         root = tmp_path / "legacy"

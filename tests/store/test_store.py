@@ -3,6 +3,7 @@ corruption healing, and byte-compatibility with the pre-store caches."""
 
 from __future__ import annotations
 
+import json
 import sqlite3
 
 import pytest
@@ -196,7 +197,7 @@ class TestLegacyCompat:
 
     def test_writes_the_same_wrapper_format(self, tmp_path):
         root = tmp_path / "cache"
-        store = Store(DirBackend(root, site="test", indent=None))
+        store = Store(DirBackend(root, site="test"))
         store.put("k", {"v": 1})
         assert (root / "k.json").read_bytes() == (
             b'{"body": {"v": 1}, "digest": "9ab2253fc38981f5", "schema": 1}'
@@ -225,6 +226,95 @@ class TestLegacyCompat:
         assert store.delete("run-aaaa")
         assert not so.exists()
         assert not (root / "run-aaaa.json").exists()
+
+
+def reencoded(*args, **kwargs):
+    raise AssertionError("the body was re-encoded")
+
+
+class TestVerifiedAsStored:
+    """Reads hash the stored body bytes and parse them once; a write
+    encodes its body once."""
+
+    def test_compact_entry_reads_without_reencoding(self, store, monkeypatch):
+        from repro.store import backend
+
+        body = {"proof": [{"ok": True, "terms": [1, -2]}], "name": "é"}
+        store.put("k", body)
+        monkeypatch.setattr(backend, "content_hash", reencoded)
+        monkeypatch.setattr(backend, "canonical_json", reencoded)
+        assert store.get("k") == body
+
+    def test_one_put_serialises_its_body_once(self, store, monkeypatch):
+        from repro.store import backend
+
+        body = {"v": [1, 2, 3]}
+        encoded = []
+        real = backend.canonical_json
+
+        def counting(payload):
+            encoded.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(backend, "canonical_json", counting)
+        monkeypatch.setattr(backend, "content_hash", reencoded)
+        store.put("k", body)
+        assert encoded == [body]
+
+    def test_compact_bytes_match_the_json_encoder(self, tmp_path):
+        from repro.store.fingerprint import content_hash
+
+        root = tmp_path / "cache"
+        store = Store(DirBackend(root, site="test"))
+        bodies = [
+            {"v": 1}, [], None, 2.5, "x", {"é": " \n"},
+            {"b": {"z": 1, "a": [True, None]}},
+            {"digest": "0", "body": ', "digest": "', "schema": 1},
+        ]
+        for n, body in enumerate(bodies):
+            store.put(f"k{n}", body)
+            wrapper = {
+                "schema": 1, "digest": content_hash(body, 16), "body": body,
+            }
+            assert (root / f"k{n}.json").read_bytes() == (
+                json.dumps(wrapper, sort_keys=True).encode()
+            )
+            assert store.backend.get(f"k{n}") == body
+
+    def test_tampered_directory_entry_is_quarantined(self, tmp_path):
+        root = tmp_path / "cache"
+        store = Store(DirBackend(root, site="test"))
+        store.put("k", {"v": 12345})
+        path = root / "k.json"
+        # One digit of the body changed: still valid JSON, wrong digest.
+        path.write_text(path.read_text().replace("12345", "12346"))
+        assert store.get("k") is None
+        assert (root / CORRUPT_DIR / "k.json").exists()
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters["store.heal.quarantined"] == 1
+        assert counters["store.heal.test"] == 1
+
+    def test_undecodable_bytes_are_quarantined(self, tmp_path):
+        root = tmp_path / "cache"
+        root.mkdir()
+        (root / "k.json").write_bytes(
+            b'{"body": "\xff\xfe", "digest": "0", "schema": 1}'
+        )
+        store = Store(DirBackend(root, site="test"))
+        assert store.get("k") is None
+        assert (root / CORRUPT_DIR / "k.json").exists()
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters["store.heal.test"] == 1
+
+    def test_pipeline_entries_are_compact(self, tmp_path):
+        from repro.pipeline.cache import ArtifactCache
+
+        root = tmp_path / "pipeline"
+        cache = ArtifactCache(root)
+        cache.store("execute", "a" * 24, {"verified": True, "cycles": 9})
+        data = (root / f"execute-{'a' * 24}.json").read_bytes()
+        assert data == json.dumps(json.loads(data), sort_keys=True).encode()
+        assert b"\n" not in data
 
 
 class TestOpenBackend:

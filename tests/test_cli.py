@@ -377,6 +377,27 @@ class TestCompile:
         err = capsys.readouterr().err
         assert "SPEC001" in err
 
+    @pytest.mark.parametrize(
+        "bound", [1.5, None, [1], {"lo": 1}],
+        ids=["float", "null", "list", "object"],
+    )
+    def test_ill_typed_bound_reports_diagnostics(self, capsys, tmp_path, bound):
+        spec_path = tmp_path / "bad-bound.json"
+        spec_path.write_text(
+            json.dumps({
+                "name": "bad-bound",
+                "indices": ["t", "x"],
+                "bounds": [[bound, "T"], [0, "L - 1"]],
+                "distances": [[1, 0]],
+                "combine": {"kind": "weighted-sum", "weights": [1.0]},
+                "inputs": {"kind": "padded-line", "axis": 1, "pad": 0},
+                "sizes": {"T": 4, "L": 8},
+            })
+        )
+        assert main(["compile", str(spec_path), "--no-cache"]) == 1
+        err = capsys.readouterr().err
+        assert "SPEC003" in err and "Traceback" not in err
+
     def test_missing_file_is_a_usage_error(self, capsys):
         assert main(["compile", "no/such/spec.json"]) == 2
         capsys.readouterr()
