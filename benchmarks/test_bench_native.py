@@ -5,10 +5,6 @@ vectorized NumPy engine on stencil5 at N=512 with a *warm* shared-object
 cache (compile time is a one-off, so it is excluded by warming first),
 and ``np.array_equal`` storage against both the interpreter oracle and
 the vectorized engine — bit for bit, not approximately.
-
-Run as a script to refresh the committed ``BENCH_native.json``::
-
-    PYTHONPATH=src python benchmarks/test_bench_native.py --save
 """
 
 import time
@@ -97,87 +93,3 @@ def test_bench_native_engine_n512(benchmark, warm_native):
     )
     assert result.engine_used == "native"
 
-
-def _time(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return time.perf_counter() - t0, result
-
-
-def main(argv):
-    """Refresh BENCH_native.json: wall clocks per engine at two sizes."""
-    import json
-    import platform
-    from datetime import datetime, timezone
-    from pathlib import Path
-
-    if "--save" not in argv:
-        print(__doc__)
-        return 2
-    toolchain = discover_toolchain()
-    if toolchain is None:
-        print("no C toolchain; BENCH_native.json not written")
-        return 1
-
-    from repro.codes import make_stencil5
-
-    version = make_stencil5()["ov"]
-    results = {}
-    for label, sizes in (("stencil5@512x512", N512), ("stencil5@512x4096", LARGE)):
-        execute_native(version, sizes, fallback=False)  # warm the .so cache
-        t_native, native = _time(
-            execute_native, version, sizes, fallback=False
-        )
-        t_vector, vectorized = _time(
-            execute_vectorized, version, sizes, fallback=False
-        )
-        entry = {
-            "sizes": sizes,
-            # median_s is the shared-schema field the perf gate reads;
-            # for the native file it is the native engine's wall time.
-            "median_s": round(t_native, 6),
-            "native_s": round(t_native, 6),
-            "vectorized_s": round(t_vector, 6),
-            "native_vs_vectorized": round(t_vector / t_native, 2),
-            "bit_identical": bool(
-                np.array_equal(native.storage, vectorized.storage)
-            ),
-        }
-        if sizes is N512:  # the scalar oracle is affordable here only
-            t_scalar, scalar = _time(execute, version, sizes)
-            entry["interpreter_s"] = round(t_scalar, 6)
-            entry["native_vs_interpreter"] = round(t_scalar / t_native, 2)
-            entry["bit_identical"] = entry["bit_identical"] and bool(
-                np.array_equal(native.storage, scalar.storage)
-            )
-        results[label] = entry
-
-    out = Path(__file__).resolve().parent.parent / "BENCH_native.json"
-    payload = {
-        "schema": 1,
-        "context": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "toolchain": toolchain.describe(),
-            "datetime": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"
-            ),
-        },
-        "benchmarks": results,
-    }
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {out} ({len(results)} sizes)")
-    for label, entry in results.items():
-        print(
-            f"  {label}: native {entry['native_s']}s, "
-            f"vectorized {entry['vectorized_s']}s "
-            f"({entry['native_vs_vectorized']}x)"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main(sys.argv[1:]))

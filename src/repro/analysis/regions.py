@@ -83,10 +83,6 @@ class RegionSummary:
     live_out: bool
 
     @property
-    def imported_count(self) -> int:
-        return len(self.imported)
-
-    @property
     def temporary_count(self) -> int:
         """Elements written inside the loop but not live after it."""
         if self.written is None or self.live_out:

@@ -131,15 +131,6 @@ class SymbolicBounds:
             (lo.evaluate(env), hi.evaluate(env)) for lo, hi in self.bounds
         )
 
-    def is_rectangular(self) -> bool:
-        """No bound mentions a loop index (every box slice is the same)."""
-        index_set = set(self.indices)
-        return not any(
-            name in index_set
-            for lo, hi in self.bounds
-            for name in (*lo.variables, *hi.variables)
-        )
-
 
 def _affine_to_lin(expr: AffineExpr, rename: Mapping[str, str]) -> LinExpr:
     return LinExpr.of(

@@ -72,12 +72,6 @@ Subcommands:
       repro-uov run stencil5 --sizes T=8,L=64 --ledger runs.jsonl
       repro-uov stats runs.jsonl
 
-- ``perf-check`` — noise-tolerant (median-of-k + MAD) performance
-  regression gate against the committed ``BENCH_*.json`` baselines;
-  exits nonzero on a real slowdown (CI job)::
-
-      repro-uov perf-check --rounds 5 --threshold 0.5
-
 - ``serve`` — run the fault-tolerant compilation/experiment daemon: an
   HTTP/JSON API over the pipeline with crash-only workers, admission
   control, request coalescing, and circuit breakers (DESIGN.md §17)::
@@ -118,26 +112,44 @@ def _parse_vectors(text: str) -> list[tuple[int, ...]]:
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if chunk:
-            vectors.append(tuple(int(c) for c in chunk.split(",")))
+            try:
+                vectors.append(tuple(int(c) for c in chunk.split(",")))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"not an integer vector: {chunk!r}"
+                ) from None
     if not vectors:
         raise argparse.ArgumentTypeError(f"no vectors in {text!r}")
     return vectors
+
+
+def _parse_stencils(text: str) -> list[list[tuple[int, ...]]]:
+    return [_parse_vectors(chunk) for chunk in text.split("|")]
 
 
 def _parse_sizes(text: str) -> dict[str, int]:
     sizes = {}
     for pair in text.split(","):
         name, _, value = pair.partition("=")
-        sizes[name.strip()] = int(value)
+        try:
+            sizes[name.strip()] = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a NAME=INT size binding: {pair!r}"
+            ) from None
     return sizes
 
 
 def _cmd_find(args) -> int:
-    stencil = Stencil(_parse_vectors(args.stencil))
-    isg = Polytope(_parse_vectors(args.bounds)) if args.bounds else None
+    try:
+        stencil = Stencil(args.stencil)
+        isg = Polytope(args.bounds) if args.bounds else None
+        result = find_optimal_uov(stencil, isg=isg, max_nodes=args.max_nodes)
+    except ValueError as exc:
+        print(f"find: {exc}", file=sys.stderr)
+        return 2
     print(f"stencil:     {list(stencil.vectors)}")
     print(f"initial UOV: {initial_uov(stencil)} (sum of dependences)")
-    result = find_optimal_uov(stencil, isg=isg, max_nodes=args.max_nodes)
     print(f"search:      {result}")
     prunes = ", ".join(f"{k}={v}" for k, v in result.prunes.items())
     print(f"pruned:      {result.nodes_pruned} branches ({prunes})")
@@ -194,15 +206,22 @@ def _cmd_codegen(args) -> int:
         print(f"unknown version {args.version!r}; one of {sorted(versions)}")
         return 2
     version = versions[args.version]
-    sizes = _parse_sizes(args.sizes)
-    if args.lang == "c":
-        from repro.codegen import generate_c
+    try:
+        version.code.program.check_sizes(args.sizes)
+        if args.lang == "c":
+            from repro.codegen import generate_c
 
-        print(generate_c(version, sizes))
-    else:
-        from repro.codegen import generate_python
+            source = generate_c(version, args.sizes)
+        else:
+            from repro.codegen import generate_python
 
-        print(generate_python(version, sizes, unroll_mod=args.unroll))
+            source = generate_python(
+                version, args.sizes, unroll_mod=args.unroll
+            )
+    except ValueError as exc:
+        print(f"codegen: {exc}", file=sys.stderr)
+        return 2
+    print(source)
     return 0
 
 
@@ -348,11 +367,10 @@ def _run_pipeline(args, spec, *, lint: bool, execute: bool, codegen: bool):
     overrides = _spec_overrides(args)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    sizes = _parse_sizes(args.sizes) if getattr(args, "sizes", None) else None
     try:
         result = compile_spec(
             spec,
-            sizes=sizes,
+            sizes=args.sizes,
             seed=args.seed,
             lint=lint,
             lint_fuzz=getattr(args, "fuzz", 0),
@@ -445,13 +463,14 @@ def _cmd_list(args) -> int:
 def _cmd_common(args) -> int:
     from repro.core import find_common_uov
 
-    stencils = [
-        Stencil(_parse_vectors(chunk))
-        for chunk in args.stencils.split("|")
-    ]
+    try:
+        stencils = [Stencil(vectors) for vectors in args.stencils]
+        result = find_common_uov(stencils, max_norm2=args.max_norm2)
+    except ValueError as exc:
+        print(f"common: {exc}", file=sys.stderr)
+        return 2
     for k, stencil in enumerate(stencils):
         print(f"loop {k}: stencil {list(stencil.vectors)}")
-    result = find_common_uov(stencils, max_norm2=args.max_norm2)
     if result is None:
         print("no common UOV exists (within the search radius)")
         return 1
@@ -532,9 +551,7 @@ def _cmd_certify(args) -> int:
                 if args.ov
                 else code.stencil.initial_uov
             )
-            outcome = symbolic_certify_code(
-                code, ov, sizes=_parse_sizes(args.sizes) if args.sizes else None
-            )
+            outcome = symbolic_certify_code(code, ov, sizes=args.sizes)
         elif args.spec is not None:
             from repro.frontend.spec import SpecError, validate_spec
 
@@ -557,7 +574,7 @@ def _cmd_certify(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            stencil = Stencil(_parse_vectors(args.stencil))
+            stencil = Stencil(args.stencil)
             ov = tuple(int(c) for c in args.ov.split(","))
             result = symbolic_certify(ov, stencil)
             from repro.analysis.symcert import (
@@ -697,37 +714,6 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_perf_check(args) -> int:
-    from repro.obs.perfgate import render_results, run_gate
-
-    ok, results = run_gate(
-        args.repo_root,
-        rounds=args.rounds,
-        threshold=args.threshold,
-        mad_tolerance=args.mad_tolerance,
-    )
-    print(render_results(results))
-    if args.json_out:
-        import json
-
-        try:
-            with open(args.json_out, "w") as fh:
-                json.dump(
-                    {"ok": ok, "results": [r.to_json() for r in results]},
-                    fh,
-                    indent=2,
-                )
-                fh.write("\n")
-        except OSError as exc:
-            print(
-                f"perf-check: cannot write {args.json_out}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    print("perf-check: " + ("PASS" if ok else "FAIL"))
-    return 0 if ok else 1
-
-
 def _cmd_serve(args) -> int:
     from repro.serve import serve_main
 
@@ -789,10 +775,16 @@ def main(argv=None) -> int:
         "find", help="search for the optimal UOV", parents=[obs_flags]
     )
     p_find.add_argument(
-        "--stencil", required=True, help='e.g. "1,0;0,1;1,1"'
+        "--stencil",
+        required=True,
+        type=_parse_vectors,
+        help='e.g. "1,0;0,1;1,1"',
     )
     p_find.add_argument(
-        "--bounds", default=None, help='ISG vertices, e.g. "1,1;1,6;10,9;10,4"'
+        "--bounds",
+        default=None,
+        type=_parse_vectors,
+        help='ISG vertices, e.g. "1,1;1,6;10,9;10,4"',
     )
     p_find.add_argument("--max-nodes", type=int, default=None)
     p_find.set_defaults(func=_cmd_find)
@@ -809,7 +801,9 @@ def main(argv=None) -> int:
     )
     p_gen.add_argument("code", help="stencil5 | psm | simple2d | jacobi")
     p_gen.add_argument("version", help="e.g. ov-tiled")
-    p_gen.add_argument("--sizes", required=True, help='e.g. "T=8,L=64"')
+    p_gen.add_argument(
+        "--sizes", required=True, type=_parse_sizes, help='e.g. "T=8,L=64"'
+    )
     p_gen.add_argument("--lang", choices=("python", "c"), default="python")
     p_gen.add_argument("--unroll", action="store_true")
     p_gen.set_defaults(func=_cmd_codegen)
@@ -818,7 +812,10 @@ def main(argv=None) -> int:
     spec_flags = argparse.ArgumentParser(add_help=False)
     sgroup = spec_flags.add_argument_group("spec directives")
     sgroup.add_argument(
-        "--sizes", default=None, help='size bindings, e.g. "T=8,L=64"'
+        "--sizes",
+        default=None,
+        type=_parse_sizes,
+        help='size bindings, e.g. "T=8,L=64"',
     )
     sgroup.add_argument(
         "--mapping", default=None, help="override the spec's mapping"
@@ -948,6 +945,7 @@ def main(argv=None) -> int:
     p_common.add_argument(
         "--stencils",
         required=True,
+        type=_parse_stencils,
         help='stencils separated by "|", e.g. "1,0;1,1 | 1,0"',
     )
     p_common.add_argument("--max-norm2", type=int, default=400)
@@ -1009,6 +1007,7 @@ def main(argv=None) -> int:
     p_certify.add_argument(
         "--stencil",
         default=None,
+        type=_parse_vectors,
         help='dependence vectors "1,0;0,1;1,1" (requires --ov)',
     )
     p_certify.add_argument(
@@ -1031,6 +1030,7 @@ def main(argv=None) -> int:
     p_certify.add_argument(
         "--sizes",
         default=None,
+        type=_parse_sizes,
         help='sizes "T=5,L=9" to cross-check the affine bounds model at '
         "(--code only)",
     )
@@ -1116,48 +1116,6 @@ def main(argv=None) -> int:
         "entry counts, bytes, per-op and stale-vs-current breakdown",
     )
     p_stats.set_defaults(func=_cmd_stats)
-
-    p_perf = sub.add_parser(
-        "perf-check",
-        help="noise-tolerant perf regression gate against the committed "
-        "BENCH_*.json baselines",
-        parents=[obs_flags],
-    )
-    p_perf.add_argument(
-        "--repo-root",
-        default=".",
-        metavar="DIR",
-        help="directory holding the BENCH_*.json baselines (default .)",
-    )
-    p_perf.add_argument(
-        "--rounds",
-        type=int,
-        default=5,
-        metavar="K",
-        help="measured runs per probe, compared by median (default 5)",
-    )
-    p_perf.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        metavar="FRAC",
-        help="relative slowdown that fails a probe (default 0.20)",
-    )
-    p_perf.add_argument(
-        "--mad-tolerance",
-        type=float,
-        default=3.0,
-        metavar="X",
-        help="also require median - baseline > X * MAD before failing "
-        "(noise abstention, default 3.0)",
-    )
-    p_perf.add_argument(
-        "--json-out",
-        default=None,
-        metavar="FILE",
-        help="also write the per-probe results as JSON to FILE",
-    )
-    p_perf.set_defaults(func=_cmd_perf_check)
 
     p_serve = sub.add_parser(
         "serve",

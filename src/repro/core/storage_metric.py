@@ -14,7 +14,6 @@ bound ``P_ov0 |ov0| / PM`` on the optimal UOV when bounds are known.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 from repro.core.stencil import Stencil
@@ -132,8 +131,3 @@ def search_length_bound(
         # |ov|-ish points; fall back to the incumbent's own length.
         return norm(ov0) + pad
     return incumbent_storage / pm + pad
-
-
-def euclidean(v: Sequence[int]) -> float:
-    """Euclidean length helper re-exported for the search module."""
-    return math.sqrt(sum(c * c for c in v))

@@ -52,17 +52,6 @@ class AccessStats:
     writebacks: int = 0
     stall_cycles: int = 0
 
-    def merged_with(self, other: "AccessStats") -> "AccessStats":
-        return AccessStats(
-            self.accesses + other.accesses,
-            self.l1_misses + other.l1_misses,
-            self.l2_misses + other.l2_misses,
-            self.tlb_misses + other.tlb_misses,
-            self.page_faults + other.page_faults,
-            self.writebacks + other.writebacks,
-            self.stall_cycles + other.stall_cycles,
-        )
-
     def record(self, metrics, prefix: str = "machine") -> None:
         """Fold these counters into an obs metrics registry.
 

@@ -1,11 +1,13 @@
 """Append-only, self-healing JSONL run ledger.
 
-Every compile, execute, experiment batch and perf-check leaves one line
-in the ledger: *what* ran (spec hash, code/version, engine), *under
-which toolchain* (engine fingerprint), *how long* it took, and a metrics
-snapshot slice.  The file is plain JSONL so it appends in O(1), tails
-cleanly, and survives concurrent writers (each line is a single
-``write`` of under PIPE_BUF bytes); each line is the same compact
+Every compile, execute, experiment batch and store maintenance action
+(migrate/gc) leaves one line in the ledger: *what* ran (spec hash,
+code/version, engine), *under which toolchain* (engine fingerprint),
+*how long* it took, and a metrics snapshot slice.  A kind the readers
+do not know is stored, read and counted as it is.  The file is plain
+JSONL so it appends in O(1), tails cleanly, and survives concurrent
+writers (each line is a single ``write`` of under PIPE_BUF bytes);
+each line is the same compact
 ``{"body": ..., "digest": ..., "schema": 1}`` wrapper the store's
 directory entries are (:func:`repro.store.backend.encode_entry`), so a
 torn or corrupted line is *detected and skipped* on read — the ledger
@@ -41,11 +43,6 @@ __all__ = [
 ]
 
 LEDGER_ENV = "REPRO_LEDGER"
-
-#: Entry kinds the ledger understands (free-form kinds are stored too;
-#: these are the ones ``repro stats`` aggregates specially).  ``store``
-#: entries record unified-store maintenance (migrate/gc) actions.
-KINDS = ("compile", "execute", "experiment", "perf-check", "store")
 
 
 class RunLedger:

@@ -257,9 +257,6 @@ class System:
     def of(*constraints: Constraint) -> "System":
         return System(constraints)
 
-    def and_also(self, *constraints: Constraint) -> "System":
-        return System(self._constraints + tuple(constraints))
-
     # -- queries -----------------------------------------------------------
 
     @property

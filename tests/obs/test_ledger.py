@@ -190,11 +190,17 @@ class TestAggregate:
             {"kind": "compile", "ts": 13.0, "cached": True},
             {"kind": "compile", "ts": 14.0, "cached": False},
             {"kind": "experiment", "ts": 15.0, "experiment": "fig7"},
+            # Written by a subcommand since removed: old ledgers still
+            # read and aggregate, because every kind is stored as is.
+            {"kind": "perf-check", "ts": 14.5, "ok": True, "rounds": 5,
+             "threshold": 4.0, "injected": 1.0, "results": []},
         ]
 
     def test_engine_comparison_and_slowest(self):
         agg = aggregate(self._entries())
-        assert agg["by_kind"] == {"execute": 3, "compile": 2, "experiment": 1}
+        assert agg["by_kind"] == {
+            "execute": 3, "compile": 2, "experiment": 1, "perf-check": 1,
+        }
         native = agg["engines"]["native"]
         assert native["runs"] == 2
         assert native["mean_s"] == pytest.approx(0.2)
@@ -215,6 +221,7 @@ class TestAggregate:
         assert "engine comparison" in text
         assert "slowest-one" in text
         assert "hit rate 50%" in text
+        assert "perf-check" in text
 
     def test_render_stats_empty(self, tmp_path):
         text = render_stats(tmp_path / "none.jsonl")

@@ -1,8 +1,9 @@
 """The disabled path is cheap enough to leave instrumentation on.
 
-The hard perf gate lives in ``benchmarks/test_bench_obs.py`` (end-to-end
-vs. BENCH_baseline.json); this is the fast unit-level bound: a no-op
-span must cost on the order of a function call, not a syscall.
+The hard gate lives in ``benchmarks/test_bench_obs.py`` (the obs calls
+of a stencil5 run, timed in place, under 3% of the run); this is the
+fast unit-level bound: a no-op span must cost on the order of a function
+call, not a syscall.
 """
 
 import time

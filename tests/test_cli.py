@@ -159,6 +159,67 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["find"])  # missing required argument
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["find", "--stencil", "abc"], id="stencil-text"),
+            pytest.param(["find", "--stencil", ""], id="stencil-empty"),
+            pytest.param(["find", "--stencil", "1,0;0"], id="stencil-mixed"),
+            pytest.param(["find", "--stencil", "0,0"], id="stencil-illegal"),
+            pytest.param(
+                ["find", "--stencil", "1,0;0,1", "--bounds", "1,1;x"],
+                id="bounds-text",
+            ),
+            pytest.param(
+                ["find", "--stencil", "1,0;0,1", "--bounds", "0,0,0;1,1,1"],
+                id="bounds-dimension",
+            ),
+            pytest.param(
+                ["common", "--stencils", "1,0;0,1|1,x"], id="stencils-text"
+            ),
+            pytest.param(
+                ["common", "--stencils", "1,0|1,0,0"], id="stencils-mixed"
+            ),
+            pytest.param(
+                ["codegen", "stencil5", "ov", "--sizes", "T=x"],
+                id="codegen-size-text",
+            ),
+            pytest.param(
+                ["codegen", "stencil5", "ov", "--sizes", "T"],
+                id="codegen-size-pair",
+            ),
+            pytest.param(
+                ["codegen", "stencil5", "ov", "--sizes", "T=8"],
+                id="codegen-size-unbound",
+            ),
+            pytest.param(
+                ["codegen", "stencil5", "ov", "--sizes", "T=0,L=4"],
+                id="codegen-size-empty",
+            ),
+            pytest.param(
+                ["compile", "stencil5", "--sizes", "T=8,L"],
+                id="compile-size-pair",
+            ),
+            pytest.param(
+                ["run", "stencil5", "--sizes", "T=x"], id="run-size-text"
+            ),
+        ],
+    )
+    def test_malformed_vectors_and_sizes_are_usage_errors(self, argv, capsys):
+        try:
+            rc, rejected_by_parser = main(argv), False
+        except SystemExit as exc:
+            rc, rejected_by_parser = exc.code, True
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        if rejected_by_parser:
+            assert "error: argument --" in captured.err
+        else:
+            assert captured.err.startswith(f"{argv[0]}: ")
+            assert captured.err.count("\n") == 1
+
 
 class TestObservability:
     def test_find_prints_prunes_and_incumbent_history(self, capsys):
