@@ -8,7 +8,9 @@ daemon's contracts:
 * every response is a 200 despite the injected worker kills,
 * an identical concurrent burst coalesces to one pipeline run,
 * a warm re-run of the whole mix is served from cache — zero new
-  pipeline stages, zero new simulations,
+  pipeline stages, zero new simulations — and answered at the daemon's
+  door: no pool job, one ``serve.door.hits`` per request,
+* no job runs into its deadline (a respawned worker never hangs),
 * SIGTERM drains and the daemon exits 0.
 
 Writes the final ``GET /stats`` body to ``--out-stats`` (CI uploads it
@@ -156,7 +158,10 @@ def main() -> int:
             "followers, one output hash)",
         )
 
-        warm = fan_out(port, mix + [("/compile", burst_body)])
+        status, before = request(port, "GET", "/stats")
+        require(status == 200, "GET /stats answers")
+        rerun = mix + [("/compile", burst_body)]
+        warm = fan_out(port, rerun)
         require(
             all(status == 200 for status, _ in warm), "warm re-run: all 200"
         )
@@ -168,6 +173,26 @@ def main() -> int:
 
         status, stats = request(port, "GET", "/stats")
         require(status == 200, "GET /stats answers")
+        require(
+            stats["pool"]["completed"] == before["pool"]["completed"],
+            "warm re-run reached no worker (pool.completed stayed at "
+            f"{before['pool']['completed']}, now "
+            f"{stats['pool']['completed']})",
+        )
+        hits = [
+            body["counters"].get("serve.door.hits", 0)
+            for body in (before, stats)
+        ]
+        require(
+            hits[1] - hits[0] == len(rerun),
+            f"the door answered all {len(rerun)} warm requests "
+            f"(serve.door.hits {hits[0]} -> {hits[1]})",
+        )
+        require(
+            stats["pool"]["timeouts"] == 0,
+            "no job ran into its deadline (respawned workers never hang; "
+            f"saw {stats['pool']['timeouts']} timeouts)",
+        )
         require(
             stats["pool"]["restarts"] >= 1,
             f"injected kills forced worker restarts "

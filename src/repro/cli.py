@@ -200,10 +200,14 @@ def _cmd_codegen(args) -> int:
     try:
         versions = get_versions(args.code)
     except KeyError as exc:
-        print(exc.args[0])
+        print(f"codegen: {exc.args[0]}", file=sys.stderr)
         return 2
     if args.version not in versions:
-        print(f"unknown version {args.version!r}; one of {sorted(versions)}")
+        print(
+            f"codegen: unknown version {args.version!r}; one of "
+            f"{sorted(versions)}",
+            file=sys.stderr,
+        )
         return 2
     version = versions[args.version]
     try:

@@ -35,6 +35,7 @@ run (``repro report --no-cache --checkpoint DIR --resume``) replays.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import logging
 import os
@@ -73,7 +74,9 @@ __all__ = [
     "get_runner",
     "interruption_guard",
     "set_runner",
+    "stored_result",
     "task_identity",
+    "task_key",
 ]
 
 
@@ -229,6 +232,41 @@ def task_identity(task: SimTask) -> dict:
         "passes": task.passes,
         "seed": task.seed,
     }
+
+
+@functools.lru_cache(maxsize=64)
+def _machine_json(machine: MachineConfig) -> dict:
+    """``asdict(machine)``, built once per machine (read, never mutated)."""
+    return asdict(machine)
+
+
+def task_key(task: SimTask) -> str:
+    """The store key of ``task``'s result: its identity and the engine
+    fingerprint (the runner's and serve's ``/experiment`` door's key)."""
+    return content_hash(
+        {
+            "code": task.code_name,
+            "version": task.version_key,
+            "machine": _machine_json(task.machine),
+            "sizes": [list(item) for item in task.sizes],
+            "passes": task.passes,
+            "seed": task.seed,
+            "engine": engine_fingerprint(),
+        }
+    )
+
+
+def stored_result(body) -> SimResult | None:
+    """The :class:`SimResult` a stored body holds; None for none or for a
+    body of another schema."""
+    if body is None:
+        return None
+    try:
+        data = dict(body)
+        data["stats"] = AccessStats(**data["stats"])
+        return SimResult(**data)
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 class TaskFailure(RuntimeError):
@@ -683,17 +721,7 @@ class SimulationRunner:
 
     # -- the content-addressed cache ------------------------------------
 
-    def task_key(self, task: SimTask) -> str:
-        payload = {
-            "code": task.code_name,
-            "version": task.version_key,
-            "machine": asdict(task.machine),
-            "sizes": [list(item) for item in task.sizes],
-            "passes": task.passes,
-            "seed": task.seed,
-            "engine": engine_fingerprint(),
-        }
-        return content_hash(payload)
+    task_key = staticmethod(task_key)
 
     @staticmethod
     def _load(store: Store | None, key: str) -> SimResult | None:
@@ -701,15 +729,7 @@ class SimulationRunner:
         stale engine's entries never match: keys fold in the engine)."""
         if store is None:
             return None
-        body = store.get(key)
-        if body is None:
-            return None
-        try:
-            data = dict(body)
-            data["stats"] = AccessStats(**data["stats"])
-            return SimResult(**data)
-        except (KeyError, TypeError, ValueError):
-            return None
+        return stored_result(store.get(key))
 
     @staticmethod
     def _save(stores, task, key, result, wall_s=None) -> None:

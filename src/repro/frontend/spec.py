@@ -39,7 +39,13 @@ from repro.frontend.combine import compile_combine
 from repro.frontend.inputs import build_input_rule
 from repro.ir.affine import AffineExpr
 
-__all__ = ["SpecBuilder", "SpecError", "StencilSpec", "validate_spec"]
+__all__ = [
+    "SpecBuilder",
+    "SpecError",
+    "StencilSpec",
+    "TILE_BINDINGS",
+    "validate_spec",
+]
 
 #: Diagnostic codes emitted by spec validation.
 #:
@@ -55,6 +61,11 @@ __all__ = ["SpecBuilder", "SpecError", "StencilSpec", "validate_spec"]
 #: ========  =====================================================
 
 _DIRECTIVE_FIELDS = ("sizes", "mapping", "schedule", "tile", "uov", "seed", "notes")
+
+#: The names a size binding may carry besides size symbols: the tile
+#: edges :func:`repro.frontend.synth.tile_shape` reads (every axis,
+#: axis 0, axis 1).
+TILE_BINDINGS = ("tile", "tile_h", "tile_w")
 
 #: Bound strings parsed once and shared between specs (an ``AffineExpr``
 #: is immutable): every trace block of a spec code evaluates the bounds,
@@ -120,6 +131,25 @@ class StencilSpec:
                     if name not in self.indices and name not in seen:
                         seen.append(name)
         return tuple(seen)
+
+    def check_sizes(self, sizes: Mapping[str, int]) -> None:
+        """Raise ``ValueError`` unless ``sizes`` binds every size symbol
+        and names nothing else but :data:`TILE_BINDINGS`: a stray name
+        would change no result but every cache key it reaches."""
+        symbols = self.size_symbols
+        missing = [s for s in symbols if s not in sizes]
+        if missing:
+            raise ValueError(f"no binding for size symbol(s) {missing}")
+        unknown = [
+            name
+            for name in sizes
+            if name not in symbols and name not in TILE_BINDINGS
+        ]
+        if unknown:
+            raise ValueError(
+                f"unknown size binding(s) {unknown}; {self.name!r} takes "
+                f"{list(symbols)} and the tile bindings {list(TILE_BINDINGS)}"
+            )
 
     def bounds_fn(self, sizes: Mapping[str, int]) -> tuple[tuple[int, int], ...]:
         """Evaluate the loop bounds under a size binding."""

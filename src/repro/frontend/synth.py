@@ -33,7 +33,7 @@ from repro.core.search import find_optimal_uov
 from repro.core.stencil import Stencil
 from repro.frontend.combine import compile_combine
 from repro.frontend.inputs import build_input_rule
-from repro.frontend.spec import StencilSpec
+from repro.frontend.spec import TILE_BINDINGS, StencilSpec
 from repro.ir import ArrayDecl, ArrayRef, Assignment, LoopNest, Program
 from repro.ir.affine import AffineExpr
 from repro.mapping import build_mapping
@@ -176,13 +176,14 @@ def tile_shape(
     ``tile_w`` (axis 1) entries win; otherwise the spec's ``tile``
     directive, otherwise the schedule registry's default edge.
     """
-    if "tile" in sizes:
-        tile = [sizes["tile"]] * spec.ndim
+    every, *per_axis = TILE_BINDINGS
+    if every in sizes:
+        tile = [sizes[every]] * spec.ndim
     elif spec.tile is not None:
         tile = list(spec.tile)
     else:
         tile = [DEFAULT_TILE] * spec.ndim
-    for axis, name in enumerate(("tile_h", "tile_w")[: spec.ndim]):
+    for axis, name in enumerate(per_axis[: spec.ndim]):
         if name in sizes:
             tile[axis] = sizes[name]
     return tuple(tile)

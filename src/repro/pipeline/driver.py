@@ -182,9 +182,7 @@ def compile_spec(
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; one of {list(ENGINES)}")
     sizes = dict(sizes) if sizes is not None else dict(spec.sizes)
-    missing = [s for s in spec.size_symbols if s not in sizes]
-    if missing:
-        raise ValueError(f"no binding for size symbol(s) {missing}")
+    spec.check_sizes(sizes)
     seed = seed if seed is not None else spec.seed
     cache = cache if cache is not None else ArtifactCache()
     ctx = PipelineContext(

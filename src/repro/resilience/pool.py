@@ -27,7 +27,20 @@ from concurrent.futures import Future
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, Callable, Optional
 
-__all__ = ["JobFailed", "WorkerCrash", "WorkerPool", "WorkerTimeout"]
+__all__ = [
+    "FORK_LOCK",
+    "JobFailed",
+    "WorkerCrash",
+    "WorkerPool",
+    "WorkerTimeout",
+]
+
+#: Held around every worker fork, and by any thread of a pool's parent
+#: while it may import a module for the first time.  A fork copies the
+#: per-module import locks as they are, so a worker forked while another
+#: thread was importing inherits that module's lock held by a thread it
+#: does not have, and hangs on its first import of the module.
+FORK_LOCK = threading.Lock()
 
 
 class WorkerCrash(RuntimeError):
@@ -192,7 +205,8 @@ class WorkerPool:
         proc = self._ctx.Process(
             target=_worker_main, args=(theirs, self.handler), daemon=True
         )
-        proc.start()
+        with FORK_LOCK:
+            proc.start()
         theirs.close()
         return _Worker(proc, ours)
 

@@ -11,8 +11,10 @@ budgets, and the concurrent-safe store behind an HTTP/JSON API
 - ``GET /stats`` — pool, admission, coalescing, breaker, and metrics
 
 Request lifecycle: **admit** (token bucket + queue depth + RSS
-watermark; shed = structured 429 with ``Retry-After``) → **coalesce**
-(identical in-flight work shares one run) → **quarantine check** (a
+watermark; shed = structured 429 with ``Retry-After``) → **door** (a
+request whose clean answer is stored is answered from the store,
+digest-verified, without a worker) → **coalesce** (identical in-flight
+work shares one run) → **quarantine check** (a
 spec hash that keeps killing workers is refused with 422 until its
 breaker half-opens) → **dispatch** to a crash-only worker (crashed or
 overdue workers are killed, respawned, and the job retried a bounded
@@ -35,9 +37,15 @@ import time
 from typing import Awaitable, Callable, Optional
 
 from repro import obs
-from repro.resilience.pool import JobFailed, WorkerCrash, WorkerPool, WorkerTimeout
+from repro.resilience.pool import (
+    FORK_LOCK,
+    JobFailed,
+    WorkerCrash,
+    WorkerPool,
+    WorkerTimeout,
+)
 from repro.serve.admission import AdmissionGate
-from repro.serve.breaker import BreakerBoard, CircuitBreaker
+from repro.serve.breaker import CLOSED, BreakerBoard, CircuitBreaker
 from repro.serve.coalesce import Coalescer
 from repro.serve.http import (
     HttpError,
@@ -56,7 +64,7 @@ from repro.serve.protocol import (
     normalize_experiment_request,
     success_body,
 )
-from repro.serve.workers import serve_job
+from repro.serve.workers import serve_job, stored_answer
 from repro.store.core import Store
 
 __all__ = ["ServeApp", "serve_main"]
@@ -333,7 +341,10 @@ class ServeApp:
                 ),
             )
         try:
-            job = normalize(request.json())
+            # Validation imports modules lazily on this thread: never
+            # while the pool forks a worker.
+            with FORK_LOCK:
+                job = normalize(request.json())
         except RequestError as exc:
             return self._error(400, ServeError("bad-request", str(exc)))
         key = key_of(job)
@@ -358,6 +369,10 @@ class ServeApp:
                 ),
             )
         try:
+            with FORK_LOCK:
+                answer = self._door(job, key)
+            if answer is not None:
+                return Response(200, success_body(answer, cached=True))
             result, coalesced = await self.coalescer.run(
                 key, lambda: self._run_leader(key, job)
             )
@@ -392,6 +407,23 @@ class ServeApp:
                 cached=result.get("cached"),
             ),
         )
+
+    def _door(self, job: dict, key: str) -> Optional[dict]:
+        """The stored warm answer to ``job``, or None to run it.
+
+        A stored answer is a verified success, so neither the spec
+        breaker nor coalescing applies; only a native request waits for
+        a closed toolchain breaker, because an open one rewrites it.
+        """
+        if self.store is None or (
+            job.get("engine") == "native"
+            and self.toolchain_breaker.state != CLOSED
+        ):
+            return None
+        answer = stored_answer(self.store, job, key)
+        if answer is not None:
+            obs.get_metrics().counter("serve.door.hits").inc()
+        return answer
 
     async def _run_leader(self, key: str, job: dict) -> dict:
         """The single flight for one request hash: quarantine gate, the

@@ -118,6 +118,14 @@ def _sizes_of(data: Mapping) -> Optional[dict]:
     return out
 
 
+def _check_sizes(spec, sizes: Mapping) -> None:
+    """:meth:`~repro.frontend.spec.StencilSpec.check_sizes`, as a 400."""
+    try:
+        spec.check_sizes(sizes)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from exc
+
+
 def normalize_compile_request(data: Any) -> dict:
     """Validate and canonicalise a ``POST /compile`` body.
 
@@ -153,10 +161,8 @@ def normalize_compile_request(data: Any) -> dict:
         "execute": bool(data.get("execute", True)),
         "codegen": bool(data.get("codegen", False)),
     }
-    sizes = request["sizes"] if request["sizes"] is not None else dict(spec.sizes)
-    missing = [s for s in spec.size_symbols if s not in sizes]
-    if missing:
-        raise RequestError(f"no binding for size symbol(s) {missing}")
+    sizes = request["sizes"]
+    _check_sizes(spec, sizes if sizes is not None else spec.sizes)
     return request
 
 
@@ -167,8 +173,9 @@ def normalize_experiment_request(data: Any) -> dict:
     "passes": int, "seed": int}`` — one simulation point, exactly the
     harness's :class:`~repro.experiments.harness.SimTask` shape.  A point
     that can never simulate (``passes`` below 1, a size symbol of the
-    code left unbound) is refused here, as ``/compile`` refuses unbound
-    sizes, instead of failing in a worker.
+    code left unbound) or names a size the code does not take is refused
+    here, as ``/compile`` refuses such sizes, instead of failing in a
+    worker or splitting the cache.
     """
     from repro.codes import CODES, get_spec, get_versions
     from repro.machine.configs import MACHINES
@@ -203,9 +210,7 @@ def normalize_experiment_request(data: Any) -> dict:
             raise RequestError(f"'{name}' must be an integer")
     if passes < 1:
         raise RequestError("'passes' must be at least 1")
-    missing = [s for s in get_spec(code).size_symbols if s not in sizes]
-    if missing:
-        raise RequestError(f"no binding for size symbol(s) {missing}")
+    _check_sizes(get_spec(code), sizes)
     return {
         "kind": "experiment",
         "code": code,
@@ -217,18 +222,20 @@ def normalize_experiment_request(data: Any) -> dict:
     }
 
 
+def _request_key(request: Mapping, kind: str) -> str:
+    # ``label`` is display only (the daemon derives it from this key).
+    return content_hash(
+        {k: request[k] for k in request if k not in ("kind", "label")}
+        | {"kind": kind}
+    )
+
+
 def compile_request_key(request: Mapping) -> str:
     """Content hash identifying one compile's *work* (the coalescing and
     quarantine key).  Folds in everything that changes the pipeline's
     output — spec, sizes, seed, engine, stage selection."""
-    return content_hash(
-        {k: request[k] for k in sorted(request) if k != "kind"}
-        | {"kind": "compile"}
-    )
+    return _request_key(request, "compile")
 
 
 def experiment_request_key(request: Mapping) -> str:
-    return content_hash(
-        {k: request[k] for k in sorted(request) if k != "kind"}
-        | {"kind": "experiment"}
-    )
+    return _request_key(request, "experiment")

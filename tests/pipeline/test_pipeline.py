@@ -69,6 +69,19 @@ class TestCompile:
         with pytest.raises(ValueError, match="size symbol"):
             compile_spec(spec, sizes={"T": 4}, cache=ArtifactCache())
 
+    def test_undeclared_size_binding_is_a_value_error(self):
+        # A stray name would split every stage key it reaches; the tile
+        # bindings are the only names besides the size symbols.
+        spec = get_spec("stencil5")
+        cache = ArtifactCache()
+        with pytest.raises(ValueError, match=r"unknown size binding.*'X'"):
+            compile_spec(spec, sizes={"T": 4, "L": 8, "X": 3}, cache=cache)
+        assert cache.hits == cache.misses == 0  # refused before any stage
+        result = compile_spec(
+            spec, sizes={"T": 4, "L": 8, "tile": 4}, execute=False, cache=cache
+        )
+        assert result.sizes == {"T": 4, "L": 8, "tile": 4}
+
     def test_dependence_stage_does_no_sized_work(self, monkeypatch):
         # Its key does not cover the sizes, so neither may its work: the
         # sized region analysis belongs to the lint pass alone.

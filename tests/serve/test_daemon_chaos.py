@@ -27,6 +27,11 @@ import pytest
 REPO = Path(__file__).resolve().parents[2]
 SPEC = json.loads((REPO / "examples" / "specs" / "relax3.json").read_text())
 
+EXPERIMENTS = [
+    {"code": "stencil5", "version": version, "sizes": {"T": 6, "L": 24}}
+    for version in ("ov", "natural")
+]
+
 BOOT_TIMEOUT_S = 60
 REQUEST_TIMEOUT_S = 120
 
@@ -133,13 +138,14 @@ def post_in_thread(daemon, path, body, results, index):
         results[index] = exc
 
 
-def fan_out(daemon, bodies, path="/compile"):
-    results = [None] * len(bodies)
+def fan_out(daemon, jobs):
+    """POST every ``(path, body)`` of ``jobs`` at once; replies in order."""
+    results = [None] * len(jobs)
     threads = [
         threading.Thread(
             target=post_in_thread, args=(daemon, path, body, results, i)
         )
-        for i, body in enumerate(bodies)
+        for i, (path, body) in enumerate(jobs)
     ]
     for t in threads:
         t.start()
@@ -157,18 +163,30 @@ class TestCrashOnlyRecovery:
         self, start_daemon, tmp_path
     ):
         # Two kills land somewhere in the fan-out; in-app retries absorb
-        # them, so every client still sees a 200.
+        # them, so every client still sees a 200.  The experiments make
+        # the daemon import modules while the pool respawns the killed
+        # workers: a replacement forked mid-import would hang on its
+        # first job until the deadline reaped it, were forks not
+        # serialised with those imports by the pool's FORK_LOCK.
         daemon = start_daemon(
-            "--workers", "2", faults="serve.worker:kill:times=2,match=compile"
+            "--workers",
+            "2",
+            "--deadline",
+            "15",
+            faults="serve.worker:kill:times=2,match=compile",
         )
         results = fan_out(
-            daemon, [compile_body(seed=i) for i in range(6)]
+            daemon,
+            [("/compile", compile_body(seed=i)) for i in range(6)]
+            + [("/experiment", body) for body in EXPERIMENTS],
         )
         for status, _, body in results:
             assert status == 200, body
             assert body["ok"] is True
+        for _, _, body in results[:6]:
             assert body["result"]["outputs_sha256"]
         stats = daemon.stats()
+        assert stats["pool"]["timeouts"] == 0
         assert stats["pool"]["restarts"] >= 1
         assert stats["counters"].get("serve.worker_restarts", 0) >= 1
         assert stats["counters"]["serve.requests"] >= 6

@@ -58,6 +58,17 @@ class TestCompileRequests:
                 {"spec": relax3_spec, "sizes": {"n": 8}}
             )
 
+    def test_rejects_undeclared_size_names(self, relax3_spec):
+        # A stray name would split the door's key and the stage keys.
+        with pytest.raises(RequestError, match=r"unknown size binding.*'X'"):
+            normalize_compile_request(
+                {"spec": relax3_spec, "sizes": {"n": 8, "m": 9, "X": 3}}
+            )
+        job = normalize_compile_request(
+            {"spec": relax3_spec, "sizes": {"n": 8, "m": 9, "tile_h": 4}}
+        )
+        assert job["sizes"] == {"n": 8, "m": 9, "tile_h": 4}
+
     def test_rejects_bool_seed(self, relax3_spec):
         with pytest.raises(RequestError, match="seed"):
             normalize_compile_request({"spec": relax3_spec, "seed": True})
@@ -153,6 +164,16 @@ class TestExperimentRequests:
         with pytest.raises(RequestError, match=re.escape(missing)):
             normalize_experiment_request(
                 {"code": code, "version": "natural", "sizes": sizes}
+            )
+
+    def test_rejects_undeclared_size_names(self):
+        with pytest.raises(RequestError, match=r"unknown size binding.*'X'"):
+            normalize_experiment_request(
+                {
+                    "code": "stencil5",
+                    "version": "ov",
+                    "sizes": {"T": 4, "L": 16, "X": 3},
+                }
             )
 
 

@@ -197,6 +197,14 @@ class TestParsing:
                 id="codegen-size-empty",
             ),
             pytest.param(
+                ["codegen", "nope", "ov", "--sizes", "T=1,L=2"],
+                id="codegen-unknown-code",
+            ),
+            pytest.param(
+                ["codegen", "stencil5", "nope", "--sizes", "T=1,L=2"],
+                id="codegen-unknown-version",
+            ),
+            pytest.param(
                 ["compile", "stencil5", "--sizes", "T=8,L"],
                 id="compile-size-pair",
             ),
@@ -462,6 +470,18 @@ class TestCompile:
     def test_missing_file_is_a_usage_error(self, capsys):
         assert main(["compile", "no/such/spec.json"]) == 2
         capsys.readouterr()
+
+    def test_undeclared_size_binding_is_a_usage_error(self, capsys):
+        argv = ["compile", "stencil5", "--no-cache", "--sizes"]
+        assert main([*argv, "T=4,L=8,X=3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("compile: ")
+        assert captured.err.count("\n") == 1
+        assert "['X']" in captured.err
+        # The tile bindings are not size symbols, but they are declared.
+        assert main([*argv, "T=4,L=8,tile=4"]) == 0
+        assert "'tile': 4" in capsys.readouterr().out
 
     def test_unknown_code_name_suggests(self, capsys):
         assert main(["compile", "stencil6"]) == 2
