@@ -130,7 +130,7 @@ def read_entries(path: os.PathLike) -> tuple[list[dict], int]:
     per file, so a ledger shared by a crashing fleet still reads.
     """
     from repro import obs
-    from repro.store.backend import decode_entry
+    from repro.store.backend import verify_entry
 
     path = Path(path)
     entries: list[dict] = []
@@ -143,11 +143,11 @@ def read_entries(path: os.PathLike) -> tuple[list[dict], int]:
         line = line.strip()
         if not line:
             continue
-        body, problem = decode_entry(line)
+        entry, problem = verify_entry(line)
         if problem is not None:
             corrupt += 1
             continue
-        entries.append(body)
+        entries.append(entry.body)
     if corrupt:
         obs.get_metrics().counter("ledger.corrupt_lines").inc(corrupt)
         obs.warn_once(

@@ -15,11 +15,16 @@ hits.  The pipeline-caching tests assert both directions.
 Persistence is a :class:`repro.store.Store` over the historical
 one-JSON-file-per-artifact directory layout (``<stage>-<key>.json``,
 digest-wrapped, self-healing via ``.corrupt/`` quarantine — DESIGN.md
-§12/§16).  Entries are written in the store's one compact format, so a
-warm load hashes the stored bytes and parses them once; the indented
-entries this cache wrote before still hit, through the store's
-re-hashing fallback.  Pass a ``*.sqlite`` path as ``cache_dir`` to
-share one database between concurrent processes instead, or an open
+§12/§16).  Entries are written in the store's one compact format.  A
+warm :meth:`ArtifactCache.read` is the store's verified lookup: it
+hashes the stored bytes at once, so a corrupt entry is a miss right
+there, and returns a :class:`~repro.store.backend.VerifiedEntry` that
+parses them only when the caller first asks for the artifact.  The
+memory layer keeps that handle, so each entry is parsed at most once
+per cache; :meth:`ArtifactCache.load` is that lookup plus the parse.
+The indented entries this cache wrote before still hit, through the
+store's re-hashing fallback.  Pass a ``*.sqlite`` path as ``cache_dir``
+to share one database between concurrent processes instead, or an open
 :class:`~repro.store.core.Store` to reuse one (a serve worker keeps its
 store open across jobs).
 """
@@ -31,6 +36,7 @@ import json
 import os
 from typing import Mapping, Optional, Union
 
+from repro.store.backend import VerifiedEntry
 from repro.store.core import Store
 from repro.store.fingerprint import engine_fingerprint
 from repro.store.provenance import Provenance
@@ -45,7 +51,8 @@ class ArtifactCache:
     only (enough for repeated ``compile_spec`` calls in one run); with a
     directory (or sqlite file), artifacts persist across processes.  An
     open :class:`Store` (see :meth:`open_store`) is used as it is.
-    ``hits`` and ``misses`` count lookups, for tests and telemetry.
+    ``hits`` and ``misses`` count lookups, for tests and telemetry;
+    a hit is a verified entry, parsed or not.
     """
 
     def __init__(
@@ -55,7 +62,7 @@ class ArtifactCache:
             self._store = cache_dir
         else:
             self._store = self.open_store(cache_dir)
-        self._memory: dict[str, dict] = {}
+        self._memory: dict[str, VerifiedEntry] = {}
         self.hits = 0
         self.misses = 0
 
@@ -76,20 +83,27 @@ class ArtifactCache:
         digest.update(json.dumps(payload, sort_keys=True).encode())
         return digest.hexdigest()[:24]
 
-    def load(self, stage: str, key: str) -> Optional[dict]:
-        record = self._memory.get(key)
-        if record is None and self._store is not None:
-            # Digest-verified read through the store: a corrupt entry is
+    def read(self, stage: str, key: str) -> Optional[VerifiedEntry]:
+        """The lookup: the stage's verified entry, whose artifact JSON is
+        parsed on first use of ``body``, or None on a miss."""
+        entry = self._memory.get(key)
+        if entry is None and self._store is not None:
+            # Digest-verified lookup through the store: a corrupt entry is
             # quarantined and reported as a miss, so the stage reruns and
             # the cache heals itself.
-            record = self._store.get(f"{stage}-{key}")
-            if record is not None:
-                self._memory[key] = record
-        if record is None:
+            entry = self._store.read(f"{stage}-{key}")
+            if entry is not None:
+                self._memory[key] = entry
+        if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        return record
+        return entry
+
+    def load(self, stage: str, key: str) -> Optional[dict]:
+        """:meth:`read` plus one parse: the artifact JSON, or None."""
+        entry = self.read(stage, key)
+        return None if entry is None else entry.body
 
     def store(
         self,
@@ -98,7 +112,7 @@ class ArtifactCache:
         artifact_json: dict,
         provenance: Optional[Provenance] = None,
     ) -> None:
-        self._memory[key] = artifact_json
+        self._memory[key] = VerifiedEntry.of(artifact_json)
         if self._store is None:
             return
         self._store.put(

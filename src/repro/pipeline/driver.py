@@ -10,16 +10,23 @@ search→mapping→schedule→execute path.
 Laziness matters for honest caching: the :class:`PipelineContext` builds
 the synthesized ``Code``, the version family, and the subject version
 only on first access, and only stage ``run`` callables access them — so a
-fully cached compile deserialises artifacts without synthesizing,
-searching, or executing anything (the cache test asserts 0 stage runs).
+fully cached compile synthesizes, searches and executes nothing (the
+cache test asserts 0 stage runs).  It does not deserialise every
+artifact either: each cached stage is a digest-verified lookup, so a
+corrupt entry is still found and recomputed by the compile that meets
+it, but its :class:`StageRecord` (and ``PipelineContext.artifacts``)
+builds the artifact only when a caller first reads it, counting
+``pipeline.stage.parses``.  A caller that reads only the ``execute``
+artifact of a warm compile parses one stored entry, not eight.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from repro import obs
 from repro.frontend.spec import StencilSpec
@@ -28,10 +35,28 @@ from repro.pipeline.artifacts import Artifact
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.stages import PIPELINE_STAGES, Stage, StageError
 from repro.resilience.budget import Budget
+from repro.store.backend import VerifiedEntry
 from repro.store.fingerprint import content_hash, engine_fingerprint
 from repro.store.provenance import Provenance
 
 __all__ = ["CompileResult", "PipelineContext", "StageRecord", "compile_spec"]
+
+
+class _StageArtifacts(Mapping):
+    """Stage name -> artifact over a compile's records so far; a cached
+    stage's artifact is built from its verified entry on first access."""
+
+    def __init__(self) -> None:
+        self.records: dict[str, "StageRecord"] = {}
+
+    def __getitem__(self, name: str) -> Artifact:
+        return self.records[name].artifact
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.records)
+
+    def __len__(self) -> int:
+        return len(self.records)
 
 
 class PipelineContext:
@@ -39,8 +64,8 @@ class PipelineContext:
 
     Everything heavyweight is a ``cached_property`` so that cache hits
     never trigger construction; ``ov`` comes from the ``uov-search``
-    artifact (fresh or deserialised), keeping the subject version
-    consistent with what the cache recorded.
+    artifact (fresh or deserialised on first access), keeping the
+    subject version consistent with what the cache recorded.
     """
 
     def __init__(
@@ -58,7 +83,7 @@ class PipelineContext:
         self.lint_fuzz = lint_fuzz
         self.search_budget = search_budget
         self.engine = engine
-        self.artifacts: dict[str, Artifact] = {}
+        self.artifacts = _StageArtifacts()
 
     @cached_property
     def code(self):
@@ -84,15 +109,56 @@ class PipelineContext:
         return spec_version(self.code, ov=self.ov)
 
 
-@dataclass(frozen=True)
 class StageRecord:
-    """What happened to one stage during a compile."""
+    """What happened to one stage during a compile.
 
-    name: str
-    key: str
-    cached: bool
-    wall_s: float
-    artifact: Artifact
+    A record for a stage that ran holds its artifact.  A cached stage's
+    record (:meth:`from_entry`) holds the store entry its lookup
+    verified, and builds the artifact from it on first access to
+    :attr:`artifact`; when that access is the entry's first parse it
+    counts ``pipeline.stage.parses`` and ``pipeline.stage.parses.<stage>``.
+    """
+
+    __slots__ = ("name", "key", "cached", "wall_s", "_artifact", "_entry")
+
+    def __init__(
+        self, name: str, key: str, cached: bool, wall_s: float,
+        artifact: Optional[Artifact],
+    ) -> None:
+        self.name = name
+        self.key = key
+        self.cached = cached
+        self.wall_s = wall_s
+        self._artifact = artifact
+        self._entry: Optional[tuple[VerifiedEntry, type]] = None
+
+    @classmethod
+    def from_entry(
+        cls, name: str, key: str, wall_s: float, entry: VerifiedEntry,
+        artifact_cls: type,
+    ) -> "StageRecord":
+        record = cls(name, key, True, wall_s, None)
+        record._entry = (entry, artifact_cls)
+        return record
+
+    @property
+    def artifact(self) -> Artifact:
+        pending = self._entry
+        if pending is not None:
+            entry, artifact_cls = pending
+            if not entry.parsed:
+                metrics = obs.get_metrics()
+                metrics.counter("pipeline.stage.parses").inc()
+                metrics.counter(f"pipeline.stage.parses.{self.name}").inc()
+            self._artifact = artifact_cls.from_json(entry.body)
+            self._entry = None
+        return self._artifact
+
+    def __repr__(self) -> str:
+        return (
+            f"StageRecord(name={self.name!r}, key={self.key!r}, "
+            f"cached={self.cached!r}, wall_s={self.wall_s!r})"
+        )
 
 
 @dataclass
@@ -201,10 +267,8 @@ def compile_spec(
         for stage in _select_stages(lint, execute, codegen):
             key = cache.key(stage.name, parent_key, stage.payload(ctx))
             t0 = time.perf_counter()
-            cached_json = cache.load(stage.name, key)
-            if cached_json is not None:
-                artifact = stage.artifact_cls.from_json(cached_json)
-                cached = True
+            entry = cache.read(stage.name, key)
+            if entry is not None:
                 metrics.counter("pipeline.stage.cache_hits").inc()
                 metrics.counter(f"pipeline.stage.cache_hits.{stage.name}").inc()
             else:
@@ -227,15 +291,18 @@ def compile_spec(
                         extra={"spec_name": spec.name, "sizes": dict(sizes)},
                     ),
                 )
-                cached = False
                 metrics.counter("pipeline.stage.runs").inc()
                 metrics.counter(f"pipeline.stage.runs.{stage.name}").inc()
             wall = time.perf_counter() - t0
             metrics.histogram(f"pipeline.stage.wall_s.{stage.name}").observe(wall)
-            ctx.artifacts[stage.name] = artifact
-            result.records.append(
-                StageRecord(stage.name, key, cached, wall, artifact)
-            )
+            if entry is not None:
+                record = StageRecord.from_entry(
+                    stage.name, key, wall, entry, stage.artifact_cls
+                )
+            else:
+                record = StageRecord(stage.name, key, False, wall, artifact)
+            ctx.artifacts.records[stage.name] = record
+            result.records.append(record)
             parent_key = key
     _ledger_compile(result, engine)
     return result

@@ -12,6 +12,7 @@ from repro.store.backend import (
     DirBackend,
     EntryInfo,
     SqliteBackend,
+    VerifiedEntry,
     open_backend,
 )
 from repro.store.core import Store
@@ -31,6 +32,7 @@ __all__ = [
     "Provenance",
     "SqliteBackend",
     "Store",
+    "VerifiedEntry",
     "canonical_json",
     "content_hash",
     "engine_fingerprint",

@@ -12,13 +12,20 @@ module is the only code that knows it.  A write encodes its body to
 canonical JSON once, takes the digest of those bytes and, for a file
 or a ledger line, writes the compact wrapper around them
 (:func:`encode_entry`: the bytes ``json.dumps(wrapper,
-sort_keys=True)`` gives).  A read accepts an entry when its stored
-body bytes hash to its digest, then parses only those bytes
-(:func:`decode_entry`; a sqlite row's body column is that canonical
-text already).  A file or line that is not a compact wrapper (an
-indented one the pipeline cache wrote before every store wrote one
-format, which ``repro store migrate`` adopts untouched) falls back to
-parsing the entry and hashing its re-encoded body.  A present but
+sort_keys=True)`` gives).
+
+A read is split into *verify* and *parse*.  The lookup accepts an entry
+when its stored body bytes hash to its digest and returns a
+:class:`VerifiedEntry` holding those bytes (:func:`verify_entry`; a
+sqlite row's body column is that canonical text already); the handle
+parses them on the first use of its ``body`` and never goes back to the
+store, so an entry deleted or corrupted after the lookup, or a closed
+store, cannot change what it returns.  A caller that only needs to know
+the entry is there and intact never parses it.  A file or line that is
+not a compact wrapper (an indented one the pipeline cache wrote before
+every store wrote one format, which ``repro store migrate`` adopts
+untouched) can only be verified by parsing the entry and hashing its
+re-encoded body, so its handle holds the parsed body.  A present but
 unusable directory entry is moved into a ``.corrupt/`` sidecar beside
 it (evidence for debugging, never re-read), counted and warned about
 by :func:`note_corruption`, and read as a plain miss, so the value is
@@ -28,8 +35,10 @@ A backend stores digest-verified JSON bodies plus optional provenance
 sidecars under string keys.  The contract (duck-typed; every method
 below) is:
 
-- ``get(key) -> body | None`` — digest-verified; a corrupt entry is
-  healed (quarantined or deleted), counted, and reported as a miss.
+- ``read(key) -> VerifiedEntry | None`` — the lookup: digest-verified
+  at once, parsed on first use; a corrupt entry is healed (quarantined
+  or deleted), counted, and reported as a miss.
+- ``get(key) -> body | None`` — :meth:`read` plus one parse.
 - ``put(key, body, provenance=None, label="")`` — atomic; a reader
   (or a concurrent writer) never observes a torn entry, and a process
   killed mid-write leaves no corrupt *visible* entry.
@@ -52,7 +61,7 @@ Backends:
   three pre-store caches, indented ones included, still hit.
 - :class:`SqliteBackend` — one WAL-mode sqlite file, safe under
   concurrent harness worker processes: writes are transactions
-  (last-write-wins, never torn), reads verify the stored body text
+  (last-write-wins, never torn), lookups verify the stored body text
   against its digest and heal corrupt rows by deleting them.
 """
 
@@ -75,10 +84,11 @@ __all__ = [
     "EntryInfo",
     "DirBackend",
     "SqliteBackend",
-    "decode_entry",
+    "VerifiedEntry",
     "encode_entry",
     "open_backend",
     "quarantine_file",
+    "verify_entry",
 ]
 
 #: File suffixes that select the sqlite backend in ``open_backend``.
@@ -116,16 +126,41 @@ def _seal(body: Any) -> tuple[bytes, str]:
     return blob, _digest(blob)
 
 
-def _unseal(blob: bytes, digest: str) -> tuple[Any, Optional[str]]:
-    """The body stored as ``blob`` beside ``digest`` (a sqlite row):
-    ``(body, None)`` if the bytes hash to ``digest``, then parsed once;
-    else ``(None, problem)``."""
-    if _digest(blob) != digest:
-        return None, "digest mismatch"
-    try:
-        return json.loads(blob), None
-    except ValueError as exc:
-        return None, f"bad JSON: {exc}"
+class VerifiedEntry:
+    """One store entry whose stored bytes hashed to its digest at lookup;
+    its body is parsed on the first use of :attr:`body`.
+
+    The handle holds the verified bytes, so parsing never reads the store
+    again, and it keeps the parsed body and drops the bytes, so an entry
+    is parsed at most once per handle.  A handle made with :meth:`of`
+    holds a body already in hand (one just written, or a legacy entry
+    that could only be verified by parsing it).
+    """
+
+    __slots__ = ("_blob", "_body")
+
+    def __init__(self, blob: Optional[bytes], body: Any = None) -> None:
+        self._blob = blob
+        self._body = body
+
+    @classmethod
+    def of(cls, body: Any) -> "VerifiedEntry":
+        return cls(None, body)
+
+    @property
+    def parsed(self) -> bool:
+        """Whether :attr:`body` has been parsed (or was never bytes)."""
+        return self._blob is None
+
+    @property
+    def body(self) -> Any:
+        # Read the bytes once and set the body before dropping them: two
+        # threads racing here at worst both parse, never see a half state.
+        blob = self._blob
+        if blob is not None:
+            self._body = json.loads(blob)
+            self._blob = None
+        return self._body
 
 
 def encode_entry(body: Any) -> bytes:
@@ -150,18 +185,18 @@ def _compact_body(data: bytes) -> Optional[bytes]:
     return blob if _digest(blob).encode() == digest else None
 
 
-def decode_entry(data: bytes) -> tuple[Any, Optional[str]]:
-    """``(body, None)`` for a verified wrapper, else ``(None, problem)``.
+def verify_entry(data: bytes) -> tuple[Optional[VerifiedEntry], Optional[str]]:
+    """``(entry, None)`` for a verified wrapper, else ``(None, problem)``.
 
-    A compact wrapper is verified over its stored body bytes, and only
-    those are parsed.  Any other bytes are parsed whole and the body's
-    re-encoding is hashed, so an indented wrapper with matching content
-    still reads.
+    A compact wrapper is verified over its stored body bytes, and the
+    handle keeps only those, unparsed.  Any other bytes are parsed whole
+    and the body's re-encoding is hashed, so an indented wrapper with
+    matching content still reads; its handle holds the parsed body.
     """
     blob = _compact_body(data)
+    if blob is not None:
+        return VerifiedEntry(blob), None
     try:
-        if blob is not None:
-            return json.loads(blob), None
         obj = json.loads(data)
     except ValueError as exc:
         return None, f"bad JSON: {exc}"
@@ -176,7 +211,7 @@ def decode_entry(data: bytes) -> tuple[Any, Optional[str]]:
     # body's re-encoding.
     if content_hash(obj["body"], DIGEST_LENGTH) != obj["digest"]:
         return None, "digest mismatch"
-    return obj["body"], None
+    return VerifiedEntry.of(obj["body"]), None
 
 
 def note_corruption(site: str, entry: str, problem: str) -> None:
@@ -237,8 +272,8 @@ def _atomic_write(path: Path, body: Any) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _read_verified(path: Path, site: str) -> Optional[Any]:
-    """The verified body of ``path``, or None (healed) on failure.
+def _read_verified(path: Path, site: str) -> Optional[VerifiedEntry]:
+    """The verified entry at ``path``, or None (healed) on failure.
 
     A missing file is an ordinary miss (no quarantine, no warning); any
     *present but unusable* file is quarantined so the next run never
@@ -251,10 +286,10 @@ def _read_verified(path: Path, site: str) -> Optional[Any]:
     except OSError as exc:
         quarantine_file(path, site, f"unreadable: {exc}")
         return None
-    body, problem = decode_entry(data)
+    entry, problem = verify_entry(data)
     if problem is not None:
         quarantine_file(path, site, problem)
-    return body
+    return entry
 
 
 @dataclass(frozen=True)
@@ -278,7 +313,18 @@ class EntryInfo:
         )
 
 
-class DirBackend:
+class _Backend:
+    """What every backend shares: ``get`` is its ``read`` plus one parse."""
+
+    def read(self, key: str) -> Optional[VerifiedEntry]:
+        raise NotImplementedError
+
+    def get(self, key: str) -> Optional[Any]:
+        entry = self.read(key)
+        return None if entry is None else entry.body
+
+
+class DirBackend(_Backend):
     """The historical one-JSON-file-per-entry directory layout.
 
     ``site`` names this store in warnings, counters, and fault-injection
@@ -305,7 +351,7 @@ class DirBackend:
     def _prov_path(self, key: str) -> Path:
         return self.root / PROV_DIR / f"{key}.json"
 
-    def get(self, key: str) -> Optional[Any]:
+    def read(self, key: str) -> Optional[VerifiedEntry]:
         return _read_verified(self._path(key), self.site)
 
     def put(
@@ -335,8 +381,8 @@ class DirBackend:
         prov_path = self._prov_path(key)
         if not prov_path.exists():
             return None
-        body = _read_verified(prov_path, f"{self.site}.prov")
-        return Provenance.from_json(body)
+        entry = _read_verified(prov_path, f"{self.site}.prov")
+        return Provenance.from_json(None if entry is None else entry.body)
 
     def delete(self, key: str) -> bool:
         path = self._path(key)
@@ -387,18 +433,19 @@ class DirBackend:
         pass
 
 
-class SqliteBackend:
+class SqliteBackend(_Backend):
     """One WAL-mode sqlite file; safe under concurrent worker processes.
 
     Writes are single transactions with ``INSERT OR REPLACE``: two
     processes racing on the same key converge on last-write-wins and a
     reader never observes a torn row; a process killed mid-write rolls
     back, leaving the previous value (or nothing) visible.  The body
-    column holds the body's canonical text, so a read hashes it as
-    stored and parses it once — a row whose text does not hash to its
-    digest (disk damage, a broken writer, a hand edit) is deleted,
-    counted through the same ``store.heal.*``/``resilience.cache.corrupt``
-    counters as the directory backend, and reported as a miss.
+    column holds the body's canonical text, so a lookup hashes it as
+    stored and hands back a :class:`VerifiedEntry` that parses it on
+    first use — a row whose text does not hash to its digest (disk
+    damage, a broken writer, a hand edit) is deleted, counted through
+    the same ``store.heal.*``/``resilience.cache.corrupt`` counters as
+    the directory backend, and reported as a miss.
 
     ``PRAGMA busy_timeout`` makes sqlite itself wait on a plain row
     lock, but "database is locked" can still escape it — a competing
@@ -486,17 +533,18 @@ class SqliteBackend:
                 time.sleep(delay)
         return attempt()
 
-    def get(self, key: str) -> Optional[Any]:
+    def read(self, key: str) -> Optional[VerifiedEntry]:
         conn = self._connect()
         row = conn.execute(
             "SELECT body, digest FROM entries WHERE key = ?", (key,)
         ).fetchone()
         if row is None:
             return None
-        body, problem = _unseal(row[0].encode(), row[1])
-        if problem is not None:
-            self._heal(key, problem)
-        return body
+        blob = row[0].encode()
+        if _digest(blob) != row[1]:
+            self._heal(key, "digest mismatch")
+            return None
+        return VerifiedEntry(blob)
 
     def _heal(self, key: str, problem: str) -> None:
         self._retry_locked(

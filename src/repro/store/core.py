@@ -7,7 +7,9 @@ cache, and the native ``.so`` cache.  It adds, on top of the raw
 backend:
 
 - hit/miss/put counters (``store.hits`` / ``store.misses`` /
-  ``store.puts``) through :mod:`repro.obs`, shared by every cache;
+  ``store.puts``) through :mod:`repro.obs`, shared by every cache; a
+  hit is counted at the digest-verified lookup (:meth:`Store.read`),
+  whether or not its body is ever parsed;
 - provenance-aware :meth:`query` (by op, engine fingerprint, age,
   staleness vs. the current engine);
 - :meth:`gc` with ``keep_latest``-per-op and ``max_bytes`` budgets
@@ -25,7 +27,7 @@ from __future__ import annotations
 import os
 from typing import Any, Optional, Union
 
-from repro.store.backend import EntryInfo, open_backend
+from repro.store.backend import EntryInfo, VerifiedEntry, open_backend
 from repro.store.fingerprint import engine_fingerprint
 from repro.store.provenance import Provenance
 
@@ -48,16 +50,20 @@ class Store:
 
     # -- the core five -------------------------------------------------
 
-    def get(self, key: str, default: Any = None) -> Any:
-        """Digest-verified read; corrupt entries heal and count a miss."""
+    def read(self, key: str) -> Optional[VerifiedEntry]:
+        """The digest-verified lookup: a handle whose body is parsed on
+        first use, or None.  Corrupt entries heal and count a miss."""
         from repro import obs
 
-        body = self.backend.get(key)
-        if body is None:
-            obs.get_metrics().counter("store.misses").inc()
-            return default
-        obs.get_metrics().counter("store.hits").inc()
-        return body
+        entry = self.backend.read(key)
+        outcome = "store.misses" if entry is None else "store.hits"
+        obs.get_metrics().counter(outcome).inc()
+        return entry
+
+    def get(self, key: str, default: Any = None) -> Any:
+        """:meth:`read` plus one parse: the verified body, or ``default``."""
+        entry = self.read(key)
+        return default if entry is None else entry.body
 
     def put(
         self,
@@ -72,7 +78,7 @@ class Store:
         obs.get_metrics().counter("store.puts").inc()
 
     def has(self, key: str) -> bool:
-        return self.backend.get(key) is not None
+        return self.backend.read(key) is not None
 
     def delete(self, key: str) -> bool:
         return self.backend.delete(key)

@@ -1,9 +1,11 @@
 """The unified compilation pipeline: stages, artifacts, caching, registries."""
 
 import dataclasses
+import sqlite3
 
 import pytest
 
+from repro import obs
 from repro.codes import CODES, get_spec
 from repro.pipeline import (
     MAPPINGS,
@@ -254,3 +256,111 @@ class TestSymbolicCertificates:
         assert "uov-search" in warm.cache_hits
         cert = warm.artifact("uov-search").certificate
         assert cert is not None and cert["verdict"] == "universal"
+
+
+class TestStageKeys:
+    def test_stencil5_chained_keys_are_pinned(self, monkeypatch):
+        """The stage keys name every stored artifact: a change to their
+        bytes orphans every warm store, so they are pinned literally."""
+        from repro.store import fingerprint
+
+        monkeypatch.setattr(fingerprint, "_ENGINE_FINGERPRINT", "0123456789abcdef")
+        result = compile_spec(
+            get_spec("stencil5"),
+            lint=True,
+            codegen=True,
+            engine="vectorized",
+            cache=ArtifactCache(),
+        )
+        assert [(r.name, r.key) for r in result.records] == [
+            ("parse", "ceba3ef52d081038c01c0e31"),
+            ("dependence", "3916abe9d906415ae0385d88"),
+            ("uov-search", "9e154370cf07208a9f63aef2"),
+            ("mapping-select", "406b61ac23f89275bd05d882"),
+            ("schedule-select", "20e50ab190af300f6fd99bbe"),
+            ("lint", "35fc35e3972feda9ed548b63"),
+            ("execute", "1781e0af8a60836a1235baa8"),
+            ("codegen", "38087c412011efb20622613e"),
+        ]
+
+
+class TestLazyWarmReads:
+    """A warm compile verifies every stage entry it reports cached at
+    lookup, and parses only the artifacts its caller reads."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_metrics(self):
+        obs.reset()
+        yield
+        obs.reset()
+
+    @pytest.fixture(params=["dir", "sqlite"])
+    def cache_path(self, request, tmp_path):
+        return tmp_path / ("cache.sqlite" if request.param == "sqlite" else "cache")
+
+    @staticmethod
+    def compile(cache):
+        return compile_spec(
+            get_spec("stencil5"), lint=True, codegen=True, cache=cache
+        )
+
+    @staticmethod
+    def counters():
+        return obs.get_metrics().snapshot()["counters"]
+
+    def test_reading_execute_parses_one_entry(self, cache_path):
+        self.compile(ArtifactCache(cache_path))
+        obs.reset()
+        cache = ArtifactCache(cache_path)
+        warm = self.compile(cache)
+        assert warm.artifact("execute").verified
+        counters = self.counters()
+        assert warm.cache_hits == STAGE_ORDER
+        assert cache.hits == 8 and cache.misses == 0
+        assert counters["pipeline.stage.cache_hits"] == 8
+        assert counters["store.hits"] == 8  # every entry was verified...
+        assert counters["pipeline.stage.parses"] == 1  # ...one was parsed
+        assert counters["pipeline.stage.parses.execute"] == 1
+
+    def test_warm_result_equals_the_cold_one(self, cache_path):
+        def comparable(result):
+            data = result.to_json()
+            for stage in data["stages"]:
+                del stage["cached"], stage["wall_s"]
+            return data
+
+        cold = self.compile(ArtifactCache(cache_path))
+        warm = self.compile(ArtifactCache(cache_path))
+        assert warm.stages_run == []
+        assert comparable(warm) == comparable(cold)
+        assert self.counters()["pipeline.stage.parses"] == 8
+
+    def test_an_unread_corrupt_entry_is_caught_at_lookup(self, cache_path):
+        cold = self.compile(ArtifactCache(cache_path))
+        lint_key = f"lint-{next(r.key for r in cold.records if r.name == 'lint')}"
+        if cache_path.suffix == ".sqlite":
+            with sqlite3.connect(cache_path) as conn:
+                conn.execute(
+                    "UPDATE entries SET body = ? WHERE key = ?",
+                    ('{"tampered": true}', lint_key),
+                )
+        else:
+            entry = cache_path / f"{lint_key}.json"
+            entry.write_bytes(entry.read_bytes()[:40])
+        obs.reset()
+        with pytest.warns(UserWarning, match="quarantined"):
+            warm = self.compile(ArtifactCache(cache_path))
+        assert warm.artifact("execute").verified  # the caller never reads lint
+        assert warm.stages_run == ["lint"]
+        assert self.counters()["store.heal.pipeline.cache"] == 1
+
+    def test_a_handle_outlives_its_entry(self, cache_path):
+        cold = self.compile(ArtifactCache(cache_path))
+        cache = ArtifactCache(cache_path)
+        warm = self.compile(cache)
+        execute = next(r for r in warm.records if r.name == "execute")
+        store = ArtifactCache.open_store(cache_path)
+        assert store.delete(f"execute-{execute.key}")
+        store.close()
+        assert execute.artifact == cold.artifact("execute")
+        assert self.compile(ArtifactCache(cache_path)).stages_run == ["execute"]

@@ -317,6 +317,49 @@ class TestVerifiedAsStored:
         assert b"\n" not in data
 
 
+class TestVerifyThenParse:
+    """A lookup verifies the stored bytes and returns a handle that parses
+    them on first use, without going back to the store."""
+
+    def test_lookup_defers_the_parse(self, store):
+        store.put("k", {"v": [1, 2]})
+        entry = store.read("k")
+        assert not entry.parsed
+        assert entry.body == {"v": [1, 2]}
+        assert entry.parsed
+        assert store.get("k") == {"v": [1, 2]}
+
+    def test_lookups_count_hits_and_misses(self, store):
+        store.put("k", {"v": 1})
+        assert store.read("k") is not None
+        assert store.read("absent") is None
+        assert store.has("k")
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters["store.hits"] == 1 and counters["store.misses"] == 1
+
+    def test_handle_outlives_its_entry_and_the_store(self, store):
+        store.put("k", {"v": 1})
+        entry = store.read("k")
+        assert store.delete("k")
+        store.close()
+        assert entry.body == {"v": 1}
+
+    def test_corruption_after_the_lookup_changes_nothing(self, tmp_path):
+        root = tmp_path / "cache"
+        store = Store(DirBackend(root, site="test"))
+        store.put("k", {"v": 1})
+        entry = store.read("k")
+        (root / "k.json").write_text("{torn")
+        assert entry.body == {"v": 1}
+
+    def test_indented_entry_is_parsed_to_be_verified(self, tmp_path):
+        root = tmp_path / "cache"
+        root.mkdir()
+        write_legacy(root / "legacy.json", {"old": True}, indent=2)
+        entry = Store(DirBackend(root, site="test")).read("legacy")
+        assert entry.parsed and entry.body == {"old": True}
+
+
 class TestOpenBackend:
     def test_sqlite_suffix_selects_sqlite(self, tmp_path):
         st = Store.open(tmp_path / "x.sqlite")
