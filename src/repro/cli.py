@@ -367,10 +367,19 @@ def _run_pipeline(args, spec, *, lint: bool, execute: bool, codegen: bool):
 
     from repro.analysis.diag import Severity
     from repro.pipeline import StageError, compile_spec
+    from repro.store import OPEN_ERRORS
 
     overrides = _spec_overrides(args)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
+    try:
+        cache = _make_cache(args)
+    except OPEN_ERRORS as exc:
+        print(
+            f"{args.command}: unusable --cache-dir {args.cache_dir!r}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         result = compile_spec(
             spec,
@@ -380,7 +389,7 @@ def _run_pipeline(args, spec, *, lint: bool, execute: bool, codegen: bool):
             lint_fuzz=getattr(args, "fuzz", 0),
             execute=execute,
             codegen=codegen,
-            cache=_make_cache(args),
+            cache=cache,
             search_budget=_search_budget(args),
             engine=getattr(args, "engine", "interpreter"),
         )
@@ -705,11 +714,11 @@ def _cmd_stats(args) -> int:
             return 2
         print(render_stats(path, top=args.top))
     if args.store:
-        from repro.store.cli import render_store_stats
+        from repro.store.cli import UnusableStore, render_store_stats
 
         try:
             text = render_store_stats(args.store)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, UnusableStore) as exc:
             print(f"stats: {exc}", file=sys.stderr)
             return 2
         if path:

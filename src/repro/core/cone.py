@@ -228,6 +228,13 @@ class ConeSolver:
             return False
         v = self._vectors[i]
         bound = wrem // self._wv[i]
+        # On a coordinate every remaining generator keeps non-negative, a
+        # larger coefficient leaves a negative residual the child would
+        # reject at once, before its memo: skipping those values changes
+        # no answer, certificate or memo entry, only the node count.
+        for k in self._nonneg_coords[i]:
+            if v[k] > 0 and rem[k] // v[k] < bound:
+                bound = rem[k] // v[k]
         # Try large coefficients first: certificates for stencil targets
         # are usually dominated by one or two generators.
         for a in range(bound, -1, -1):

@@ -10,7 +10,11 @@ Keys are *chained*: each stage's key hashes its parent stage's key plus
 only the stage-local payload (the spec fields that stage actually reads).
 Editing one directive therefore invalidates exactly the stages downstream
 of the first stage whose payload changed — the upstream prefix still
-hits.  The pipeline-caching tests assert both directions.
+hits.  The pipeline-caching tests assert both directions.  The payload
+is encoded by :func:`repro.store.fingerprint.canonical_json`, the one
+function that knows the canonical format, so a key is one encoding and
+one sha256 (``tests/pipeline/test_pipeline.py::TestStageKeys`` pins
+stencil5's eight keys).
 
 Persistence is a :class:`repro.store.Store` over the historical
 one-JSON-file-per-artifact directory layout (``<stage>-<key>.json``,
@@ -19,9 +23,11 @@ digest-wrapped, self-healing via ``.corrupt/`` quarantine — DESIGN.md
 warm :meth:`ArtifactCache.read` is the store's verified lookup: it
 hashes the stored bytes at once, so a corrupt entry is a miss right
 there, and returns a :class:`~repro.store.backend.VerifiedEntry` that
-parses them only when the caller first asks for the artifact.  The
-memory layer keeps that handle, so each entry is parsed at most once
-per cache; :meth:`ArtifactCache.load` is that lookup plus the parse.
+parses them only when the caller first asks for the artifact.  On a
+directory store that lookup is one open and one whole-file read of a
+string path, then the hash.  The memory layer keeps that handle, so
+each entry is parsed at most once per cache; :meth:`ArtifactCache.load`
+is that lookup plus the parse.
 The indented entries this cache wrote before still hit, through the
 store's re-hashing fallback.  Pass a ``*.sqlite`` path as ``cache_dir``
 to share one database between concurrent processes instead, or an open
@@ -32,13 +38,12 @@ store open across jobs).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import Mapping, Optional, Union
 
 from repro.store.backend import VerifiedEntry
 from repro.store.core import Store
-from repro.store.fingerprint import engine_fingerprint
+from repro.store.fingerprint import canonical_json, engine_fingerprint
 from repro.store.provenance import Provenance
 
 __all__ = ["ArtifactCache"]
@@ -72,16 +77,12 @@ class ArtifactCache:
         return Store.open(path, site="pipeline.cache")
 
     def key(self, stage: str, parent_key: Optional[str], payload: Mapping) -> str:
-        """Chained content hash identifying one stage invocation."""
-        digest = hashlib.sha256()
-        digest.update(engine_fingerprint().encode())
-        digest.update(b"\0")
-        digest.update(stage.encode())
-        digest.update(b"\0")
-        digest.update((parent_key or "").encode())
-        digest.update(b"\0")
-        digest.update(json.dumps(payload, sort_keys=True).encode())
-        return digest.hexdigest()[:24]
+        """Chained content hash identifying one stage invocation: sha256
+        over the engine fingerprint, the stage name, the parent key and
+        the payload's :func:`canonical_json`, NUL-separated."""
+        head = f"{engine_fingerprint()}\0{stage}\0{parent_key or ''}\0"
+        blob = head.encode() + canonical_json(payload)
+        return hashlib.sha256(blob).hexdigest()[:24]
 
     def read(self, stage: str, key: str) -> Optional[VerifiedEntry]:
         """The lookup: the stage's verified entry, whose artifact JSON is

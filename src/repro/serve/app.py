@@ -33,6 +33,7 @@ import asyncio
 import functools
 import logging
 import signal
+import sys
 import time
 from typing import Awaitable, Callable, Optional
 
@@ -65,6 +66,7 @@ from repro.serve.protocol import (
     success_body,
 )
 from repro.serve.workers import serve_job, stored_answer
+from repro.store.backend import OPEN_ERRORS
 from repro.store.core import Store
 
 __all__ = ["ServeApp", "serve_main"]
@@ -107,6 +109,14 @@ class ServeApp:
         drain_grace_s: float = 10.0,
     ) -> None:
         self.cache_dir = cache_dir
+        # A read-only handle on the same store the workers write through,
+        # opened first: an unusable location fails before anything else
+        # is built.
+        self.store = (
+            Store.open(cache_dir, site="serve.store")
+            if cache_dir is not None
+            else None
+        )
         self.pool = WorkerPool(
             functools.partial(serve_job, cache_dir=cache_dir),
             workers=workers,
@@ -127,12 +137,6 @@ class ServeApp:
             "toolchain",
             failure_threshold=breaker_threshold,
             cooldown_s=breaker_cooldown_s,
-        )
-        # A read-only handle on the same store the workers write through.
-        self.store = (
-            Store.open(cache_dir, site="serve.store")
-            if cache_dir is not None
-            else None
         )
         self.crash_retries = max(0, int(crash_retries))
         self.drain_grace_s = drain_grace_s
@@ -580,19 +584,30 @@ class ServeApp:
 
 def serve_main(args) -> int:
     """Run the daemon from parsed CLI args (see ``repro serve --help``)."""
-    app = ServeApp(
-        cache_dir=args.cache_dir,
-        workers=args.workers,
-        deadline_s=args.deadline if args.deadline and args.deadline > 0 else None,
-        rate_per_s=args.rate,
-        burst=args.burst,
-        max_inflight=args.max_inflight,
-        memory_mb=args.memory_mb,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
-        crash_retries=args.crash_retries,
-        drain_grace_s=args.drain_grace,
-    )
+    try:
+        app = ServeApp(
+            cache_dir=args.cache_dir,
+            workers=args.workers,
+            deadline_s=(
+                args.deadline if args.deadline and args.deadline > 0 else None
+            ),
+            rate_per_s=args.rate,
+            burst=args.burst,
+            max_inflight=args.max_inflight,
+            memory_mb=args.memory_mb,
+            breaker_threshold=args.breaker_threshold,
+            breaker_cooldown_s=args.breaker_cooldown,
+            crash_retries=args.crash_retries,
+            drain_grace_s=args.drain_grace,
+        )
+    except OPEN_ERRORS as exc:
+        if args.cache_dir is None:
+            raise
+        print(
+            f"serve: unusable --cache-dir {args.cache_dir!r}: {exc}",
+            file=sys.stderr,
+        )
+        return 2
 
     def announce(host: str, port: int) -> None:
         # Machine-readable readiness line: tests and scripts wait for it.

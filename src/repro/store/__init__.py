@@ -9,6 +9,7 @@ record per entry, the consolidated fingerprint module, and the
 """
 
 from repro.store.backend import (
+    OPEN_ERRORS,
     DirBackend,
     EntryInfo,
     SqliteBackend,
@@ -28,6 +29,7 @@ from repro.store.provenance import PROVENANCE_SCHEMA, Provenance
 __all__ = [
     "DirBackend",
     "EntryInfo",
+    "OPEN_ERRORS",
     "PROVENANCE_SCHEMA",
     "Provenance",
     "SqliteBackend",

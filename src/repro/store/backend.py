@@ -58,7 +58,10 @@ Backends:
   ``<key>.json`` compact wrapper per entry (atomic temp +
   ``os.replace`` writes, ``.corrupt/`` quarantine) plus a
   ``.prov/<key>.json`` provenance sidecar.  Entries written by the
-  three pre-store caches, indented ones included, still hit.
+  three pre-store caches, indented ones included, still hit.  A lookup
+  is one open, one whole-file read and one hash: one reader, for
+  entries and sidecars alike, opens ``prefix + key + ".json"`` (the
+  root kept as a string) unbuffered, with no pathlib on the way.
 - :class:`SqliteBackend` — one WAL-mode sqlite file, safe under
   concurrent harness worker processes: writes are transactions
   (last-write-wins, never torn), lookups verify the stored body text
@@ -67,6 +70,7 @@ Backends:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sqlite3
@@ -83,6 +87,7 @@ __all__ = [
     "CORRUPT_DIR",
     "EntryInfo",
     "DirBackend",
+    "OPEN_ERRORS",
     "SqliteBackend",
     "VerifiedEntry",
     "encode_entry",
@@ -93,6 +98,11 @@ __all__ = [
 
 #: File suffixes that select the sqlite backend in ``open_backend``.
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+
+#: What opening a store at an unusable location raises: a path that is
+#: a regular file or lies under one, no permission, or a file sqlite
+#: cannot open as a database.  Commands report it as a usage error.
+OPEN_ERRORS = (OSError, sqlite3.Error)
 
 #: Name of the provenance sidecar directory inside a DirBackend root.
 PROV_DIR = ".prov"
@@ -239,7 +249,9 @@ def note_corruption(site: str, entry: str, problem: str) -> None:
     )
 
 
-def quarantine_file(path: os.PathLike, site: str, problem: str) -> None:
+def quarantine_file(
+    path: Union[str, os.PathLike], site: str, problem: str
+) -> None:
     """Move a corrupt entry into ``.corrupt/`` beside it, and count it."""
     path = Path(path)
     sidecar = path.parent / CORRUPT_DIR
@@ -254,7 +266,7 @@ def quarantine_file(path: os.PathLike, site: str, problem: str) -> None:
     note_corruption(site, entry=path.name, problem=problem)
 
 
-def _atomic_write(path: Path, body: Any) -> None:
+def _atomic_write(path: Union[str, os.PathLike], body: Any) -> None:
     """Wrap ``body`` and write it to ``path`` through a temp file.
 
     ``os.replace`` is atomic, so a reader never observes a torn file and
@@ -264,6 +276,7 @@ def _atomic_write(path: Path, body: Any) -> None:
     other's half-written temp; the last ``os.replace`` wins with an
     identical, fully-written file.
     """
+    path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(encode_entry(body))
@@ -272,15 +285,20 @@ def _atomic_write(path: Path, body: Any) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _read_verified(path: Path, site: str) -> Optional[VerifiedEntry]:
+def _read_verified(path: str, site: str) -> Optional[VerifiedEntry]:
     """The verified entry at ``path``, or None (healed) on failure.
 
-    A missing file is an ordinary miss (no quarantine, no warning); any
-    *present but unusable* file is quarantined so the next run never
-    trips over it again.
+    The one directory reader, for entries and provenance sidecars: it
+    opens the string path unbuffered and reads the file whole, so a
+    lookup is one open, one read and one hash.  A missing file is an
+    ordinary miss (no quarantine, no warning); any *present but
+    unusable* file (unreadable, e.g. a directory planted at the name,
+    or failing :func:`verify_entry`) is quarantined so the next run
+    never trips over it again.
     """
     try:
-        data = path.read_bytes()
+        with open(path, "rb", buffering=0) as f:
+            data = f.readall()
     except FileNotFoundError:
         return None
     except OSError as exc:
@@ -335,21 +353,36 @@ class DirBackend(_Backend):
     written in the one compact format, so a healed entry is
     bit-identical to the one it replaces; entries in another layout
     (the pre-store pipeline cache wrote ``indent=2``) still read.
+
+    Lookups (:meth:`read`, :meth:`provenance`) join plain strings onto
+    the root and read each file whole, every time: a stat or mtime
+    check cannot stand in for the read, because a same-size tamper
+    written within one timestamp tick would pass it unverified.  Opening
+    an existing directory stats it and creates nothing.
     """
 
     def __init__(
         self, root: Union[str, os.PathLike], site: str = "store"
     ) -> None:
-        self.root = Path(root)
         self.site = site
+        # Entry paths are plain strings, ``prefix + key + ".json"``: no
+        # pathlib on a lookup.
+        self._prefix = os.path.join(os.fspath(root), "")
+        self._prov_prefix = os.path.join(self._prefix, PROV_DIR, "")
         # Fail fast on an unusable location, before any work is spent.
-        self.root.mkdir(parents=True, exist_ok=True)
+        if not os.path.isdir(self._prefix):
+            self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    @functools.cached_property
+    def root(self) -> Path:
+        """The directory, for writes and listings."""
+        return Path(self._prefix)
 
-    def _prov_path(self, key: str) -> Path:
-        return self.root / PROV_DIR / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return self._prefix + key + ".json"
+
+    def _prov_path(self, key: str) -> str:
+        return self._prov_prefix + key + ".json"
 
     def read(self, key: str) -> Optional[VerifiedEntry]:
         return _read_verified(self._path(key), self.site)
@@ -373,23 +406,20 @@ class DirBackend(_Backend):
         maybe_corrupt(f"{self.site}.store", path, label=label or key)
 
     def annotate(self, key: str, provenance: Provenance) -> None:
-        prov_path = self._prov_path(key)
+        prov_path = Path(self._prov_path(key))
         prov_path.parent.mkdir(exist_ok=True)
         _atomic_write(prov_path, provenance.to_json())
 
     def provenance(self, key: str) -> Optional[Provenance]:
-        prov_path = self._prov_path(key)
-        if not prov_path.exists():
-            return None
-        entry = _read_verified(prov_path, f"{self.site}.prov")
+        entry = _read_verified(self._prov_path(key), f"{self.site}.prov")
         return Provenance.from_json(None if entry is None else entry.body)
 
     def delete(self, key: str) -> bool:
-        path = self._path(key)
+        path = Path(self._path(key))
         companion = self._companion_file(path)
         existed = path.exists()
         path.unlink(missing_ok=True)
-        self._prov_path(key).unlink(missing_ok=True)
+        Path(self._prov_path(key)).unlink(missing_ok=True)
         if companion is not None:
             companion.unlink(missing_ok=True)
         return existed

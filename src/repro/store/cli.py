@@ -27,17 +27,26 @@ import sys
 import time
 from typing import Optional
 
-__all__ = ["add_store_parser", "parse_since", "render_store_stats"]
+__all__ = [
+    "UnusableStore",
+    "add_store_parser",
+    "parse_since",
+    "render_store_stats",
+]
+
+
+class UnusableStore(Exception):
+    """A store PATH that exists but cannot be opened as a store."""
 
 
 def _command(fn):
-    """A missing store is a usage error (exit 2)."""
+    """A missing or unusable store is a usage error (exit 2)."""
 
     @functools.wraps(fn)
     def wrapper(args) -> int:
         try:
             return fn(args)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, UnusableStore) as exc:
             print(f"store {args.store_command}: {exc}", file=sys.stderr)
             return 2
 
@@ -65,17 +74,22 @@ def parse_since(text: str) -> float:
 def _open_store(path: str):
     """Open an existing store.  ``Store.open`` would create a missing
     one, so a mistyped PATH raises FileNotFoundError instead of being
-    created and reported empty."""
-    from repro.store import Store
+    created and reported empty; a PATH that cannot be a store (a
+    regular file without a sqlite suffix, say) raises UnusableStore."""
+    from repro.store import OPEN_ERRORS, Store
 
     if not os.path.exists(path):
         raise FileNotFoundError(f"no store at {path}")
-    return Store.open(path, site="store.cli")
+    try:
+        return Store.open(path, site="store.cli")
+    except OPEN_ERRORS as exc:
+        raise UnusableStore(f"unusable store {path!r}: {exc}") from None
 
 
 def render_store_stats(path: str) -> str:
     """The text rendering of one store's stats (also used by
-    ``repro stats --store``); FileNotFoundError if PATH is missing."""
+    ``repro stats --store``); FileNotFoundError if PATH is missing,
+    UnusableStore if it cannot be opened."""
     store = _open_store(path)
     try:
         stats = store.stats()

@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from typing import Any, Optional, Union
 
+from repro import obs
 from repro.store.backend import EntryInfo, VerifiedEntry, open_backend
 from repro.store.fingerprint import engine_fingerprint
 from repro.store.provenance import Provenance
@@ -53,8 +54,6 @@ class Store:
     def read(self, key: str) -> Optional[VerifiedEntry]:
         """The digest-verified lookup: a handle whose body is parsed on
         first use, or None.  Corrupt entries heal and count a miss."""
-        from repro import obs
-
         entry = self.backend.read(key)
         outcome = "store.misses" if entry is None else "store.hits"
         obs.get_metrics().counter(outcome).inc()
@@ -72,8 +71,6 @@ class Store:
         provenance: Optional[Provenance] = None,
         label: str = "",
     ) -> None:
-        from repro import obs
-
         self.backend.put(key, body, provenance=provenance, label=label)
         obs.get_metrics().counter("store.puts").inc()
 
@@ -165,8 +162,6 @@ class Store:
         """Aggregate view for ``repro store stats``: entry counts and
         bytes overall and per op, stale-vs-current engine breakdown,
         and this process's hit/miss/put/heal counters."""
-        from repro import obs
-
         if current_engine is None:
             current_engine = engine_fingerprint()
         infos = self.backend.items()

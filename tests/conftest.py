@@ -1,11 +1,35 @@
-"""Shared fixtures: the paper's stencils and ISGs, reused across the suite."""
+"""Shared fixtures: the paper's stencils and ISGs, reused across the suite,
+and a session-end report of what could keep the interpreter alive."""
 
 from __future__ import annotations
+
+import multiprocessing
+import sys
+import threading
 
 import pytest
 
 from repro.core.stencil import Stencil
 from repro.util.polyhedron import Polytope
+
+
+def pytest_unconfigure(config):
+    """Name every live non-daemon thread other than the main one and every
+    live ``multiprocessing`` child: interpreter exit waits on them, so a
+    run that lingers after its summary line says here what it waits for.
+    Prints only; fails nothing."""
+    threads = [
+        t
+        for t in threading.enumerate()
+        if t is not threading.main_thread() and not t.daemon and t.is_alive()
+    ]
+    children = multiprocessing.active_children()
+    if not threads and not children:
+        return
+    lines = [f"thread {t.name} (native id {t.native_id})" for t in threads]
+    lines += [f"child process {p.name} (pid {p.pid})" for p in children]
+    heading = "\nnon-daemon threads and child processes alive at session end:"
+    print(heading, *lines, sep="\n  ", file=sys.stderr)
 
 
 @pytest.fixture

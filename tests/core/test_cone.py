@@ -121,6 +121,81 @@ class TestConeSolverExact:
         assert (dfs is None) == (milp is None)
 
 
+def unbounded_dfs(vectors, target):
+    """The search bounded by the positivity functional alone: every
+    coefficient from ``w·rem // w·v`` down to 0, generators in the given
+    (solver's) order, with the non-negativity prune and a failure memo
+    but no per-coordinate cap, so it finds the same first certificate
+    as :class:`ConeSolver` in the same order."""
+    weights = positivity_functional(vectors)
+
+    def dot(v):
+        return sum(w * c for w, c in zip(weights, v))
+
+    nonneg = [
+        [k for k in range(len(target)) if all(v[k] >= 0 for v in vectors[i:])]
+        for i in range(len(vectors) + 1)
+    ]
+    coeffs = [0] * len(vectors)
+    failed = set()
+
+    def dfs(i, rem):
+        if all(c == 0 for c in rem):
+            coeffs[i:] = [0] * (len(vectors) - i)
+            return True
+        if i == len(vectors) or dot(rem) < 0:
+            return False
+        if any(rem[k] < 0 for k in nonneg[i]) or (i, rem) in failed:
+            return False
+        v = vectors[i]
+        for a in range(dot(rem) // dot(v), -1, -1):
+            coeffs[i] = a
+            if dfs(i + 1, tuple(r - a * c for r, c in zip(rem, v))):
+                return True
+        failed.add((i, rem))
+        return False
+
+    if not dfs(0, tuple(target)):
+        return None
+    return {v: c for v, c in zip(vectors, coeffs) if c}
+
+
+class TestCoordinateBounds:
+    """Each DFS coefficient is also capped per non-negative coordinate."""
+
+    def test_certificates_match_the_unbounded_search(self):
+        import random
+
+        rng = random.Random(1998)
+        for _ in range(1000):
+            dim = rng.randint(1, 3)
+            drawn = [
+                tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(1, 4))
+            ]
+            target = tuple(rng.randint(-4, 9) for _ in range(dim))
+            vectors = {v for v in drawn if next((c for c in v if c), 0) > 0}
+            if not vectors:
+                continue
+            solver = ConeSolver(sorted(vectors))
+            got = solver.solve(target)
+            if got is not None:
+                got = {v: c for v, c in got.items() if c}
+            assert got == unbounded_dfs(solver.vectors, target), (
+                sorted(vectors), target,
+            )
+
+    def test_partition_instance_exhausts_in_few_nodes(self):
+        from repro.core.npcomplete import reduction_from_partition
+
+        # Infeasible (odd total): the search must exhaust it.  Bounded by
+        # the positivity functional alone it took 307,736 nodes.
+        stencil, w = reduction_from_partition((6, 4, 7, 1, 8, 7))
+        solver = ConeSolver(stencil.vectors, backend="dfs")
+        assert solver.solve(w) is None
+        assert solver.stats["dfs_nodes"] < 50_000
+
+
 class TestRationalCone:
     def test_integer_gap(self):
         # (1,1) is rationally 0.5*(2,2) but not an integer combination.

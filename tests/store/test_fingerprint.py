@@ -29,6 +29,24 @@ class TestCanonicalJson:
             {"y": 2, "x": 1}
         )
 
+    def test_bytes_equal_json_dumps_sort_keys(self):
+        corpus = [
+            "bare string",
+            "",
+            "non-ASCII: é ü 漢字 \u2028 \U0001f600",
+            {"é": "ü", "z": ["\x00", "\t\n\"\\"]},
+            0.1, -2.5e-300, 1e22, 3.0, float("inf"), float("-inf"),
+            [1, [2, [3, []]], {}, [{}], {"a": {}}],
+            {"b": {"d": [1.5, None, True, False], "c": {}}, "a": []},
+            {}, [], None, True, 0, -7, 2**70,
+            {"structural": {"name": "heat7", "bounds": [[1, "T"], [0, "L-1"]],
+                            "combine": {"weights": [0.02, 0.08, 0.2]}}},
+        ]
+        for payload in corpus:
+            assert canonical_json(payload) == (
+                json.dumps(payload, sort_keys=True).encode()
+            ), payload
+
 
 class TestContentHashPinnedFormat:
     def test_is_sha256_of_sorted_json(self):

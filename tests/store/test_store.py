@@ -360,6 +360,50 @@ class TestVerifyThenParse:
         assert entry.parsed and entry.body == {"old": True}
 
 
+class TestUnreadableEntries:
+    """The directory reader opens ``<key>.json`` itself: a present path
+    it cannot read is quarantined, counted and read as a miss."""
+
+    def test_directory_at_an_entry_name_is_quarantined(self, tmp_path):
+        root = tmp_path / "cache"
+        store = Store(DirBackend(root, site="test"))
+        (root / "k.json").mkdir()
+        with pytest.warns(UserWarning, match="unreadable"):
+            assert store.read("k") is None
+        assert (root / CORRUPT_DIR / "k.json").is_dir()
+        assert not (root / "k.json").exists()
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters["store.heal.quarantined"] == 1
+        assert counters["store.heal.test"] == 1
+        assert counters["store.misses"] == 1
+        store.put("k", {"v": 1})  # the name is free again: it heals
+        assert store.get("k") == {"v": 1}
+
+    def test_directory_at_a_provenance_name_is_quarantined(self, tmp_path):
+        root = tmp_path / "cache"
+        store = Store(DirBackend(root, site="test"))
+        store.put("k", {"v": 1})
+        (root / ".prov" / "k.json").mkdir(parents=True)
+        with pytest.warns(UserWarning, match="unreadable"):
+            assert store.provenance("k") is None
+        assert (root / ".prov" / CORRUPT_DIR / "k.json").is_dir()
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert counters["store.heal.quarantined"] == 1
+        assert counters["store.heal.test.prov"] == 1
+        assert store.get("k") == {"v": 1}  # the value is untouched
+        store.annotate("k", prov(op="execute"))
+        assert store.provenance("k").op == "execute"
+
+    def test_missing_sidecar_heals_nothing(self, tmp_path):
+        root = tmp_path / "cache"
+        store = Store(DirBackend(root, site="test"))
+        store.put("k", {"v": 1})
+        assert store.provenance("k") is None
+        counters = obs.get_metrics().snapshot()["counters"]
+        assert not any(name.startswith("store.heal") for name in counters)
+        assert not (root / ".prov").exists()
+
+
 class TestOpenBackend:
     def test_sqlite_suffix_selects_sqlite(self, tmp_path):
         st = Store.open(tmp_path / "x.sqlite")

@@ -677,3 +677,79 @@ class TestExperiments:
             main(["experiments", *out, "--no-cache", "--resume"])
         assert excinfo.value.code == 2
         assert "--checkpoint" in capsys.readouterr().err
+
+
+#: Every command that opens a store, by the prefix its errors carry.
+STORE_COMMANDS = {
+    "compile": ["compile", "stencil5", "--cache-dir", "{path}"],
+    "run": ["run", "stencil5", "--cache-dir", "{path}"],
+    "serve": [
+        "serve", "--port", "0", "--workers", "1", "--cache-dir", "{path}",
+    ],
+    "store stats": ["store", "stats", "{path}"],
+    "store query": ["store", "query", "{path}"],
+    "store gc": ["store", "gc", "{path}", "--keep-latest", "1"],
+    "stats": ["stats", "--store", "{path}"],
+}
+
+
+class TestUnusableCacheDir:
+    """A store path that is a regular file, lies under one, or is no
+    sqlite database is a usage error: exit 2, one line, no traceback."""
+
+    @staticmethod
+    def unusable(tmp_path, kind):
+        if kind == "not-a-database":
+            path = tmp_path / "text.sqlite"
+            path.write_text("not a database\n")
+            return str(path)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a store\n")
+        return str(blocker if kind == "file" else blocker / "cache")
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            (command, kind)
+            for command, argv in STORE_COMMANDS.items()
+            for kind in ("file", "under-file", "not-a-database")
+            # Under a file, a store PATH is missing: "no store at PATH".
+            if kind != "under-file" or "--cache-dir" in argv
+        ],
+    )
+    def test_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, command, kind
+    ):
+        from repro.serve.app import ServeApp
+
+        def serving(*args, **kwargs):
+            raise AssertionError("the daemon started on an unusable store")
+
+        monkeypatch.setattr(ServeApp, "run_async", serving)
+        path = self.unusable(tmp_path, kind)
+        argv = [arg.format(path=path) for arg in STORE_COMMANDS[command]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        flag = "--cache-dir" if "--cache-dir" in argv else "store"
+        assert line.startswith(f"{command}: unusable {flag} {path!r}: ")
+
+    def test_serve_startup_exits_2_without_a_traceback(self, tmp_path):
+        path = self.unusable(tmp_path, "file")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1", "--cache-dir", path],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"serve: unusable --cache-dir {path!r}: "
+            f"[Errno 17] File exists: {path!r}\n"
+        )
