@@ -701,29 +701,16 @@ def _cmd_stats(args) -> int:
     from repro.obs.ledger import LEDGER_ENV, render_stats
 
     path = args.file or os.environ.get(LEDGER_ENV)
-    if not path and not args.store:
+    if not path:
         print(
-            "stats: no ledger file (pass FILE or set REPRO_LEDGER) "
-            "and no --store",
+            "stats: no ledger file (pass FILE or set REPRO_LEDGER)",
             file=sys.stderr,
         )
         return 2
-    if path:
-        if not os.path.exists(path):
-            print(f"stats: no such ledger file: {path}", file=sys.stderr)
-            return 2
-        print(render_stats(path, top=args.top))
-    if args.store:
-        from repro.store.cli import UnusableStore, render_store_stats
-
-        try:
-            text = render_store_stats(args.store)
-        except (FileNotFoundError, UnusableStore) as exc:
-            print(f"stats: {exc}", file=sys.stderr)
-            return 2
-        if path:
-            print()
-        print(text)
+    if not os.path.exists(path):
+        print(f"stats: no such ledger file: {path}", file=sys.stderr)
+        return 2
+    print(render_stats(path, top=args.top))
     return 0
 
 
@@ -1121,13 +1108,6 @@ def main(argv=None) -> int:
         metavar="K",
         help="how many slowest executions to list (default 5)",
     )
-    p_stats.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="also summarise a unified store (cache dir or *.sqlite): "
-        "entry counts, bytes, per-op and stale-vs-current breakdown",
-    )
     p_stats.set_defaults(func=_cmd_stats)
 
     p_serve = sub.add_parser(
@@ -1243,11 +1223,7 @@ def main(argv=None) -> int:
             parser.error(f"--inject: {exc}")
         install_plan(plan)
         plan.arm_env()  # worker processes inherit the plan
-    # The experiments subcommand forwards --trace/--log-level to the
-    # report driver (which also runs standalone); every other subcommand
-    # gets the obs lifecycle managed right here.
-    own_obs = args.command != "experiments"
-    if own_obs and (args.trace or args.log_level):
+    if args.trace or args.log_level:
         obs.configure(
             trace_path=args.trace,
             log_level=args.log_level,
@@ -1258,10 +1234,9 @@ def main(argv=None) -> int:
         # Arm kernel-level profiling too: the native engine compiles its
         # instrumented variant and reports real kernel time.
         obs.set_profiling(True)
-    if own_obs:
-        # Opens the run ledger when --ledger or REPRO_LEDGER names one;
-        # otherwise ledger_record stays a no-op.
-        obs.configure_ledger(args.ledger)
+    # Opens the run ledger when --ledger or REPRO_LEDGER names one;
+    # otherwise ledger_record stays a no-op.
+    obs.configure_ledger(args.ledger)
     try:
         status = args.func(args)
         # Buffered output meets a closed pipe here, not at exit.
@@ -1279,9 +1254,9 @@ def main(argv=None) -> int:
             obs.set_profiling(was_profiling)
             print("-- metrics --", file=sys.stderr)
             print(obs.render_profile(), file=sys.stderr)
-        if own_obs and args.trace:
+        if args.trace:
             obs.shutdown()  # also closes the ledger
-        elif own_obs:
+        else:
             obs.shutdown_ledger()
 
 

@@ -27,10 +27,9 @@ are retried with exponential backoff and deterministic jitter up to
 recorded with its full identity (code, mapping, sizes, seed, machine) in
 the runner telemetry — rather than poisoning the batch.  ``timeout_s``
 is the pool's per-task deadline.  Every result is durable the moment it
-completes: it is an atomic store entry, so a killed run re-run on the
-same cache simulates only what it had not finished, and
-``checkpoint_path`` names a second, run-scoped store that a ``resume``
-run (``repro report --no-cache --checkpoint DIR --resume``) replays.
+completes: it is an atomic store entry, so the cache is the run's
+checkpoint, and a killed run re-run on the same cache simulates only
+what it had not finished.
 """
 
 from __future__ import annotations
@@ -361,10 +360,9 @@ class SimulationRunner:
     with exponential backoff + deterministic jitter; tasks that exhaust
     retries are quarantined, not fatal (unless ``strict``, when a
     :class:`TaskFailure` carrying every task identity is raised after
-    the whole batch ran).  ``checkpoint_path`` opens a second store (a
-    directory, or ``*.sqlite``/``*.db``) that every result is also
-    written to; only ``resume=True`` reads it back, so a killed run
-    continues with zero redundant simulations even without a cache.
+    the whole batch ran).  Each result is a store entry the moment it
+    completes, so a killed run re-run on the same cache continues with
+    zero redundant simulations.
     """
 
     #: How many slowest-task entries :meth:`telemetry` keeps.
@@ -376,8 +374,6 @@ class SimulationRunner:
         cache_dir: str | os.PathLike | Store | None = None,
         timeout_s: Optional[float] = None,
         retry: "int | RetryPolicy | None" = None,
-        checkpoint_path: str | os.PathLike | None = None,
-        resume: bool = False,
     ):
         self.jobs = max(1, int(jobs))
         opened = cache_dir is not None and not isinstance(cache_dir, Store)
@@ -396,20 +392,7 @@ class SimulationRunner:
         self._slowest: list[tuple[float, str]] = []
         # Resilience bookkeeping.
         self.retries_used = 0
-        self.resumed = 0
         self.quarantined: list[QuarantineRecord] = []
-        self.checkpoint_path = (
-            Path(checkpoint_path) if checkpoint_path is not None else None
-        )
-        # A fresh run neither reads nor deletes earlier entries: it
-        # overwrites the keys it recomputes with identical bodies.
-        self._checkpoint = (
-            Store.open(checkpoint_path, site="harness.checkpoint")
-            if checkpoint_path is not None
-            else None
-        )
-        # Only a resumed run reads the checkpoint back.
-        self._resume_from = self._checkpoint if resume else None
 
     @staticmethod
     def open_store(path: str | os.PathLike) -> Store:
@@ -418,18 +401,17 @@ class SimulationRunner:
         return Store.open(path, site="harness.cache")
 
     def close(self) -> None:
-        """Close the stores this runner opened (idempotent); a store
+        """Close the store this runner opened (idempotent); a store
         passed in open stays open."""
-        for store in (self._owned_store, self._checkpoint):
-            if store is not None:
-                store.close()
+        if self._owned_store is not None:
+            self._owned_store.close()
 
     def interrupt_flush(self, signame: str) -> None:
         """Record an interrupted run before the process dies.
 
         Called from a SIGINT/SIGTERM handler (:func:`interruption_guard`).
         Every finished result is already a durable store entry, so this
-        only closes the stores and writes a final run-ledger record
+        only closes the store and writes a final run-ledger record
         carrying the progress counts and every quarantined identity:
         *when and why* the run stopped.
         """
@@ -442,13 +424,7 @@ class SimulationRunner:
             simulated=self.simulated,
             cache_hits=self.cache_hits,
             retries=self.retries_used,
-            resumed=self.resumed,
             quarantined=[r.to_json() for r in self.quarantined],
-            checkpoint=(
-                str(self.checkpoint_path)
-                if self.checkpoint_path is not None
-                else None
-            ),
         )
         obs.shutdown_ledger()
 
@@ -483,18 +459,10 @@ class SimulationRunner:
             "runner.run_tasks", tasks=len(tasks), jobs=self.jobs
         ) as sp:
             for i, task in enumerate(tasks):
-                key = self.task_key(task)
-                resumed = self._load(self._resume_from, key)
-                cached = resumed or self._load(self._store, key)
+                cached = self._load(self.task_key(task))
                 if cached is None:
                     misses.append(i)
                     continue
-                if resumed is not None:
-                    self.resumed += 1
-                    metrics.counter("resilience.checkpoint.resumed").inc()
-                    # Warm the cache too: the checkpoint is run-scoped,
-                    # the cache outlives it.
-                    self._save((self._store,), task, key, resumed)
                 results[i] = cached
                 self.cache_hits += 1
                 metrics.counter("sim.cache.hits").inc()
@@ -505,7 +473,6 @@ class SimulationRunner:
                     "sim.task",
                     task=task.label,
                     cache_hit=True,
-                    resumed=resumed is not None,
                     wall_s=0.0,
                     worker=os.getpid(),
                 )
@@ -620,8 +587,7 @@ class SimulationRunner:
     ) -> None:
         results[i] = result
         self.simulated += 1
-        stores = (self._store, self._checkpoint)
-        self._save(stores, task, self.task_key(task), result, wall_s)
+        self._save(task, self.task_key(task), result, wall_s)
         self._record_miss(task, result, wall_s, worker, sp)
 
     def _note_retry(self, task: SimTask, attempt: int, key: str, sp) -> None:
@@ -716,40 +682,39 @@ class SimulationRunner:
             ],
             "retries": self.retries_used,
             "quarantined": [r.to_json() for r in self.quarantined],
-            "resumed": self.resumed,
         }
 
     # -- the content-addressed cache ------------------------------------
 
     task_key = staticmethod(task_key)
 
-    @staticmethod
-    def _load(store: Store | None, key: str) -> SimResult | None:
-        """The result under ``key``; None for none or a stale schema (a
-        stale engine's entries never match: keys fold in the engine)."""
-        if store is None:
+    def _load(self, key: str) -> SimResult | None:
+        """The cached result under ``key``; None for none or a stale
+        schema (a stale engine's entries never match: keys fold in the
+        engine)."""
+        if self._store is None:
             return None
-        return stored_result(store.get(key))
+        return stored_result(self._store.get(key))
 
-    @staticmethod
-    def _save(stores, task, key, result, wall_s=None) -> None:
-        """Put ``result`` under ``key`` into every open store in
-        ``stores``, with one provenance record."""
-        body = asdict(result)
+    def _save(self, task, key, result, wall_s) -> None:
+        """Put ``result`` under ``key`` into the cache, if there is one,
+        with its provenance record."""
+        if self._store is None:
+            return
         provenance = Provenance.now(
             op="simulate",
             inputs={"task": content_hash(task_identity(task))},
             engine=engine_fingerprint(),
             machine=task.machine.name,
-            wall_s=round(wall_s, 6) if wall_s is not None else None,
+            wall_s=round(wall_s, 6),
             extra={"label": task.label},
         )
-        for store in stores:
-            # A directory store fires the chaos suite's ``<site>.store``
-            # corruption hook after the write and quarantines corrupt
-            # entries on the next read.
-            if store is not None:
-                store.put(key, body, provenance=provenance, label=task.label)
+        # A directory store fires the chaos suite's ``<site>.store``
+        # corruption hook after the write and quarantines corrupt
+        # entries on the next read.
+        self._store.put(
+            key, asdict(result), provenance=provenance, label=task.label
+        )
 
 
 _RUNNER = SimulationRunner()
@@ -773,12 +738,12 @@ def interruption_guard(runner: SimulationRunner):
     """SIGINT/SIGTERM handlers that keep an interrupted run resumable.
 
     While the body runs, a delivered SIGINT or SIGTERM first calls
-    :meth:`SimulationRunner.interrupt_flush` — stores closed, final
+    :meth:`SimulationRunner.interrupt_flush` — store closed, final
     ledger record with the quarantine list — and then resumes the
     interruption (``KeyboardInterrupt`` for SIGINT,
     ``SystemExit(128+signum)`` for SIGTERM).  The finished results are
-    already durable store entries, so a re-run (or ``--resume``) picks
-    up where this one stopped.
+    already durable cache entries, so re-running the same command on
+    the same cache picks up where this one stopped.
 
     Installs handlers only on the main thread (the only place Python
     allows it); elsewhere it is a no-op pass-through.  Previous

@@ -1,14 +1,14 @@
 """Run every experiment and write EXPERIMENTS.md.
 
 ``python -m repro.experiments.report [--mode full|quick] [--out PATH]``
-regenerates the paper-vs-measured record for all tables and figures.
+is ``repro-uov experiments`` under its module name: it regenerates the
+paper-vs-measured record for all tables and figures, and takes every
+flag of that subcommand, the observability flags included.
 ``--jobs N`` simulates points on N worker processes; ``--cache-dir``
 points the content-addressed result cache somewhere else (default
 ``.sim-cache/``), and ``--no-cache`` disables it — a warm cache re-runs
 a figure with zero fresh simulations, and a killed run re-run on the
-same cache simulates only what it had not finished.  Without a cache,
-``--checkpoint DIR`` (or a ``*.sqlite`` file) keeps the run's results in
-a store of their own, which ``--resume`` reads back.  ``--trace FILE``
+same cache simulates only what it had not finished.  ``--trace FILE``
 records a structured JSONL trace of the whole run (render it with
 ``repro-uov trace-summary FILE``), and the written report always ends
 with a "Telemetry" appendix: per-figure simulation counts, the cache hit
@@ -21,7 +21,6 @@ import argparse
 import importlib
 import sys
 import time
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
@@ -168,7 +167,6 @@ def telemetry_appendix(
         f"retries {counters.get('resilience.retries', 0)}",
         f"quarantines {counters.get('resilience.quarantines', 0)}",
         f"corrupt cache entries {counters.get('resilience.cache.corrupt', 0)}",
-        f"checkpoint-resumed {counters.get('resilience.checkpoint.resumed', 0)}",
     ]
     out.append(f"- resilience (DESIGN.md §12): {', '.join(resilience)}")
     # Searches, the native engine and the simulator all degrade through
@@ -310,11 +308,8 @@ def write_report(
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Declare the report's run flags on ``parser`` and return it.
-
-    The single declaration: ``repro-uov experiments`` adds the same
-    flags to its subcommand through this function.
-    """
+    """Declare the report's run flags on ``parser`` (the
+    ``repro-uov experiments`` subcommand) and return it."""
     parser.add_argument("--mode", choices=("quick", "full"), default="quick")
     parser.add_argument("--out", default="EXPERIMENTS.md")
     parser.add_argument(
@@ -349,102 +344,44 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         metavar="N",
         help="retries per failed simulation before quarantining it",
     )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help=(
-            "also store every result in this run-scoped store (a directory"
-            ", or a *.sqlite file), for --resume without a cache"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "replay the results already in --checkpoint instead of "
-            "simulating them (with the cache on, finished results come "
-            "back as cache hits anyway)"
-        ),
-    )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = add_arguments(argparse.ArgumentParser(description=__doc__))
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="write a structured JSONL trace of the whole run",
-    )
-    parser.add_argument(
-        "--log-level",
-        default=None,
-        metavar="LEVEL",
-        help="stderr log level for the repro.* loggers (e.g. INFO, DEBUG)",
-    )
-    parser.add_argument(
-        "--ledger",
-        default=None,
-        metavar="FILE",
-        help="append one run-ledger entry per experiment "
-        "(also: REPRO_LEDGER env; query with repro-uov stats)",
-    )
-    return run(parser.parse_args(argv), parser.error)
+    """``python -m repro.experiments.report``: ``repro-uov experiments``
+    with the same flags, tracer and ledger."""
+    from repro.cli import main as cli_main
+
+    args = sys.argv[1:] if argv is None else argv
+    return cli_main(["experiments", *args])
 
 
 def run(args: argparse.Namespace, error: Callable[[str], None]) -> int:
-    """Run the report for parsed ``args``: :func:`add_arguments`' flags
-    plus ``trace``, ``log_level`` and ``ledger``.  ``error`` reports a
-    usage error and does not return (``ArgumentParser.error``)."""
+    """Run the report for the parsed ``repro-uov experiments`` ``args``;
+    the CLI owns the tracer and the ledger.  ``error`` reports a usage
+    error and does not return (``ArgumentParser.error``)."""
     from repro.experiments.harness import (
         SimulationRunner,
         interruption_guard,
         set_runner,
     )
+    from repro.store import OPEN_ERRORS
 
-    if args.resume and args.no_cache and args.checkpoint is None:
-        error("--resume with --no-cache needs an explicit --checkpoint")
     try:
         runner = SimulationRunner(
             jobs=args.jobs,
             cache_dir=None if args.no_cache else args.cache_dir,
             timeout_s=args.timeout,
             retry=args.retries,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
         )
-    except OSError as exc:
-        # Name the store that failed.  The runner opens the cache first,
-        # and the error carries the path it failed on: the store's own
-        # or one of its parents.
-        failed, cache = Path(exc.filename or ""), Path(args.cache_dir)
-        flag, path = "--cache-dir", args.cache_dir
-        if args.checkpoint is not None and (
-            args.no_cache or failed not in (cache, *cache.parents)
-        ):
-            flag, path = "--checkpoint", args.checkpoint
-        error(f"unusable {flag} {path!r}: {exc}")
+    except OPEN_ERRORS as exc:
+        error(f"unusable --cache-dir {args.cache_dir!r}: {exc}")
     except ValueError as exc:
         error(str(exc))
     set_runner(runner)
-    # The repro-uov CLI may already own a live tracer for this exact
-    # path; only open (and later close) our own when nobody else has.
-    own_trace = bool(args.trace) and not obs.enabled()
-    if own_trace or args.log_level:
-        obs.configure(
-            trace_path=args.trace if own_trace else None,
-            log_level=args.log_level,
-            program="repro.experiments.report",
-        )
-    # Open the run ledger only when nobody upstream already did.
-    own_ledger = obs.get_ledger() is None
-    if own_ledger:
-        obs.configure_ledger(args.ledger)
     t0 = time.time()
     try:
-        # SIGINT/SIGTERM mid-run: close the stores and write a final
+        # SIGINT/SIGTERM mid-run: close the store and write a final
         # ledger record before dying.
         with interruption_guard(runner), obs.span(
             "report.run_all", mode=args.mode
@@ -460,18 +397,11 @@ def run(args: argparse.Namespace, error: Callable[[str], None]) -> int:
         )
     finally:
         runner.close()
-        if own_trace:
-            obs.shutdown()
-        elif own_ledger:
-            obs.shutdown_ledger()
     total = sum(len(r.claims) for r in results)
     passed = sum(sum(c.holds for c in r.claims) for r in results)
-    extras = ""
-    if runner.resumed or runner.quarantined:
-        extras = (
-            f", {runner.resumed} resumed"
-            f", {len(runner.quarantined)} quarantined"
-        )
+    extras = (
+        f", {len(runner.quarantined)} quarantined" if runner.quarantined else ""
+    )
     print(
         f"wrote {args.out}: {passed}/{total} claims hold "
         f"({runner.simulated} simulated, {runner.cache_hits} cache hits"

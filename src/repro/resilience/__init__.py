@@ -22,8 +22,7 @@ The cross-cutting robustness layer (DESIGN.md §12).  Four pillars:
   :mod:`repro.store.backend`).
 
 Everything reports through obs as ``resilience.*`` counters: retries,
-quarantines, degradations, corrupt-cache hits, injected faults,
-checkpoint-resumed results.
+quarantines, degradations, corrupt-cache hits, injected faults.
 """
 
 from repro.resilience.budget import (

@@ -89,6 +89,7 @@ __all__ = [
     "DirBackend",
     "OPEN_ERRORS",
     "SqliteBackend",
+    "UnusableStore",
     "VerifiedEntry",
     "encode_entry",
     "open_backend",
@@ -103,6 +104,12 @@ SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 #: a regular file or lies under one, no permission, or a file sqlite
 #: cannot open as a database.  Commands report it as a usage error.
 OPEN_ERRORS = (OSError, sqlite3.Error)
+
+
+class UnusableStore(Exception):
+    """A store path that cannot be opened as a store (``OPEN_ERRORS``);
+    the message names the path."""
+
 
 #: Name of the provenance sidecar directory inside a DirBackend root.
 PROV_DIR = ".prov"

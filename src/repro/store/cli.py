@@ -27,16 +27,9 @@ import sys
 import time
 from typing import Optional
 
-__all__ = [
-    "UnusableStore",
-    "add_store_parser",
-    "parse_since",
-    "render_store_stats",
-]
+from repro.store.backend import UnusableStore
 
-
-class UnusableStore(Exception):
-    """A store PATH that exists but cannot be opened as a store."""
+__all__ = ["add_store_parser", "parse_since"]
 
 
 def _command(fn):
@@ -86,48 +79,36 @@ def _open_store(path: str):
         raise UnusableStore(f"unusable store {path!r}: {exc}") from None
 
 
-def render_store_stats(path: str) -> str:
-    """The text rendering of one store's stats (also used by
-    ``repro stats --store``); FileNotFoundError if PATH is missing,
-    UnusableStore if it cannot be opened."""
-    store = _open_store(path)
+@_command
+def _cmd_store_stats(args) -> int:
+    store = _open_store(args.path)
     try:
         stats = store.stats()
     finally:
         store.close()
-    lines = [
-        f"store {path}: {stats['entries']} entries, {stats['bytes']} bytes"
-    ]
+    if args.format == "json":
+        print(json.dumps(stats, indent=2, sort_keys=True))
+        return 0
+    print(
+        f"store {args.path}: {stats['entries']} entries, "
+        f"{stats['bytes']} bytes"
+    )
     if stats["by_op"]:
-        lines.append("by op:")
+        print("by op:")
         for op, slot in stats["by_op"].items():
-            lines.append(
+            print(
                 f"  {op:<16s} {slot['entries']:>6d} entries  "
                 f"{slot['bytes']:>10d} bytes"
             )
     eng = stats["engine"]
-    lines.append(
+    print(
         f"engine {eng['current_fingerprint']}: "
         f"{eng['current']} current, {eng['stale']} stale"
     )
     if stats["session"]:
-        lines.append("this session:")
+        print("this session:")
         for name, value in stats["session"].items():
-            lines.append(f"  {name:<24s} {value}")
-    return "\n".join(lines)
-
-
-@_command
-def _cmd_store_stats(args) -> int:
-    if args.format == "json":
-        store = _open_store(args.path)
-        try:
-            stats = store.stats()
-        finally:
-            store.close()
-        print(json.dumps(stats, indent=2, sort_keys=True))
-        return 0
-    print(render_store_stats(args.path))
+            print(f"  {name:<24s} {value}")
     return 0
 
 

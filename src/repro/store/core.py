@@ -14,7 +14,7 @@ backend:
   staleness vs. the current engine);
 - :meth:`gc` with ``keep_latest``-per-op and ``max_bytes`` budgets
   (:meth:`gc_victims` previews it);
-- :meth:`stats` for ``repro store stats`` / ``repro stats --store``.
+- :meth:`stats` for ``repro store stats``.
 
 Keys are caller-chosen strings: each legacy cache keeps its historical
 key scheme (and therefore its warm on-disk entries) and simply routes

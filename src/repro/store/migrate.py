@@ -27,7 +27,12 @@ import re
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.store.backend import DirBackend, open_backend
+from repro.store.backend import (
+    OPEN_ERRORS,
+    DirBackend,
+    UnusableStore,
+    open_backend,
+)
 from repro.store.provenance import Provenance
 
 __all__ = ["infer_op", "migrate_path"]
@@ -58,16 +63,21 @@ def migrate_path(
     In place (default): annotate every recognised entry with inferred
     provenance, skipping entries that already have some (idempotent).
     With ``into``: copy entries (same keys) into the target store path
-    — a directory or a ``*.sqlite``/``*.db`` file.  Unreadable or
-    digest-mismatched entries are quarantined, never migrated.
+    — a directory or a ``*.sqlite``/``*.db`` file; UnusableStore if it
+    cannot be opened as one.  Unreadable or digest-mismatched entries
+    are quarantined, never migrated.
     """
     source = Path(source)
     if not source.is_dir():
         raise FileNotFoundError(f"not a cache directory: {source}")
     annotator = DirBackend(source, site="store.migrate")
-    target = (
-        open_backend(into, site="store.migrate") if into is not None else None
-    )
+    target = None
+    if into is not None:
+        try:
+            target = open_backend(into, site="store.migrate")
+        except OPEN_ERRORS as exc:
+            message = f"unusable --into {str(into)!r}: {exc}"
+            raise UnusableStore(message) from None
     report = {
         "source": str(source),
         "into": str(into) if into is not None else None,

@@ -1,4 +1,7 @@
-"""Interruption handling: SIGINT/SIGTERM leave a resumable run behind."""
+"""Interruption handling: SIGINT/SIGTERM leave a resumable run behind.
+
+The result cache is the run's checkpoint: every finished simulation is
+already an entry in it when a signal arrives."""
 
 import os
 import signal
@@ -28,11 +31,7 @@ def version():
 
 
 def make_runner(tmp_path, **kwargs):
-    return SimulationRunner(
-        checkpoint_path=tmp_path / "run",
-        cache_dir=tmp_path / "cache",
-        **kwargs,
-    )
+    return SimulationRunner(cache_dir=tmp_path / "cache", **kwargs)
 
 
 class TestSignalFlush:
@@ -81,22 +80,17 @@ class TestSignalFlush:
             with interruption_guard(runner):
                 os.kill(os.getpid(), signal.SIGTERM)
 
-        # The checkpoint holds the completed result...
-        with Store.open(tmp_path / "run") as checkpoint:
-            assert len(checkpoint.keys()) == 1
-        # ...and a resumed runner replays it without simulating, even
-        # with the result cache pointed elsewhere.
-        resumed = SimulationRunner(
-            checkpoint_path=tmp_path / "run",
-            cache_dir=tmp_path / "cache2",
-            resume=True,
-        )
+        # The cache holds the completed result...
+        with Store.open(tmp_path / "cache") as cache:
+            assert len(cache.keys()) == 1
+        # ...and a re-run on the same cache replays it without simulating.
+        rerun = make_runner(tmp_path)
         try:
-            resumed.run(version, SIZES, MACHINE)
-            assert resumed.simulated == 0
-            assert resumed.resumed == 1
+            rerun.run(version, SIZES, MACHINE)
+            assert rerun.simulated == 0
+            assert rerun.cache_hits == 1
         finally:
-            resumed.close()
+            rerun.close()
 
 
 class TestGuardHygiene:

@@ -1,6 +1,10 @@
-"""Checkpoint stores: a killed run resumes with zero redundant work."""
+"""The result cache is the checkpoint: a killed run re-run on the same
+cache resumes with zero redundant work, on either store backend."""
+
+import sqlite3
 
 from repro.codes import get_version
+from repro.experiments import harness
 from repro.experiments.harness import (
     SimTask,
     SimulationRunner,
@@ -20,98 +24,96 @@ def make_tasks(lengths=(8, 12, 16)):
     ]
 
 
+def run_once(cache, tasks):
+    """One run of ``tasks`` on ``cache``: the runner and its results."""
+    runner = SimulationRunner(cache_dir=cache)
+    try:
+        return runner, runner.run_tasks(tasks)
+    finally:
+        runner.close()  # as a kill would leave it: the store survives
+
+
 class TestResume:
+    """On a directory cache; :class:`TestResumeSqlite` runs every test
+    again on a ``*.sqlite`` cache."""
+
+    CACHE = "cache"
+
+    @staticmethod
+    def tear(cache, key):
+        """Cut the entry under ``key`` short, as a torn write would."""
+        entry = cache / f"{key}.json"
+        entry.write_text(entry.read_text()[:40])
+
     def test_interrupted_run_resumes_with_zero_redundant_sims(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
+        cache = tmp_path / self.CACHE
         tasks = make_tasks()
-
         # "Interrupted" run: only the first two tasks completed.
-        partial = SimulationRunner(checkpoint_path=ckpt)
-        first = partial.run_tasks(tasks[:2])
-        partial.close()  # the kill; the store survives
+        _, first = run_once(cache, tasks[:2])
 
-        resumed = SimulationRunner(checkpoint_path=ckpt, resume=True)
-        full = resumed.run_tasks(tasks)
-        resumed.close()
+        resumed, full = run_once(cache, tasks)
         assert resumed.simulated == 1  # only the task the kill interrupted
-        assert resumed.resumed == 2
+        assert resumed.cache_hits == 2
         assert full[:2] == first
 
     def test_full_resume_simulates_nothing(self, tmp_path):
-        ckpt = tmp_path / "ckpt.sqlite"
+        cache = tmp_path / self.CACHE
         tasks = make_tasks()
-        writer = SimulationRunner(checkpoint_path=ckpt)
-        baseline = writer.run_tasks(tasks)
-        writer.close()
+        _, baseline = run_once(cache, tasks)
 
-        resumed = SimulationRunner(checkpoint_path=ckpt, resume=True)
-        replayed = resumed.run_tasks(tasks)
-        resumed.close()
+        resumed, replayed = run_once(cache, tasks)
         assert resumed.simulated == 0
-        assert resumed.resumed == len(tasks)
+        assert resumed.cache_hits == len(tasks)
         assert replayed == baseline
 
-    def test_resume_works_without_a_result_cache(self, tmp_path):
-        # --no-cache --checkpoint: the CI chaos smoke relies on this.
-        ckpt = tmp_path / "ckpt"
-        tasks = make_tasks()
-        writer = SimulationRunner(cache_dir=None, checkpoint_path=ckpt)
-        writer.run_tasks(tasks)
-        writer.close()
-        resumed = SimulationRunner(
-            cache_dir=None, checkpoint_path=ckpt, resume=True
-        )
-        resumed.run_tasks(tasks)
-        assert resumed.simulated == 0 and resumed.resumed == len(tasks)
-
-    def test_fresh_run_discards_stale_checkpoint(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
+    def test_stale_engine_checkpoint_contributes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / self.CACHE
         tasks = make_tasks(lengths=(8,))
-        writer = SimulationRunner(checkpoint_path=ckpt)
-        writer.run_tasks(tasks)
-        writer.close()
-        # No --resume: the next run must not inherit the records.
-        fresh = SimulationRunner(checkpoint_path=ckpt)
-        fresh.run_tasks(tasks)
-        fresh.close()
-        assert fresh.simulated == 1 and fresh.resumed == 0
+        # A dead engine's entry: keys fold in the engine fingerprint.
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "engine_fingerprint", lambda: "dead")
+            run_once(cache, tasks)
+        with Store.open(cache) as store:
+            assert len(store.keys()) == 1
 
-    def test_stale_engine_checkpoint_contributes_nothing(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        (task,) = make_tasks(lengths=(8,))
-        with Store.open(ckpt) as store:
-            # A dead engine's key: the task's key folds in the engine.
-            store.put("0" * 64, {"cycles": -1}, label=task.label)
-        resumed = SimulationRunner(checkpoint_path=ckpt, resume=True)
-        (result,) = resumed.run_tasks([task])
-        resumed.close()
-        assert resumed.simulated == 1 and resumed.resumed == 0
+        current, (result,) = run_once(cache, tasks)
+        assert current.simulated == 1 and current.cache_hits == 0
         assert result.cycles_per_iteration > 0
 
     def test_resume_after_torn_line_still_works(self, tmp_path):
-        # A corrupt checkpoint entry is quarantined and recomputed; the
-        # intact ones still resume.
-        ckpt = tmp_path / "ckpt"
+        # A torn entry is healed and is the only one recomputed; the
+        # intact one still resumes.
+        cache = tmp_path / self.CACHE
         tasks = make_tasks(lengths=(8, 12))
-        writer = SimulationRunner(checkpoint_path=ckpt)
-        baseline = writer.run_tasks(tasks)
-        writer.close()
-        entry = ckpt / f"{writer.task_key(tasks[1])}.json"
-        entry.write_text(entry.read_text()[:40])
-        resumed = SimulationRunner(checkpoint_path=ckpt, resume=True)
-        replayed = resumed.run_tasks(tasks)
-        resumed.close()
-        assert resumed.simulated == 1 and resumed.resumed == 1
+        writer, baseline = run_once(cache, tasks)
+        self.tear(cache, writer.task_key(tasks[1]))
+
+        resumed, replayed = run_once(cache, tasks)
+        assert resumed.simulated == 1 and resumed.cache_hits == 1
         assert replayed == baseline
 
     def test_checkpoint_meta_records_engine(self, tmp_path):
         # Each entry's provenance records the engine that computed it.
-        ckpt = tmp_path / "ckpt"
+        cache = tmp_path / self.CACHE
         tasks = make_tasks(lengths=(8, 12))
-        runner = SimulationRunner(checkpoint_path=ckpt)
-        runner.run_tasks(tasks)
-        runner.close()
-        with Store.open(ckpt) as store:
+        runner, _ = run_once(cache, tasks)
+        with Store.open(cache) as store:
             records = [store.provenance(runner.task_key(t)) for t in tasks]
         assert [r.engine for r in records] == [engine_fingerprint()] * 2
         assert {r.op for r in records} == {"simulate"}
+
+
+class TestResumeSqlite(TestResume):
+    CACHE = "cache.sqlite"
+
+    @staticmethod
+    def tear(cache, key):
+        conn = sqlite3.connect(str(cache))
+        conn.execute(
+            "UPDATE entries SET body = substr(body, 1, 40) WHERE key = ?",
+            (key,),
+        )
+        conn.commit()
+        conn.close()

@@ -1,5 +1,5 @@
-"""The ``repro store`` CLI group and ``repro stats --store``, driven
-end-to-end through ``repro.cli.main``."""
+"""The ``repro store`` CLI group, driven end-to-end through
+``repro.cli.main``."""
 
 from __future__ import annotations
 
@@ -39,9 +39,8 @@ def seeded(tmp_path):
         ["store", "stats", "{}"],
         ["store", "query", "{}"],
         ["store", "gc", "{}", "--keep-latest", "1"],
-        ["stats", "--store", "{}"],
     ],
-    ids=["store-stats", "store-query", "store-gc", "stats-store"],
+    ids=["store-stats", "store-query", "store-gc"],
 )
 def test_missing_store_is_an_error_not_created(tmp_path, capsys, argv, name):
     missing = tmp_path / name
@@ -222,11 +221,17 @@ class TestStoreMigrate:
 
 
 class TestStatsStoreFlag:
-    def test_stats_learns_store(self, seeded, capsys):
-        assert main(["stats", "--store", str(seeded)]) == 0
-        out = capsys.readouterr().out
-        assert "4 entries" in out
+    """``repro stats`` reads ledgers only; ``repro store stats PATH``
+    summarises a store."""
+
+    def test_store_flag_is_gone(self, seeded, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", "--store", str(seeded)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --store" in capsys.readouterr().err
 
     def test_stats_without_anything_errors(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_LEDGER", raising=False)
         assert main(["stats"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("stats: no ledger file")

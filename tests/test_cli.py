@@ -628,24 +628,8 @@ class TestExperiments:
         assert runner.jobs == 3
         assert runner.timeout_s == 2.5
         assert runner.retry.retries == 4
-        assert runner.cache_dir is None and runner.checkpoint_path is None
+        assert runner.cache_dir is None
         assert f"wrote {out}: 0/0 claims hold" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("cache", [False, True])
-    def test_unusable_checkpoint_names_its_flag(self, tmp_path, capsys, cache):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        bad = blocker / "checkpoint"
-        argv = ["experiments", "--out", str(tmp_path / "E.md")]
-        argv += (
-            ["--cache-dir", str(tmp_path / "cache")] if cache else ["--no-cache"]
-        )
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--checkpoint", str(bad)])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err.splitlines()[-1]  # past the usage
-        assert "--checkpoint" in err and str(bad) in err
-        assert "--cache-dir" not in err
 
     def test_unusable_cache_dir_names_its_flag(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -655,28 +639,73 @@ class TestExperiments:
             main([
                 "experiments", "--out", str(tmp_path / "E.md"),
                 "--cache-dir", str(bad),
-                "--checkpoint", str(tmp_path / "checkpoint"),
             ])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err.splitlines()[-1]
         assert "--cache-dir" in err and str(bad) in err
-        assert "--checkpoint" not in err
 
-    def test_resume_needs_a_checkpoint_only_without_a_cache(
+    def test_text_sqlite_cache_is_a_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "text.sqlite"
+        bad.write_text("not a database\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "experiments", "--out", str(tmp_path / "E.md"),
+                "--cache-dir", str(bad),
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"repro-uov experiments: error: unusable --cache-dir "
+            f"{str(bad)!r}: file is not a database"
+        )
+        assert not (tmp_path / "E.md").exists()
+
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--resume"])
+    def test_removed_flags_exit_2(self, tmp_path, capsys, flag):
+        # The cache is the checkpoint: re-running the same command on
+        # the same --cache-dir is the resume.
+        from repro.experiments import report
+
+        flags = [flag]
+        if flag == "--checkpoint":
+            flags.append(str(tmp_path / "ckpt"))
+        argv = ["--out", str(tmp_path / "E.md"), "--no-cache", *flags]
+        with pytest.raises(SystemExit) as excinfo:
+            report.main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.endswith(f"unrecognized arguments: {' '.join(flags)}")
+
+    def test_module_entry_point_writes_trace_and_ledger(
         self, monkeypatch, tmp_path, capsys
     ):
+        from repro import obs
         from repro.experiments import harness, report
+        from repro.obs.ledger import LEDGER_ENV, read_entries
 
-        monkeypatch.setattr(report, "run_all", lambda mode: [])
-        monkeypatch.setattr(report, "write_report", lambda *a, **k: None)
+        monkeypatch.delenv(LEDGER_ENV, raising=False)
+        monkeypatch.setattr(report, "ALL_EXPERIMENTS", ("fig1",))
         monkeypatch.setattr(harness, "_RUNNER", harness.get_runner())
-        out = ["--out", str(tmp_path / "E.md")]
-        cached = ["--cache-dir", str(tmp_path / "cache"), "--resume"]
-        assert main(["experiments", *out, *cached]) == 0
-        with pytest.raises(SystemExit) as excinfo:
-            main(["experiments", *out, "--no-cache", "--resume"])
-        assert excinfo.value.code == 2
-        assert "--checkpoint" in capsys.readouterr().err
+        trace, ledger = tmp_path / "trace.jsonl", tmp_path / "ledger.jsonl"
+        out = tmp_path / "E.md"
+        try:
+            status = report.main([
+                "--out", str(out), "--cache-dir", str(tmp_path / "cache"),
+                "--trace", str(trace), "--ledger", str(ledger),
+            ])
+        finally:
+            obs.reset()
+        assert status == 0
+        assert "wrote" in capsys.readouterr().out
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert records[0]["program"] == "repro-uov experiments"
+        spans = {r.get("name") for r in records}
+        assert {"report.run_all", "experiment.fig1"} <= spans
+        entries, corrupt = read_entries(ledger)
+        assert corrupt == 0
+        assert [e["experiment"] for e in entries] == ["fig1"]
+        assert f"structured trace: `{trace}`" in out.read_text()
 
 
 #: Every command that opens a store, by the prefix its errors carry.
@@ -689,8 +718,15 @@ STORE_COMMANDS = {
     "store stats": ["store", "stats", "{path}"],
     "store query": ["store", "query", "{path}"],
     "store gc": ["store", "gc", "{path}", "--keep-latest", "1"],
-    "stats": ["stats", "--store", "{path}"],
+    "store migrate": ["store", "migrate", "{source}", "--into", "{path}"],
 }
+
+
+def store_flag(argv):
+    """How a command's error names its store: the flag before the path
+    (a store the command creates), or ``store`` for a positional PATH."""
+    before = argv[argv.index("{path}") - 1]
+    return before if before.startswith("--") else "store"
 
 
 class TestUnusableCacheDir:
@@ -714,7 +750,7 @@ class TestUnusableCacheDir:
             for command, argv in STORE_COMMANDS.items()
             for kind in ("file", "under-file", "not-a-database")
             # Under a file, a store PATH is missing: "no store at PATH".
-            if kind != "under-file" or "--cache-dir" in argv
+            if kind != "under-file" or store_flag(argv) != "store"
         ],
     )
     def test_is_a_usage_error(
@@ -727,12 +763,17 @@ class TestUnusableCacheDir:
 
         monkeypatch.setattr(ServeApp, "run_async", serving)
         path = self.unusable(tmp_path, kind)
-        argv = [arg.format(path=path) for arg in STORE_COMMANDS[command]]
+        source = tmp_path / "legacy"  # the cache ``store migrate`` reads
+        source.mkdir()
+        argv = [
+            arg.format(path=path, source=source)
+            for arg in STORE_COMMANDS[command]
+        ]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        flag = "--cache-dir" if "--cache-dir" in argv else "store"
+        flag = store_flag(STORE_COMMANDS[command])
         assert line.startswith(f"{command}: unusable {flag} {path!r}: ")
 
     def test_serve_startup_exits_2_without_a_traceback(self, tmp_path):
