@@ -14,17 +14,7 @@ Quickstart::
     print(result.ov)                               # (1, 1)
 """
 
-from repro.core import (
-    SearchResult,
-    Stencil,
-    enumerate_uovs,
-    find_optimal_uov,
-    initial_uov,
-    is_uov,
-    storage_for_ov,
-    uov_certificates,
-)
-from repro.util.polyhedron import Polytope
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -40,3 +30,19 @@ __all__ = [
     "storage_for_ov",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.search": ("SearchResult", "find_optimal_uov"),
+        "repro.core.stencil": ("Stencil",),
+        "repro.core.storage_metric": ("storage_for_ov",),
+        "repro.core.uov": (
+            "enumerate_uovs",
+            "initial_uov",
+            "is_uov",
+            "uov_certificates",
+        ),
+        "repro.util.polyhedron": ("Polytope",),
+    },
+)

@@ -22,32 +22,37 @@
   structured-findings engine and the pass registry behind ``repro lint``.
 """
 
-from repro.analysis.certify import (
-    UOVCertificate,
-    UOVCounterexample,
-    certify,
-)
-from repro.analysis.dependence import (
-    consumer_distances,
-    extract_stencil,
-    flow_distances,
-)
-from repro.analysis.diag import Diagnostics, Finding, Severity
-from repro.analysis.legality import (
-    check_uov_applicability,
-    is_schedule_legal,
-)
-from repro.analysis.liveness import is_mapping_legal
-from repro.analysis.races import StorageRace, find_storage_races
-from repro.analysis.regions import RegionSummary, analyse_regions
-from repro.analysis.symcert import (
-    SymbolicCertificate,
-    SymbolicCounterexample,
-    SymbolicOutcome,
-    symbolic_certify,
-    symbolic_certify_code,
-    symbolic_certify_spec,
-)
+from typing import TYPE_CHECKING
+
+from repro.util.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.certify import (
+        UOVCertificate,
+        UOVCounterexample,
+        certify,
+    )
+    from repro.analysis.dependence import (
+        consumer_distances,
+        extract_stencil,
+        flow_distances,
+    )
+    from repro.analysis.diag import Diagnostics, Finding, Severity
+    from repro.analysis.legality import (
+        check_uov_applicability,
+        is_schedule_legal,
+    )
+    from repro.analysis.liveness import is_mapping_legal
+    from repro.analysis.races import StorageRace, find_storage_races
+    from repro.analysis.regions import RegionSummary, analyse_regions
+    from repro.analysis.symcert import (
+        SymbolicCertificate,
+        SymbolicCounterexample,
+        SymbolicOutcome,
+        symbolic_certify,
+        symbolic_certify_code,
+        symbolic_certify_spec,
+    )
 
 __all__ = [
     "extract_stencil",
@@ -73,3 +78,35 @@ __all__ = [
     "Finding",
     "Diagnostics",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.certify": (
+            "UOVCertificate",
+            "UOVCounterexample",
+            "certify",
+        ),
+        "repro.analysis.dependence": (
+            "consumer_distances",
+            "extract_stencil",
+            "flow_distances",
+        ),
+        "repro.analysis.diag": ("Diagnostics", "Finding", "Severity"),
+        "repro.analysis.legality": (
+            "check_uov_applicability",
+            "is_schedule_legal",
+        ),
+        "repro.analysis.liveness": ("is_mapping_legal",),
+        "repro.analysis.races": ("StorageRace", "find_storage_races"),
+        "repro.analysis.regions": ("RegionSummary", "analyse_regions"),
+        "repro.analysis.symcert": (
+            "SymbolicCertificate",
+            "SymbolicCounterexample",
+            "SymbolicOutcome",
+            "symbolic_certify",
+            "symbolic_certify_code",
+            "symbolic_certify_spec",
+        ),
+    },
+)

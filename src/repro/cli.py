@@ -101,8 +101,6 @@ import os
 import sys
 
 from repro import obs
-from repro.core import Stencil, find_optimal_uov, initial_uov
-from repro.util.polyhedron import Polytope
 
 __all__ = ["main"]
 
@@ -141,6 +139,14 @@ def _parse_sizes(text: str) -> dict[str, int]:
 
 
 def _cmd_find(args) -> int:
+    from repro.core import (
+        Stencil,
+        find_optimal_uov,
+        initial_uov,
+        storage_for_ov,
+    )
+    from repro.util.polyhedron import Polytope
+
     try:
         stencil = Stencil(args.stencil)
         isg = Polytope(args.bounds) if args.bounds else None
@@ -158,8 +164,6 @@ def _cmd_find(args) -> int:
     )
     print(f"incumbents:  {steps}")
     if isg is not None:
-        from repro.core import storage_for_ov
-
         print(
             f"storage:     {storage_for_ov(result.ov, isg)} locations "
             f"over the given ISG"
@@ -169,6 +173,7 @@ def _cmd_find(args) -> int:
 
 def _cmd_map(args) -> int:
     from repro.mapping import OVMapping
+    from repro.util.polyhedron import Polytope
 
     try:
         ov = tuple(int(c) for c in args.ov.split(","))
@@ -474,7 +479,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_common(args) -> int:
-    from repro.core import find_common_uov
+    from repro.core import Stencil, find_common_uov
 
     try:
         stencils = [Stencil(vectors) for vectors in args.stencils]
@@ -587,6 +592,8 @@ def _cmd_certify(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
+            from repro.core import Stencil
+
             stencil = Stencil(args.stencil)
             ov = tuple(int(c) for c in args.ov.split(","))
             result = symbolic_certify(ov, stencil)

@@ -17,15 +17,7 @@ modterm of non-prime OVs removed by unrolling the inner loop.
 - :mod:`repro.codegen.unroll` — mod-removal by unrolling (Section 4.2).
 """
 
-from repro.codegen.build import (
-    Toolchain,
-    compile_so,
-    discover_toolchain,
-    toolchain_fingerprint,
-)
-from repro.codegen.c_gen import generate_c, halo_geometry
-from repro.codegen.python_gen import build_runner, generate_python
-from repro.codegen.unroll import unrollable_modulus
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "generate_python",
@@ -38,3 +30,18 @@ __all__ = [
     "compile_so",
     "unrollable_modulus",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.codegen.build": (
+            "Toolchain",
+            "compile_so",
+            "discover_toolchain",
+            "toolchain_fingerprint",
+        ),
+        "repro.codegen.c_gen": ("generate_c", "halo_geometry"),
+        "repro.codegen.python_gen": ("build_runner", "generate_python"),
+        "repro.codegen.unroll": ("unrollable_modulus",),
+    },
+)

@@ -7,13 +7,14 @@ non-portable parts:
 - **Toolchain discovery** (:func:`discover_toolchain`): the ``REPRO_CC``
   environment variable wins (set it to ``none`` or the empty string to
   *disable* native compilation — the CI no-compiler leg uses this), then
-  the first of ``cc``/``gcc``/``clang`` on PATH.  The discovered
+  the first of ``cc``/``gcc``/``clang`` on PATH that answers
+  ``--version``.  Discovery compiles nothing.  The discovered
   :class:`Toolchain` carries a fingerprint — a digest of the resolved
-  compiler path, its ``--version`` banner, and the flag set — which is
-  folded into both the ``.so`` content hash and the repo-wide
-  :func:`~repro.experiments.harness.engine_fingerprint`, so upgrading
-  the compiler invalidates every cached artifact instead of silently
-  reusing objects built by a different code generator.
+  compiler path, its ``--version`` banner, and the requested flag set —
+  which is folded into both the ``.so`` content hash and the repo-wide
+  :func:`~repro.store.fingerprint.engine_fingerprint`, so upgrading the
+  compiler invalidates every cached artifact instead of silently reusing
+  objects built by a different code generator.
 - **Compilation caching** (:func:`compile_so`): shared objects are
   content-hash-named (``sha256(source + toolchain fingerprint)``) under
   a cache directory, installed atomically (unique temp + ``os.replace``)
@@ -27,8 +28,12 @@ Flags are ``-O2 -march=native -fPIC -shared -ffp-contract=off`` — the
 paper's ``gcc -O2`` plus modern arch tuning; ``-ffp-contract=off`` is
 load-bearing (GCC's C default contracts ``a*b + c`` into FMA, which
 would break the bit-for-bit differential tests against the interpreter).
-Toolchains that reject ``-march=native`` are retried without it, and the
-surviving flag set is what the fingerprint records.
+The first real build is the probe.  Only a failed build compiles a
+one-line source to find out what is at fault: the source (the flags
+build the probe), ``-march=native`` (only the flags without it do: the
+process warns once, keeps building without it, and the fingerprint
+still records the requested flags), or the compiler itself (neither
+does; a requested sanitizer is never dropped).
 """
 
 from __future__ import annotations
@@ -160,15 +165,20 @@ class Toolchain:
         return f"{self.cc} ({self.version.splitlines()[0]})"
 
 
-#: Memoised discovery result: ``None`` = not probed yet, ``(tc,)`` =
-#: probed (tc may itself be None when no compiler exists).
+#: Memoised discovery result: ``None`` = not discovered yet, ``(tc,)`` =
+#: discovered (tc may itself be None when no compiler exists).
 _TOOLCHAIN: Optional[tuple[Optional[Toolchain]]] = None
+
+#: Toolchains whose builds this process found must drop ``ARCH_FLAG``,
+#: mapped to the flags they build with instead.
+_BUILD_FLAGS: dict[Toolchain, tuple[str, ...]] = {}
 
 
 def reset_toolchain_cache() -> None:
     """Forget the memoised discovery (tests flip PATH / REPRO_CC)."""
     global _TOOLCHAIN
     _TOOLCHAIN = None
+    _BUILD_FLAGS.clear()
     # The engine fingerprint folds the toolchain in; forget it too.
     from repro.store.fingerprint import reset_engine_fingerprint
 
@@ -176,12 +186,13 @@ def reset_toolchain_cache() -> None:
 
 
 def discover_toolchain() -> Optional[Toolchain]:
-    """The usable C toolchain, or ``None`` when native is unavailable.
+    """The C toolchain to build with, or ``None`` when native is unavailable.
 
-    Probes once per process (reset with :func:`reset_toolchain_cache`):
-    resolves the compiler, captures its ``--version`` banner, and checks
-    ``-march=native`` acceptance with a throwaway compile so the flag
-    set recorded in the fingerprint is the one real builds use.
+    Discovers once per process (reset with :func:`reset_toolchain_cache`)
+    and compiles nothing: takes the first candidate that answers
+    ``--version``, captures its banner, and records the requested flags,
+    ``BASE_FLAGS + (ARCH_FLAG,) + sanitize_flags()``.  The first real
+    build is the probe; :func:`compile_so` diagnoses a build that fails.
     """
     global _TOOLCHAIN
     if _TOOLCHAIN is not None:
@@ -196,8 +207,8 @@ def discover_toolchain() -> Optional[Toolchain]:
         _TOOLCHAIN = (None,)
         return None
     probe_t0 = time.perf_counter()
-    candidates = (override,) if override else CC_CANDIDATES
-    for name in candidates:
+    found: Optional[Toolchain] = None
+    for name in (override,) if override else CC_CANDIDATES:
         path = shutil.which(name)
         if path is None:
             continue
@@ -212,46 +223,18 @@ def discover_toolchain() -> Optional[Toolchain]:
             continue
         if probe.returncode != 0:
             continue
-        version = probe.stdout.strip() or probe.stderr.strip()
-        san = sanitize_flags()
-        flags = BASE_FLAGS + (ARCH_FLAG,) + san
-        if not _accepts_flags(path, flags):
-            if _accepts_flags(path, BASE_FLAGS + san):
-                obs.warn_once(
-                    ("native-no-march", path),
-                    f"{name}: {ARCH_FLAG} rejected; compiling without "
-                    "arch tuning",
-                    event="native.no_march_native",
-                    counter="native.no_march_native",
-                    cc=path,
-                )
-                flags = BASE_FLAGS + san
-            else:
-                # The sanitizer request is never dropped silently: a
-                # compiler that cannot honour it is not a usable
-                # toolchain for this configuration.
-                if san:
-                    obs.warn_once(
-                        ("native-no-sanitize", path),
-                        f"{name}: sanitizer flags {list(san)} rejected; "
-                        "skipping this compiler",
-                        event="native.no_sanitize",
-                        counter="native.no_sanitize",
-                        cc=path,
-                    )
-                continue
-        tc = Toolchain(cc=path, version=version, flags=flags)
-        obs.event("native.toolchain", cc=path, fingerprint=tc.fingerprint)
-        obs.get_metrics().gauge("native.toolchain.probe_s").set(
-            time.perf_counter() - probe_t0
+        found = Toolchain(
+            cc=path,
+            version=probe.stdout.strip() or probe.stderr.strip(),
+            flags=BASE_FLAGS + (ARCH_FLAG,) + sanitize_flags(),
         )
-        _TOOLCHAIN = (tc,)
-        return tc
+        obs.event("native.toolchain", cc=path, fingerprint=found.fingerprint)
+        break
     obs.get_metrics().gauge("native.toolchain.probe_s").set(
         time.perf_counter() - probe_t0
     )
-    _TOOLCHAIN = (None,)
-    return None
+    _TOOLCHAIN = (found,)
+    return found
 
 
 def _accepts_flags(cc: str, flags: tuple[str, ...]) -> bool:
@@ -271,6 +254,50 @@ def _accepts_flags(cc: str, flags: tuple[str, ...]) -> bool:
         except (OSError, subprocess.TimeoutExpired):
             return False
         return result.returncode == 0
+
+
+def _retry_flags(
+    toolchain: Toolchain, flags: tuple[str, ...], failure: str
+) -> tuple[str, ...]:
+    """The flags to retry a build that failed with ``flags``.
+
+    Probe compiles find the fault.  When ``flags`` build the one-line
+    probe, the source is at fault and :class:`CompileError` carries
+    ``failure``.  When only the flags without ``ARCH_FLAG`` do, this
+    process warns once and builds with them from now on.  When neither
+    does, :class:`CompileError` names the rejected flags; a sanitizer is
+    never dropped to make a build pass.
+    """
+    from repro import obs
+
+    cc = toolchain.cc
+    if _accepts_flags(cc, flags):
+        raise CompileError(failure)
+    reduced = tuple(flag for flag in flags if flag != ARCH_FLAG)
+    if reduced != flags and _accepts_flags(cc, reduced):
+        obs.warn_once(
+            ("native-no-march", cc),
+            f"{cc}: {ARCH_FLAG} rejected; compiling without arch tuning",
+            event="native.no_march_native",
+            counter="native.no_march_native",
+            cc=cc,
+        )
+        _BUILD_FLAGS[toolchain] = reduced
+        return reduced
+    sanitizers = [flag for flag in reduced if flag.startswith("-fsanitize=")]
+    if sanitizers:
+        obs.warn_once(
+            ("native-no-sanitize", cc),
+            f"{cc}: sanitizer flags {sanitizers} rejected; native builds "
+            "fail rather than run unsanitized",
+            event="native.no_sanitize",
+            counter="native.no_sanitize",
+            cc=cc,
+        )
+    raise CompileError(
+        f"{cc} rejects the flags {' '.join(reduced)}: a one-line probe "
+        "fails to build with them"
+    )
 
 
 def toolchain_fingerprint() -> str:
@@ -318,7 +345,8 @@ def compile_so(
     inside the cache directory and ``os.replace`` it in, so two racing
     processes converge on one identical object.  Raises
     :class:`CompileError` when no toolchain exists or the compile fails
-    (callers degrade to the vectorized engine on that).
+    after its diagnosis (callers degrade to the vectorized engine on
+    that).
     """
     from repro import obs
 
@@ -347,26 +375,7 @@ def compile_so(
         tmp_so = cache / f"run-{key}.{os.getpid()}.so.tmp"
         try:
             c_path.write_text(source)
-            try:
-                result = subprocess.run(
-                    [
-                        toolchain.cc,
-                        *toolchain.flags,
-                        "-o",
-                        str(tmp_so),
-                        str(c_path),
-                    ],
-                    capture_output=True,
-                    text=True,
-                    timeout=COMPILE_TIMEOUT_S,
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
-                raise CompileError(f"{toolchain.cc} failed to run: {exc}")
-            if result.returncode != 0:
-                raise CompileError(
-                    f"{toolchain.cc} exited {result.returncode} compiling "
-                    f"{label}:\n{result.stderr.strip()[:2000]}"
-                )
+            _build(toolchain, c_path, tmp_so, label)
             os.replace(tmp_so, so_path)
         finally:
             tmp_so.unlink(missing_ok=True)
@@ -376,6 +385,44 @@ def compile_so(
     _record_compile_provenance(cache, key, so_path, toolchain, label,
                                compile_wall)
     return so_path
+
+
+def _build(
+    toolchain: Toolchain, c_path: Path, out: Path, label: str
+) -> None:
+    """Compile ``c_path`` into ``out``.  A failed build is diagnosed by
+    :func:`_retry_flags` and retried once with the flags it returns."""
+    flags = _BUILD_FLAGS.get(toolchain, toolchain.flags)
+    failure = _run_compiler(toolchain.cc, flags, c_path, out, label)
+    if failure is not None:
+        flags = _retry_flags(toolchain, flags, failure)
+        failure = _run_compiler(toolchain.cc, flags, c_path, out, label)
+    if failure is not None:
+        raise CompileError(failure)
+
+
+def _run_compiler(
+    cc: str, flags: tuple[str, ...], c_path: Path, out: Path, label: str
+) -> Optional[str]:
+    """Build ``c_path`` into ``out``: ``None``, or why the compiler failed.
+
+    A compiler that cannot be run or times out raises
+    :class:`CompileError`; no probe would tell more."""
+    try:
+        result = subprocess.run(
+            [cc, *flags, "-o", str(out), str(c_path)],
+            capture_output=True,
+            text=True,
+            timeout=COMPILE_TIMEOUT_S,
+        )
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        raise CompileError(f"{cc} failed to run: {exc}")
+    if result.returncode == 0:
+        return None
+    return (
+        f"{cc} exited {result.returncode} compiling "
+        f"{label}:\n{result.stderr.strip()[:2000]}"
+    )
 
 
 def _record_compile_provenance(

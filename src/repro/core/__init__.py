@@ -14,44 +14,7 @@
   (the paper's Section 7 future work).
 """
 
-from repro.core.cone import (
-    ConeSolver,
-    coefficient_bound,
-    done_set,
-    dead_set,
-    expand_certificate,
-    in_integer_cone,
-    positivity_functional,
-)
-from repro.core.multiloop import (
-    common_uov_exists_direction,
-    find_common_uov,
-    is_common_uov,
-)
-from repro.core.npcomplete import (
-    partition_brute_force,
-    partition_solvable,
-    reduction_from_partition,
-)
-from repro.core.search import (
-    IncumbentUpdate,
-    SearchResult,
-    find_optimal_uov,
-    find_uov_with_fallback,
-)
-from repro.core.stencil import Stencil
-from repro.core.storage_metric import (
-    min_projection,
-    search_length_bound,
-    storage_for_ov,
-)
-from repro.core.uov import (
-    enumerate_uovs,
-    initial_uov,
-    is_uov,
-    uov_certificates,
-    uov_rejection,
-)
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Stencil",
@@ -81,3 +44,47 @@ __all__ = [
     "partition_solvable",
     "partition_brute_force",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.cone": (
+            "ConeSolver",
+            "coefficient_bound",
+            "dead_set",
+            "done_set",
+            "expand_certificate",
+            "in_integer_cone",
+            "positivity_functional",
+        ),
+        "repro.core.multiloop": (
+            "common_uov_exists_direction",
+            "find_common_uov",
+            "is_common_uov",
+        ),
+        "repro.core.npcomplete": (
+            "partition_brute_force",
+            "partition_solvable",
+            "reduction_from_partition",
+        ),
+        "repro.core.search": (
+            "IncumbentUpdate",
+            "SearchResult",
+            "find_optimal_uov",
+            "find_uov_with_fallback",
+        ),
+        "repro.core.stencil": ("Stencil",),
+        "repro.core.storage_metric": (
+            "min_projection",
+            "search_length_bound",
+            "storage_for_ov",
+        ),
+        "repro.core.uov": (
+            "enumerate_uovs",
+            "initial_uov",
+            "is_uov",
+            "uov_certificates",
+            "uov_rejection",
+        ),
+    },
+)

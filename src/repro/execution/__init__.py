@@ -19,26 +19,7 @@
   computes bit-identical live-out values.
 """
 
-from repro.execution.engines import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    run_engine,
-    run_engine_batch,
-)
-from repro.execution.interpreter import ExecutionResult, execute
-from repro.execution.multi import (
-    MultiAssignmentPlan,
-    execute_multi,
-    plan_storage,
-)
-from repro.execution.simulator import SimResult, simulate
-from repro.execution.trace import TraceLayout, line_trace
-from repro.execution.vectorized import (
-    VectorizationFallback,
-    execute_vectorized,
-)
-from repro.execution.native import NativeFallback, execute_native
-from repro.execution.verify import verify_versions
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "execute",
@@ -60,3 +41,29 @@ __all__ = [
     "SimResult",
     "verify_versions",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.execution.engines": (
+            "DEFAULT_ENGINE",
+            "ENGINES",
+            "run_engine",
+            "run_engine_batch",
+        ),
+        "repro.execution.interpreter": ("ExecutionResult", "execute"),
+        "repro.execution.multi": (
+            "MultiAssignmentPlan",
+            "execute_multi",
+            "plan_storage",
+        ),
+        "repro.execution.native": ("NativeFallback", "execute_native"),
+        "repro.execution.simulator": ("SimResult", "simulate"),
+        "repro.execution.trace": ("TraceLayout", "line_trace"),
+        "repro.execution.vectorized": (
+            "VectorizationFallback",
+            "execute_vectorized",
+        ),
+        "repro.execution.verify": ("verify_versions",),
+    },
+)

@@ -11,22 +11,7 @@ built-in codes are themselves expressed this way, and the compilation
 pipeline (:mod:`repro.pipeline`) consumes specs directly.
 """
 
-from repro.frontend.combine import (
-    COMBINE_HOOKS,
-    CompiledCombine,
-    SemanticsHook,
-    compile_combine,
-)
-from repro.frontend.inputs import INPUT_RULES, InputBindings, build_input_rule
-from repro.frontend.spec import SpecBuilder, SpecError, StencilSpec, validate_spec
-from repro.frontend.synth import (
-    build_version,
-    code_to_spec,
-    make_versions,
-    resolve_uov,
-    spec_version,
-    synthesize_code,
-)
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "COMBINE_HOOKS",
@@ -47,3 +32,34 @@ __all__ = [
     "synthesize_code",
     "validate_spec",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.frontend.combine": (
+            "COMBINE_HOOKS",
+            "CompiledCombine",
+            "SemanticsHook",
+            "compile_combine",
+        ),
+        "repro.frontend.inputs": (
+            "INPUT_RULES",
+            "InputBindings",
+            "build_input_rule",
+        ),
+        "repro.frontend.spec": (
+            "SpecBuilder",
+            "SpecError",
+            "StencilSpec",
+            "validate_spec",
+        ),
+        "repro.frontend.synth": (
+            "build_version",
+            "code_to_spec",
+            "make_versions",
+            "resolve_uov",
+            "spec_version",
+            "synthesize_code",
+        ),
+    },
+)

@@ -14,11 +14,7 @@ that class:
   (input / output / temporary), the unit all analyses and executors take.
 """
 
-from repro.ir.affine import AffineExpr
-from repro.ir.loop import LoopNest
-from repro.ir.program import ArrayDecl, Program
-from repro.ir.ref import ArrayRef
-from repro.ir.stmt import Assignment
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "AffineExpr",
@@ -28,3 +24,14 @@ __all__ = [
     "ArrayDecl",
     "Program",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ir.affine": ("AffineExpr",),
+        "repro.ir.loop": ("LoopNest",),
+        "repro.ir.program": ("ArrayDecl", "Program"),
+        "repro.ir.ref": ("ArrayRef",),
+        "repro.ir.stmt": ("Assignment",),
+    },
+)

@@ -22,18 +22,7 @@ cliff, and the branch-cost/memory-cost balance modelled here.
 - :mod:`repro.machine.configs` — the three machines, full-size and scaled.
 """
 
-from repro.machine.analytic import Stream, predict_streaming_stalls
-from repro.machine.cache import Cache
-from repro.machine.configs import (
-    ALPHA_21164,
-    MACHINES,
-    PENTIUM_PRO,
-    ULTRA_2,
-    MachineConfig,
-)
-from repro.machine.cost import CostModel, IterationCost
-from repro.machine.hierarchy import AccessStats, MemoryHierarchy
-from repro.machine.tlb import TLB
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Cache",
@@ -50,3 +39,21 @@ __all__ = [
     "ALPHA_21164",
     "MACHINES",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.machine.analytic": ("Stream", "predict_streaming_stalls"),
+        "repro.machine.cache": ("Cache",),
+        "repro.machine.configs": (
+            "ALPHA_21164",
+            "MACHINES",
+            "MachineConfig",
+            "PENTIUM_PRO",
+            "ULTRA_2",
+        ),
+        "repro.machine.cost": ("CostModel", "IterationCost"),
+        "repro.machine.hierarchy": ("AccessStats", "MemoryHierarchy"),
+        "repro.machine.tlb": ("TLB",),
+    },
+)

@@ -19,13 +19,7 @@ operation count feeds the overhead model of Section 5.1.
 - :mod:`repro.mapping.expr` — the address-expression IR and op counting.
 """
 
-from repro.mapping.array import ColMajorMapping, RowMajorMapping
-from repro.mapping.base import OpCounts, StorageMapping
-from repro.mapping.expr import Const, Expr, Mod, Var, affine
-from repro.mapping.optimized import RollingBufferMapping
-from repro.mapping.ov import OVMapping
-from repro.mapping.padding import PaddedOVMapping, pad_for_cache
-from repro.mapping.registry import MAPPINGS, build_mapping
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "MAPPINGS",
@@ -44,3 +38,16 @@ __all__ = [
     "Mod",
     "affine",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.mapping.array": ("ColMajorMapping", "RowMajorMapping"),
+        "repro.mapping.base": ("OpCounts", "StorageMapping"),
+        "repro.mapping.expr": ("Const", "Expr", "Mod", "Var", "affine"),
+        "repro.mapping.optimized": ("RollingBufferMapping",),
+        "repro.mapping.ov": ("OVMapping",),
+        "repro.mapping.padding": ("PaddedOVMapping", "pad_for_cache"),
+        "repro.mapping.registry": ("MAPPINGS", "build_mapping"),
+    },
+)

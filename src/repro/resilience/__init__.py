@@ -25,27 +25,7 @@ Everything reports through obs as ``resilience.*`` counters: retries,
 quarantines, degradations, corrupt-cache hits, injected faults.
 """
 
-from repro.resilience.budget import (
-    Budget,
-    BudgetMeter,
-    Degradation,
-    record_degradation,
-    rss_mb,
-)
-from repro.resilience.faults import (
-    FaultPlan,
-    FaultRule,
-    InjectedCrash,
-    InjectedFault,
-    InjectedTransient,
-    active_plan,
-    install_plan,
-    maybe_corrupt,
-    maybe_fault,
-    reset_plan,
-)
-from repro.resilience.quarantine import QuarantineRecord
-from repro.resilience.retry import RetryPolicy
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "Budget",
@@ -66,3 +46,30 @@ __all__ = [
     "reset_plan",
     "rss_mb",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.resilience.budget": (
+            "Budget",
+            "BudgetMeter",
+            "Degradation",
+            "record_degradation",
+            "rss_mb",
+        ),
+        "repro.resilience.faults": (
+            "FaultPlan",
+            "FaultRule",
+            "InjectedCrash",
+            "InjectedFault",
+            "InjectedTransient",
+            "active_plan",
+            "install_plan",
+            "maybe_corrupt",
+            "maybe_fault",
+            "reset_plan",
+        ),
+        "repro.resilience.quarantine": ("QuarantineRecord",),
+        "repro.resilience.retry": ("RetryPolicy",),
+    },
+)

@@ -8,15 +8,7 @@ rectangular tiling with an automatic legalising skew — plus a random-legal-
 schedule generator the property tests use to probe universality.
 """
 
-from repro.schedule.base import Schedule
-from repro.schedule.exhaustive import all_legal_orders, count_legal_orders
-from repro.schedule.hierarchical import HierarchicalTiledSchedule
-from repro.schedule.lex import InterchangedSchedule, LexicographicSchedule
-from repro.schedule.random_legal import random_legal_order, sample_legal_orders
-from repro.schedule.skew import SkewedSchedule, skew_matrix_2d
-from repro.schedule.tiling import TiledSchedule, required_skew
-from repro.schedule.registry import SCHEDULES, build_schedule
-from repro.schedule.wavefront import WavefrontSchedule
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "SCHEDULES",
@@ -35,3 +27,27 @@ __all__ = [
     "all_legal_orders",
     "count_legal_orders",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.schedule.base": ("Schedule",),
+        "repro.schedule.exhaustive": (
+            "all_legal_orders",
+            "count_legal_orders",
+        ),
+        "repro.schedule.hierarchical": ("HierarchicalTiledSchedule",),
+        "repro.schedule.lex": (
+            "InterchangedSchedule",
+            "LexicographicSchedule",
+        ),
+        "repro.schedule.random_legal": (
+            "random_legal_order",
+            "sample_legal_orders",
+        ),
+        "repro.schedule.registry": ("SCHEDULES", "build_schedule"),
+        "repro.schedule.skew": ("SkewedSchedule", "skew_matrix_2d"),
+        "repro.schedule.tiling": ("TiledSchedule", "required_skew"),
+        "repro.schedule.wavefront": ("WavefrontSchedule",),
+    },
+)

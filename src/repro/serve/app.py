@@ -68,6 +68,7 @@ from repro.serve.protocol import (
 from repro.serve.workers import serve_job, stored_answer
 from repro.store.backend import OPEN_ERRORS
 from repro.store.core import Store
+from repro.store.fingerprint import engine_fingerprint
 
 __all__ = ["ServeApp", "serve_main"]
 
@@ -156,6 +157,13 @@ class ServeApp:
         ready: Optional[Callable[[str, int], None]] = None,
     ) -> None:
         """Serve until drained (SIGTERM/SIGINT or :meth:`begin_drain`)."""
+        # Every answer key folds in the engine fingerprint (the
+        # compiler's --version and the source hash).  Resolved once here,
+        # before the workers fork, it serves the door and the workers
+        # inherit it.  Its imports hold FORK_LOCK, as every first import
+        # on this thread does.
+        with FORK_LOCK:
+            engine_fingerprint()
         self.pool.start()
         self._drained = asyncio.Event()
         self._server = await asyncio.start_server(

@@ -8,23 +8,7 @@ record per entry, the consolidated fingerprint module, and the
 ``repro store`` CLI group.
 """
 
-from repro.store.backend import (
-    OPEN_ERRORS,
-    DirBackend,
-    EntryInfo,
-    SqliteBackend,
-    VerifiedEntry,
-    open_backend,
-)
-from repro.store.core import Store
-from repro.store.fingerprint import (
-    canonical_json,
-    content_hash,
-    engine_fingerprint,
-    reset_engine_fingerprint,
-    toolchain_fingerprint,
-)
-from repro.store.provenance import PROVENANCE_SCHEMA, Provenance
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "DirBackend",
@@ -42,3 +26,26 @@ __all__ = [
     "reset_engine_fingerprint",
     "toolchain_fingerprint",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.store.backend": (
+            "DirBackend",
+            "EntryInfo",
+            "OPEN_ERRORS",
+            "SqliteBackend",
+            "VerifiedEntry",
+            "open_backend",
+        ),
+        "repro.store.core": ("Store",),
+        "repro.store.fingerprint": (
+            "canonical_json",
+            "content_hash",
+            "engine_fingerprint",
+            "reset_engine_fingerprint",
+            "toolchain_fingerprint",
+        ),
+        "repro.store.provenance": ("PROVENANCE_SCHEMA", "Provenance"),
+    },
+)

@@ -18,6 +18,8 @@ import pytest
 from repro import obs
 from repro.codegen import build as build_mod
 from repro.codegen.build import (
+    ARCH_FLAG,
+    BASE_FLAGS,
     Toolchain,
     discover_toolchain,
     reset_toolchain_cache,
@@ -60,6 +62,16 @@ class TestToolchainIdentity:
         b = Toolchain(cc="/usr/bin/gcc", version="gcc 13.1.0")
         c = Toolchain(cc="/usr/bin/gcc", version="gcc 12.2.0", flags=("-O2",))
         assert len({a.fingerprint, b.fingerprint, c.fingerprint}) == 3
+
+    def test_fingerprint_is_pinned(self):
+        # The flags discovery records for a compiler that accepts
+        # -march=native.  A new value re-keys every .so and stored result.
+        toolchain = Toolchain(
+            cc="/usr/bin/cc",
+            version="cc (GCC) 12.2.0",
+            flags=BASE_FLAGS + (ARCH_FLAG,),
+        )
+        assert toolchain.fingerprint == "5421557ab69de86b"
 
     def test_so_key_folds_in_toolchain(self):
         old = Toolchain(cc="/usr/bin/gcc", version="gcc 12.2.0")

@@ -36,8 +36,9 @@ BOOT_TIMEOUT_S = 60
 REQUEST_TIMEOUT_S = 120
 
 
-def daemon_env(tmp_path, faults=None, seed=0):
+def daemon_env(tmp_path, faults=None, seed=0, extra=None):
     env = os.environ.copy()
+    env.update(extra or {})
     env["PYTHONPATH"] = str(REPO / "src")
     env.pop("REPRO_FAULTS", None)
     env.pop("REPRO_FAULTS_SEED", None)
@@ -52,7 +53,7 @@ def daemon_env(tmp_path, faults=None, seed=0):
 class Daemon:
     """Boot ``repro serve`` on an ephemeral port and wait for readiness."""
 
-    def __init__(self, tmp_path, *extra_args, faults=None):
+    def __init__(self, tmp_path, *extra_args, faults=None, env=None):
         self.cache = tmp_path / "cache.sqlite"
         self.proc = subprocess.Popen(
             [
@@ -66,7 +67,7 @@ class Daemon:
                 str(self.cache),
                 *extra_args,
             ],
-            env=daemon_env(tmp_path, faults=faults),
+            env=daemon_env(tmp_path, faults=faults, extra=env),
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
@@ -117,8 +118,8 @@ class Daemon:
 def start_daemon(tmp_path):
     daemons = []
 
-    def factory(*extra_args, faults=None):
-        d = Daemon(tmp_path, *extra_args, faults=faults)
+    def factory(*extra_args, faults=None, env=None):
+        d = Daemon(tmp_path, *extra_args, faults=faults, env=env)
         daemons.append(d)
         return d
 
@@ -156,6 +157,27 @@ def fan_out(daemon, jobs):
             raise r
         assert r is not None, "a client thread never completed"
     return results
+
+
+class TestStartup:
+    def test_workers_inherit_the_toolchain(self, start_daemon, tmp_path):
+        """The daemon resolves the engine fingerprint before its two
+        workers fork, so a cold vectorized /compile calls the compiler
+        once in all three processes, for ``--version``."""
+        from repro.codegen.build import discover_toolchain
+        from tests.native.conftest import cc_calls, fake_cc
+
+        real = discover_toolchain()
+        if real is None:
+            pytest.skip("no C toolchain in this environment")
+        script, log = fake_cc(tmp_path, real.cc)
+        daemon = start_daemon("--workers", "2", env={"REPRO_CC": str(script)})
+        status, _, body = daemon.request(
+            "POST", "/compile", compile_body(engine="vectorized")
+        )
+        assert status == 200, body
+        assert body["cached"] is False
+        assert cc_calls(log) == ["--version"]
 
 
 class TestCrashOnlyRecovery:
