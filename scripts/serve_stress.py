@@ -6,7 +6,9 @@ concurrent mix of compile and experiment clients at it, and asserts the
 daemon's contracts:
 
 * every response is a 200 despite the injected worker kills,
-* an identical concurrent burst coalesces to one pipeline run,
+* an identical concurrent burst of 5 runs the pipeline at most twice:
+  every other request joins a run in flight (``coalesced``) or, once a
+  run has stored its answer, is answered at the door (``cached``),
 * a warm re-run of the whole mix is served from cache — zero new
   pipeline stages, zero new simulations — and answered at the daemon's
   door: no pool job, one ``serve.door.hits`` per request,
@@ -79,6 +81,10 @@ def fan_out(port, jobs):
     return results
 
 
+def door_hits(stats) -> int:
+    return stats["counters"].get("serve.door.hits", 0)
+
+
 def require(condition, message):
     if not condition:
         print(f"FAIL: {message}", file=sys.stderr)
@@ -147,19 +153,25 @@ def main() -> int:
             f"injected faults ({args.faults})",
         )
 
+        status, pre_burst = request(port, "GET", "/stats")
+        require(status == 200, "GET /stats answers")
         burst_body = {"spec": SPEC, "seed": 999}
         burst = fan_out(port, [("/compile", burst_body)] * 5)
         require(all(status == 200 for status, _ in burst), "burst: all 200")
-        leaders = [b for _, b in burst if not b["coalesced"]]
+        followers = [b for _, b in burst if b["coalesced"]]
+        answered = [b for _, b in burst if b.get("cached")]
+        runs = len(burst) - len(followers) - len(answered)
         hashes = {b["result"]["outputs_sha256"] for _, b in burst}
         require(
-            len(leaders) <= 2 and len(hashes) == 1,
-            f"identical burst of 5 coalesced ({len(burst) - len(leaders)} "
-            "followers, one output hash)",
+            runs <= 2 and len(hashes) == 1,
+            f"identical burst of 5 ran the pipeline {runs} times "
+            f"({len(followers)} followers, {len(answered)} answered at "
+            "the door, one output hash)",
         )
 
         status, before = request(port, "GET", "/stats")
         require(status == 200, "GET /stats answers")
+        burst_door = door_hits(before) - door_hits(pre_burst)
         rerun = mix + [("/compile", burst_body)]
         warm = fan_out(port, rerun)
         require(
@@ -179,10 +191,7 @@ def main() -> int:
             f"{before['pool']['completed']}, now "
             f"{stats['pool']['completed']})",
         )
-        hits = [
-            body["counters"].get("serve.door.hits", 0)
-            for body in (before, stats)
-        ]
+        hits = [door_hits(body) for body in (before, stats)]
         require(
             hits[1] - hits[0] == len(rerun),
             f"the door answered all {len(rerun)} warm requests "
@@ -198,9 +207,12 @@ def main() -> int:
             f"injected kills forced worker restarts "
             f"(saw {stats['pool']['restarts']})",
         )
+        coalesced = stats["counters"].get("serve.coalesced", 0)
         require(
-            stats["counters"].get("serve.coalesced", 0) >= 3,
-            "the coalesced burst is visible in serve.coalesced",
+            coalesced + burst_door >= 3,
+            "the burst's requests without a run of their own are visible "
+            f"in serve.coalesced ({coalesced}) and serve.door.hits "
+            f"({burst_door} during the burst)",
         )
         Path(args.out_stats).write_text(json.dumps(stats, indent=2))
         print(f"wrote {args.out_stats}")

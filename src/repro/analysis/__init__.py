@@ -77,7 +77,16 @@ __all__ = [
     "Severity",
     "Finding",
     "Diagnostics",
+    "SYMCERT_ENGINE_VERSION",
 ]
+
+#: Fingerprint of the symbolic decision procedure
+#: (:mod:`repro.analysis.symcert`).  Folded into pipeline cache
+#: payloads: bumping it (changed lowering, changed FM engine semantics)
+#: invalidates cached proofs instead of silently trusting certificates
+#: produced by an older prover.  It lives here, not in the prover, so
+#: that a stage key can name the prover without loading it.
+SYMCERT_ENGINE_VERSION = "fm-omega-1"
 
 __getattr__, __dir__ = lazy_exports(
     __name__,

@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
+from repro.analysis import SYMCERT_ENGINE_VERSION
 from repro.analysis.certify import (
     UOVCertificate,
     UOVCounterexample,
@@ -67,12 +68,6 @@ __all__ = [
     "symbolic_certify_code",
     "symbolic_certify_spec",
 ]
-
-#: Fingerprint of the symbolic decision procedure.  Folded into pipeline
-#: cache payloads: bumping it (changed lowering, changed FM engine
-#: semantics) invalidates cached proofs instead of silently trusting
-#: certificates produced by an older prover.
-SYMCERT_ENGINE_VERSION = "fm-omega-1"
 
 #: Prefix of the cone-coefficient variables in lowered systems.
 _COEFF = "a"

@@ -40,8 +40,9 @@ __getattr__, __dir__ = lazy_exports(
             "discover_toolchain",
             "toolchain_fingerprint",
         ),
-        "repro.codegen.c_gen": ("generate_c", "halo_geometry"),
+        "repro.codegen.c_gen": ("generate_c",),
         "repro.codegen.python_gen": ("build_runner", "generate_python"),
         "repro.codegen.unroll": ("unrollable_modulus",),
+        "repro.execution.gather": ("halo_geometry",),
     },
 )

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.codes.base import CodeVersion
+from repro.execution.gather import halo_geometry
 from repro.schedule.lex import InterchangedSchedule, LexicographicSchedule
 from repro.schedule.tiling import TiledSchedule
 
@@ -46,9 +47,9 @@ __all__ = [
     "CKernel",
     "combine_to_c",
     "generate_c",
-    "halo_geometry",
     "kernel_symbols",
     "lower_kernel",
+    "shifted_indices",
     "translation_unit",
 ]
 
@@ -72,32 +73,6 @@ def kernel_symbols(count: int) -> list[tuple[str, str]]:
     if count == 1:
         return [("run", "repro_kernel_ns")]
     return [(f"run_{k}", f"repro_kernel_ns_{k}") for k in range(count)]
-
-
-def halo_geometry(
-    distances: Sequence[Sequence[int]],
-    bounds: Sequence[tuple[int, int]],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Geometry of the boundary-input halo for one (stencil, box) pair.
-
-    Every source read of iteration ``q`` targets the producer
-    ``p = q - d``; producers outside the ISG box are *loop inputs*.  The
-    halo is the smallest box containing every reachable producer:
-    per-axis ``[lo - max(0, max_d), hi + max(0, -min_d)]``.  Returns
-    ``(ext_lo, ext_hi, strides)`` where ``strides`` flattens the halo
-    box row-major — the same flattening the generated C indexes with and
-    :func:`repro.execution.native.fill_halo` fills.
-    """
-    ext_lo = []
-    ext_hi = []
-    for k, (lo, hi) in enumerate(bounds):
-        ds = [d[k] for d in distances]
-        ext_lo.append(lo - max(0, max(ds)))
-        ext_hi.append(hi + max(0, -min(ds)))
-    strides = [1] * len(bounds)
-    for k in range(len(bounds) - 2, -1, -1):
-        strides[k] = strides[k + 1] * (ext_hi[k + 1] - ext_lo[k + 1] + 1)
-    return tuple(ext_lo), tuple(ext_hi), tuple(strides)
 
 
 def _hex_double(value: float) -> str:
@@ -418,6 +393,15 @@ def _loops_c(schedule, indices, bounds):
     )
 
 
+def shifted_indices(indices, distance) -> list[str]:
+    """The producer ``q - d`` as index source text, valid in C and in
+    Python alike: ``i``, ``(i - 2)``, ``(i + 1)``."""
+    return [
+        name if c == 0 else f"({name} - {c})" if c > 0 else f"({name} + {-c})"
+        for name, c in zip(indices, distance)
+    ]
+
+
 def _halo_index_c(indices, distance, ext_lo, strides) -> str:
     """The flattened halo offset of producer ``q - d`` as a C expression.
 
@@ -440,14 +424,7 @@ def _body_c(version, mapping, indices, bounds, ext_lo, strides, inlined):
     hi = [b[1] for b in bounds]
     lines = [f"double v[{len(code.source_distances)}];"]
     for n, d in enumerate(code.source_distances):
-        terms = []
-        for name, c in zip(indices, d):
-            if c == 0:
-                terms.append(name)
-            elif c > 0:
-                terms.append(f"({name} - {c})")
-            else:
-                terms.append(f"({name} + {-c})")
+        terms = shifted_indices(indices, d)
         guard = " && ".join(
             f"{l} <= {t} && {t} <= {h}" for l, t, h in zip(lo, terms, hi)
         )

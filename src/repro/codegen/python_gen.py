@@ -27,6 +27,7 @@ from __future__ import annotations
 import textwrap
 from typing import Mapping
 
+from repro.codegen.c_gen import shifted_indices
 from repro.codegen.unroll import unrollable_modulus
 from repro.codes.base import CodeVersion
 from repro.schedule.lex import InterchangedSchedule, LexicographicSchedule
@@ -172,7 +173,7 @@ def _body_lines(version, sizes, mapping, indices, bounds):
         guard = " and ".join(
             f"{l} <= {t} <= {h}" for l, t, h in zip(lo, terms, hi)
         )
-        expr = _mapped(mapping, indices, d)
+        expr = mapping.expression(shifted_indices(indices, d)).to_python()
         value_names.append(f"_v{n}")
         lines.append(
             f"_v{n} = storage[{expr}] if ({guard}) "
@@ -322,16 +323,3 @@ def _unrolled_body(version, mapping, indices, bounds, classes, shift_inner):
         f"combine(({', '.join(value_names)},), ({qt0}, {qt1}), ctx)"
     )
     return lines
-
-
-def _mapped(mapping, indices, distance):
-    """Mapping expression evaluated at ``q - distance`` as source text."""
-    shifted = []
-    for name, c in zip(indices, distance):
-        if c == 0:
-            shifted.append(name)
-        elif c > 0:
-            shifted.append(f"({name} - {c})")
-        else:
-            shifted.append(f"({name} + {-c})")
-    return mapping.expression(shifted).to_python()

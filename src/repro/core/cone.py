@@ -22,7 +22,9 @@ search is fast.  Two interchangeable backends are provided:
   ``w . t // min_i(w . vi)``.
 - ``"milp"`` — integer feasibility through :func:`scipy.optimize.milp`,
   used to cross-check the hand-rolled solver and as the faster choice for
-  the adversarial NP-completeness instances.
+  the adversarial NP-completeness instances.  It answers "no" only on a
+  proof of infeasibility; any other outcome raises
+  :class:`MilpUndecided`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "in_rational_cone",
     "expand_certificate",
     "ConeSolver",
+    "MilpUndecided",
     "done_set",
     "dead_set",
 ]
@@ -110,6 +113,23 @@ def in_rational_cone(
     return bool(res.success)
 
 
+#: :func:`scipy.optimize.milp`'s status for a proven-infeasible problem.
+_MILP_INFEASIBLE = 2
+
+
+class MilpUndecided(RuntimeError):
+    """The MILP backend returned neither a certificate nor a proof of
+    infeasibility: a time or iteration limit, a numerical failure, or a
+    rounded solution that fails the exact re-check."""
+
+    def __init__(self, target, status: int, message: str):
+        super().__init__(
+            f"milp gave no answer for target {tuple(target)} "
+            f"(status {status}): {message}"
+        )
+        self.status = status
+
+
 class ConeSolver:
     """Integer-cone membership with memoisation shared across queries.
 
@@ -168,6 +188,8 @@ class ConeSolver:
     ) -> Optional[dict[IntVector, int]]:
         """Find ``{vector: coefficient}`` with non-negative integer
         coefficients summing to ``target``, or ``None`` if infeasible.
+        The milp backend raises :class:`MilpUndecided` when it can tell
+        neither.
 
         ``min_coeffs`` optionally forces lower bounds per generator (the
         paper's positive-diagonal requirement); it is handled by peeling
@@ -269,13 +291,21 @@ class ConeSolver:
             integrality=np.ones(n),
             bounds=Bounds(np.zeros(n), np.array(upper, dtype=float)),
         )
-        if not res.success:
+        # Only a proof of infeasibility means "not in the cone"; a limit
+        # or a numerical failure is no answer at all.
+        if res.status == _MILP_INFEASIBLE:
             return None
+        if not res.success:
+            raise MilpUndecided(target, res.status, res.message)
         coeffs = [int(round(x)) for x in res.x]
         # milp returns floats; re-verify exactly before trusting it.
         for k in range(self._dim):
             if sum(c * v[k] for c, v in zip(coeffs, self._vectors)) != target[k]:
-                return None
+                raise MilpUndecided(
+                    target,
+                    res.status,
+                    f"rounded solution {coeffs} fails the exact re-check",
+                )
         return {
             v: c for v, c in zip(self._vectors, coeffs) if c
         }

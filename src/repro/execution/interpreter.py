@@ -110,15 +110,7 @@ def execute(
     schedule = version.schedule(sizes)
 
     if check_legality:
-        from repro.analysis.liveness import find_mapping_violation
-
-        violation = find_mapping_violation(
-            mapping, code.stencil, schedule.order(bounds)
-        )
-        if violation is not None:
-            raise ValueError(
-                f"illegal version {version}: {violation}"
-            )
+        require_legal(version, mapping, schedule, bounds)
 
     storage = np.zeros(mapping.size, dtype=np.float64)
     mapping_fn = mapping.compiled()
@@ -139,6 +131,18 @@ def execute(
         storage[mapping_fn(*q)] = combine(values, q, ctx)
 
     return ExecutionResult(version, sizes, storage, mapping_fn, bounds, ctx)
+
+
+def require_legal(version: CodeVersion, mapping, schedule, bounds) -> None:
+    """Every engine's ``check_legality``: raise ``ValueError`` when the
+    dynamic mapping-liveness checker finds the pair illegal."""
+    from repro.analysis.liveness import find_mapping_violation
+
+    violation = find_mapping_violation(
+        mapping, version.code.stencil, schedule.order(bounds)
+    )
+    if violation is not None:
+        raise ValueError(f"illegal version {version}: {violation}")
 
 
 def _containment_check(bounds):

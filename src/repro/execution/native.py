@@ -16,10 +16,11 @@ both engines for every code × version × odd-size combination.
 
 Boundary inputs cross the FFI once, not per point: before the call the
 engine precomputes every out-of-ISG producer value into a row-major
-*halo buffer* over the extended box (:func:`fill_halo`, geometry shared
-with the code generator), so the compiled loop reads two flat ``double``
-arrays and touches Python only for :class:`SemanticsHook` combines
-(psm's table lookup), which keep a ctypes callback.
+*halo buffer* over the extended box (:mod:`repro.execution.gather`, one
+halo for the code generator and both fast engines), so the compiled
+loop reads two flat ``double`` arrays and touches Python only for
+:class:`SemanticsHook` combines (psm's table lookup), which keep a
+ctypes callback.
 
 One compiler run serves a whole batch: :func:`native_runners` lowers
 every version of the batch into one translation unit, with one entry
@@ -48,11 +49,12 @@ import numpy as np
 
 from repro import obs
 from repro.codes.base import Code, CodeVersion, Context
-from repro.execution.interpreter import ExecutionResult
+from repro.execution.gather import fill_halo
+from repro.execution.interpreter import ExecutionResult, require_legal
 from repro.execution.vectorized import execute_vectorized
 from repro.resilience.budget import Degradation, record_degradation
 
-__all__ = ["NativeFallback", "execute_native", "fill_halo", "native_runners"]
+__all__ = ["NativeFallback", "execute_native", "native_runners"]
 
 
 class NativeFallback(UserWarning):
@@ -66,44 +68,6 @@ _COMBINE_FN = ctypes.CFUNCTYPE(
     ctypes.POINTER(ctypes.c_double),
     ctypes.POINTER(ctypes.c_int),
 )
-
-
-def fill_halo(code: Code, bounds, ctx: Context) -> np.ndarray:
-    """The boundary-input buffer the generated C indexes.
-
-    A flat row-major array over the extended box of
-    :func:`~repro.codegen.c_gen.halo_geometry`; every position *outside*
-    the ISG box holds ``input_value`` of that producer (batched through
-    ``input_values_batch`` when the code has it), positions inside the
-    ISG are never read by the compiled code and stay zero.
-    """
-    from repro.codegen.c_gen import halo_geometry
-
-    ext_lo, ext_hi, _ = halo_geometry(code.source_distances, bounds)
-    shape = tuple(hi - lo + 1 for lo, hi in zip(ext_lo, ext_hi))
-    halo = np.zeros(shape, dtype=np.float64)
-
-    axes = [
-        np.arange(lo, hi + 1, dtype=np.int64)
-        for lo, hi in zip(ext_lo, ext_hi)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    outside = np.zeros(shape, dtype=bool)
-    for g, (lo, hi) in zip(grids, bounds):
-        outside |= (g < lo) | (g > hi)
-    if not outside.any():
-        return halo.ravel()
-    pcols = tuple(g[outside] for g in grids)
-    if code.input_values_batch is not None:
-        halo[outside] = np.asarray(
-            code.input_values_batch(pcols, ctx), dtype=np.float64
-        )
-    else:
-        points = np.stack(pcols, axis=1)
-        halo[outside] = [
-            code.input_value(tuple(int(c) for c in p), ctx) for p in points
-        ]
-    return halo.ravel()
 
 
 def _hook_callback(code: Code, ctx: Context):
@@ -303,14 +267,7 @@ def _run_kernel(
     mapping = version.mapping(sizes)
 
     if check_legality:
-        from repro.analysis.liveness import find_mapping_violation
-
-        schedule = version.schedule(sizes)
-        violation = find_mapping_violation(
-            mapping, code.stencil, schedule.order(bounds)
-        )
-        if violation is not None:
-            raise ValueError(f"illegal version {version}: {violation}")
+        require_legal(version, mapping, version.schedule(sizes), bounds)
 
     storage = np.zeros(mapping.size, dtype=np.float64)
     halo = fill_halo(code, bounds, ctx)

@@ -30,7 +30,9 @@ int64 arrays:
   constants ``a.d`` and ``b_j.d``;
 - a producer ``q - d`` can leave the box only through the non-zero
   components of ``d``, so the few rows that read the input region are
-  found by index and overwritten from the code's ``input_offsets_batch``.
+  found by index and overwritten from the code's ``input_offsets_batch``
+  (both steps through :mod:`repro.execution.gather`, as in the
+  vectorized engine).
 
 The *scalar walk* visits one point at a time through ``order`` and the
 compiled mapping; it is the oracle the array path is tested against,
@@ -48,7 +50,8 @@ from typing import Iterator, Mapping, Optional
 import numpy as np
 
 from repro.codes.base import CodeVersion, Context
-from repro.mapping.expr import AffineModForm, affine_mod_form
+from repro.execution.gather import AddressForm, Exits, mapping_form
+from repro.mapping.expr import AffineModForm
 
 __all__ = [
     "BLOCK_POINTS",
@@ -174,12 +177,7 @@ def _array_form(version, sizes, ctx) -> Optional[AffineModForm]:
         and code.extra_read_offsets_batch is None
     ):
         return None
-    mapping = version.mapping(sizes)
-    names = [f"q{k}" for k in range(mapping.dim)]
-    try:
-        return affine_mod_form(mapping.expression(names), names)
-    except ValueError:
-        return None
+    return mapping_form(version.mapping(sizes))
 
 
 def _chunked(lines: Iterator[int]) -> Iterator[np.ndarray]:
@@ -247,12 +245,11 @@ def _array_blocks(
     bounds = code.bounds(sizes)
     distances = code.source_distances
     lows = tuple(lo for lo, _ in bounds)
-    highs = tuple(hi for _, hi in bounds)
     n_extras = len(code.extra_read_offsets(lows, ctx))
     refs = len(distances) + n_extras + 1
     here = (0,) * len(bounds)
-    storage = _AddressForm(
-        form, ELEMENT_BYTES, layout.storage_base, (*distances, here)
+    storage = AddressForm(
+        form, (*distances, here), ELEMENT_BYTES, layout.storage_base
     )
     ibase, tbase = layout.input_base, layout.table_base
 
@@ -261,7 +258,7 @@ def _array_blocks(
         n = points.shape[0]
         cols = tuple(points[:, k] for k in range(points.shape[1]))
         fill = storage.evaluator(cols)
-        leaves = _Exits(cols, lows, highs)
+        leaves = Exits(cols, bounds)
         addrs = np.empty((n, refs), dtype=np.int64)
         for col, d in enumerate(distances):
             fill(d, out=addrs[:, col])
@@ -290,106 +287,6 @@ def _array_blocks(
             if lines.size:
                 last = int(lines[-1])
         yield lines
-
-
-class _AddressForm:
-    """``base + scale * form(q - d)`` for blocks of points ``q`` and the
-    constant distances ``d`` of one code.
-
-    Per block, the affine part and each residue ``(b_j.q + e_j) mod g_j``
-    are computed once.  The value at ``q - d`` is then the affine part
-    shifted by the constant ``a.d`` plus each residue rotated by the
-    constant ``b_j.d mod g_j``; distances with equal rotations share
-    one sum.
-    """
-
-    def __init__(self, form: AffineModForm, scale: int, base: int, distances):
-        self._linear = tuple(scale * a for a in form.linear)
-        self._constant = base + scale * form.constant
-        self._terms = tuple(
-            (scale * t.scale, t.linear, t.offset, t.modulus)
-            for t in form.terms
-        )
-        self._shifts = {
-            d: (
-                _dot_int(self._linear, d),
-                tuple(_dot_int(b, d) % g for _, b, _, g in self._terms),
-            )
-            for d in distances
-        }
-
-    def evaluator(self, cols):
-        """``fill(d, out)``: the values at ``q - d`` for the block's
-        points ``q`` (coordinate columns ``cols``), written to ``out``."""
-        base = _dot(self._linear, cols, self._constant)
-        residues = [
-            np.remainder(_dot(b, cols, e), g) for _, b, e, g in self._terms
-        ]
-        sums = {}
-
-        def fill(d, out) -> None:
-            shift, rotation = self._shifts[d]
-            total = sums.get(rotation)
-            if total is None:
-                total = base
-                for (k, _, _, g), r, s in zip(self._terms, residues, rotation):
-                    if s:
-                        r = np.remainder(r - s, g)
-                    total = total + (r * k if k != 1 else r)
-                sums[rotation] = total
-            np.subtract(total, shift, out=out)
-
-        return fill
-
-
-def _dot_int(coeffs, vector) -> int:
-    return sum(a * c for a, c in zip(coeffs, vector))
-
-
-def _dot(coeffs, cols, constant) -> np.ndarray:
-    """``coeffs . cols + constant`` as a fresh int64 array."""
-    out = None
-    for c, col in zip(coeffs, cols):
-        if not c:
-            continue
-        term = col * c if c != 1 else col.copy()
-        if out is None:
-            out = term
-        else:
-            out += term
-    if out is None:
-        return np.full(len(cols[0]), constant, dtype=np.int64)
-    out += constant
-    return out
-
-
-class _Exits:
-    """Which points ``q`` of a block (all inside the box) have their
-    producer ``q - d`` outside it.
-
-    Only the non-zero components of ``d`` can carry a producer out, and
-    only if the block reaches that face of the box: a component whose
-    whole column stays clear of the face needs no comparison.
-    """
-
-    def __init__(self, cols, lows, highs):
-        self._faces = [
-            (col, lo, hi, int(col.min()), int(col.max()))
-            for col, lo, hi in zip(cols, lows, highs)
-        ]
-
-    def __call__(self, d) -> Optional[np.ndarray]:
-        """The mask, or ``None`` when no producer leaves the box."""
-        outside = None
-        for (col, lo, hi, least, most), dk in zip(self._faces, d):
-            if dk > 0 and least < lo + dk:
-                leaves = col < lo + dk
-            elif dk < 0 and most > hi + dk:
-                leaves = col > hi + dk
-            else:
-                continue
-            outside = leaves if outside is None else outside | leaves
-        return outside
 
 
 def trace_length(

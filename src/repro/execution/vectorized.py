@@ -10,12 +10,14 @@ The batches come from :meth:`Schedule.batches`: contiguous runs of the
 schedule's own order in which no point depends on another (anti-diagonal
 / row fronts for lexicographic and interchanged orders, the fronts
 themselves for wavefront schedules, intra-tile diagonals for tiled
-schedules — see :mod:`repro.schedule.batching`).  For each batch the
-engine
+schedules — see :mod:`repro.schedule.batching`).  Storage and the
+native engine's halo of loop inputs share one ``[storage | halo]``
+buffer (:mod:`repro.execution.gather`).  For each batch the engine
 
-1. gathers every source value with one fancy-indexed read per stencil
-   distance (boundary producers go through the code's batched
-   ``input_values_batch``),
+1. evaluates the mapping's affine-mod form once, shifts it by a
+   constant per source ``q - d``, re-points the rows whose producer
+   leaves the box at its halo slot, and gathers each source with one
+   fancy-indexed read,
 2. applies the code's ``combine_batch`` — the exact elementwise
    transliteration of its scalar ``combine`` — and
 3. scatters the results through the mapping with one fancy-indexed write.
@@ -26,15 +28,16 @@ location a later iteration still reads (Section 4's legality condition);
 the equivalence test suite asserts bit-identical agreement with the
 scalar interpreter for every code/version/schedule combination.
 
-Schedules that expose no batch structure for a code's stencil (and codes
-without batched semantics) fall back to the scalar interpreter with a
-:class:`VectorizationFallback` warning, so the engine is always safe to
-call.  Fallbacks are *structured* events: the Python warning fires once
-per ``(code, schedule)`` pair per process (see
-:func:`repro.obs.warn_once`), while every occurrence increments the
-``vectorized.fallbacks`` counter and lands in the trace with the code,
-schedule, and reason attached — so a sweep that silently degrades is
-still visible in ``--profile`` output and the telemetry appendix.
+Schedules that expose no batch structure for a code's stencil, codes
+without batched semantics and mappings outside the affine-mod form fall
+back to the scalar interpreter with a :class:`VectorizationFallback`
+warning, so the engine is always safe to call.  Fallbacks are
+*structured* events: the Python warning fires once per ``(code,
+schedule)`` pair per process (see :func:`repro.obs.warn_once`), while
+every occurrence increments the ``vectorized.fallbacks`` counter and
+lands in the trace with the code, schedule, and reason attached — so a
+sweep that silently degrades is still visible in ``--profile`` output
+and the telemetry appendix.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ import numpy as np
 
 from repro import obs
 from repro.codes.base import Code, CodeVersion
-from repro.execution.interpreter import ExecutionResult, execute
+from repro.execution import gather
+from repro.execution.interpreter import ExecutionResult, execute, require_legal
+from repro.mapping.expr import AffineModForm
 
 __all__ = ["VectorizationFallback", "execute_vectorized"]
 
@@ -72,21 +77,22 @@ def execute_vectorized(
     code: Code = version.code
     bounds = code.bounds(sizes)
     schedule = version.schedule(sizes)
+    mapping = version.mapping(sizes)
 
     reason = None
     reason_code = None
-    batches = None
     if code.combine_batch is None:
         reason = f"code {code.name} has no batched combine"
         reason_code = "no-batched-combine"
-    else:
-        batches = schedule.batches(bounds, code.stencil)
-        if batches is None:
-            reason = (
-                f"schedule {schedule.name} has no dependence-free batch "
-                f"structure for stencil {list(code.stencil.vectors)}"
-            )
-            reason_code = "no-batch-structure"
+    elif (batches := schedule.batches(bounds, code.stencil)) is None:
+        reason = (
+            f"schedule {schedule.name} has no dependence-free batch "
+            f"structure for stencil {list(code.stencil.vectors)}"
+        )
+        reason_code = "no-batch-structure"
+    elif (form := gather.mapping_form(mapping)) is None:
+        reason = f"mapping {mapping!r} has no affine-mod address form"
+        reason_code = "no-affine-mod-form"
     if reason is not None:
         if not fallback:
             raise ValueError(f"cannot vectorize {version}: {reason}")
@@ -104,30 +110,27 @@ def execute_vectorized(
         return execute(version, sizes, seed=seed, check_legality=check_legality)
 
     ctx = code.make_context(sizes, seed)
-    mapping = version.mapping(sizes)
 
     if check_legality:
-        from repro.analysis.liveness import find_mapping_violation
+        require_legal(version, mapping, schedule, bounds)
 
-        violation = find_mapping_violation(
-            mapping, code.stencil, schedule.order(bounds)
-        )
-        if violation is not None:
-            raise ValueError(f"illegal version {version}: {violation}")
-
-    storage = np.zeros(mapping.size, dtype=np.float64)
-    mapping_fn = mapping.compiled()
+    # One buffer, [storage | halo]: a source is one gather whether its
+    # producer is a stored iteration or a loop input.
     distances = code.source_distances
+    size = mapping.size
+    ext_lo, ext_hi, strides = gather.halo_geometry(distances, bounds)
+    buffer = np.zeros(size + strides[0] * (ext_hi[0] - ext_lo[0] + 1))
+    gather.fill_halo(code, bounds, ctx, out=buffer[size:])
+    origin = size - sum(s * lo for s, lo in zip(strides, ext_lo))
+    inputs = gather.AddressForm(AffineModForm(strides, origin), distances)
+    here = (0,) * len(bounds)
+    stored = gather.AddressForm(form, (*distances, here))
     combine_batch = code.combine_batch
-    dim = len(bounds)
-    lows = tuple(lo for lo, _ in bounds)
-    highs = tuple(hi for _, hi in bounds)
 
     # Telemetry accumulates in locals inside the hot loop and reaches the
     # metrics registry once, after it — the disabled-path overhead is a
     # handful of integer adds per *batch*, bounded by the obs benchmark.
     batch_sizes: list[int] = []
-    gather_elements = 0
     boundary_elements = 0
 
     with obs.span(
@@ -139,39 +142,33 @@ def execute_vectorized(
         for batch in batches:
             n = batch.shape[0]
             batch_sizes.append(n)
-            cols = tuple(batch[:, k] for k in range(dim))
+            cols = tuple(batch.T)
+            at = stored.evaluator(cols)
+            exits = gather.Exits(cols, bounds)
+            halo_at = None
+            offsets = np.empty(n, dtype=np.int64)
             values = []
             for d in distances:
-                pcols = tuple(c - dk for c, dk in zip(cols, d))
-                inside = np.ones(n, dtype=bool)
-                for pc, lo, hi in zip(pcols, lows, highs):
-                    inside &= (pc >= lo) & (pc <= hi)
-                if inside.all():
-                    values.append(storage[_offsets(mapping_fn, pcols, n)])
-                    gather_elements += n
-                    continue
-                vals = np.empty(n, dtype=np.float64)
-                n_inside = int(inside.sum())
-                if n_inside:
-                    ins = tuple(pc[inside] for pc in pcols)
-                    vals[inside] = storage[
-                        _offsets(mapping_fn, ins, n_inside)
-                    ]
-                outside = ~inside
-                outs = tuple(pc[outside] for pc in pcols)
-                vals[outside] = _input_values(code, outs, ctx)
-                values.append(vals)
-                gather_elements += n_inside
-                boundary_elements += n - n_inside
+                at(d, out=offsets)
+                outside = exits(d)
+                if outside is not None:
+                    if halo_at is None:
+                        halo_at = inputs.evaluator(cols)
+                        halo_offsets = np.empty(n, dtype=np.int64)
+                    halo_at(d, out=halo_offsets)
+                    np.copyto(offsets, halo_offsets, where=outside)
+                    boundary_elements += int(np.count_nonzero(outside))
+                values.append(buffer[offsets])
             # Within a batch the points are in schedule order, so NumPy's
             # last-wins scatter on (theoretically) duplicate offsets matches
             # the scalar interpreter's sequential writes.
-            storage[_offsets(mapping_fn, cols, n)] = combine_batch(
-                values, cols, ctx
-            )
+            at(here, out=offsets)
+            buffer[offsets] = combine_batch(values, cols, ctx)
+        points = sum(batch_sizes)
+        gather_elements = points * len(distances) - boundary_elements
         sp.set(
             batches=len(batch_sizes),
-            points=sum(batch_sizes),
+            points=points,
             gather_elements=gather_elements,
             boundary_elements=boundary_elements,
         )
@@ -181,37 +178,13 @@ def execute_vectorized(
     metrics.counter("vectorized.batches").inc(len(batch_sizes))
     metrics.counter("vectorized.gather_elements").inc(gather_elements)
     metrics.counter("vectorized.boundary_elements").inc(boundary_elements)
-    metrics.counter("vectorized.scatter_elements").inc(sum(batch_sizes))
+    metrics.counter("vectorized.scatter_elements").inc(points)
     metrics.histogram("vectorized.batch_size").observe_many(batch_sizes)
 
-    result = ExecutionResult(version, sizes, storage, mapping_fn, bounds, ctx)
+    # Drop the halo in place; no view of the buffer outlives the loop.
+    buffer.resize(size, refcheck=False)
+    result = ExecutionResult(
+        version, sizes, buffer, mapping.compiled(), bounds, ctx
+    )
     result.engine_used = "vectorized"
     return result
-
-
-def _offsets(mapping_fn, cols: tuple[np.ndarray, ...], n: int) -> np.ndarray:
-    """Mapping offsets for a batch of points given as coordinate arrays.
-
-    The compiled mapping is pure ``+ * %`` arithmetic, so it evaluates
-    elementwise on arrays; a mapping whose expression degenerates to a
-    constant returns a scalar, which is broadcast back to batch length.
-    """
-    out = np.asarray(mapping_fn(*cols))
-    if out.ndim == 0:
-        return np.full(n, int(out), dtype=np.int64)
-    return out
-
-
-def _input_values(
-    code: Code, pcols: tuple[np.ndarray, ...], ctx
-) -> np.ndarray:
-    """Out-of-ISG producer values, batched when the code supports it."""
-    if code.input_values_batch is not None:
-        return np.asarray(
-            code.input_values_batch(pcols, ctx), dtype=np.float64
-        )
-    input_value = code.input_value
-    points = np.stack(pcols, axis=1)
-    return np.array(
-        [input_value(tuple(p), ctx) for p in points], dtype=np.float64
-    )

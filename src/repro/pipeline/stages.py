@@ -91,7 +91,7 @@ def _dependence_run(ctx) -> DependenceArtifact:
 
 
 def _uov_payload(ctx) -> dict:
-    from repro.analysis.symcert import SYMCERT_ENGINE_VERSION
+    from repro.analysis import SYMCERT_ENGINE_VERSION
 
     # The budget shapes the artifact (a tighter budget may yield a
     # different, degraded UOV), so it must be part of the cache key.

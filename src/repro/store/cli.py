@@ -27,8 +27,6 @@ import sys
 import time
 from typing import Optional
 
-from repro.store.backend import UnusableStore
-
 __all__ = ["add_store_parser", "parse_since"]
 
 
@@ -37,6 +35,9 @@ def _command(fn):
 
     @functools.wraps(fn)
     def wrapper(args) -> int:
+        # Imported per call: building the parser loads no store backend.
+        from repro.store.backend import UnusableStore
+
         try:
             return fn(args)
         except (FileNotFoundError, UnusableStore) as exc:
@@ -70,6 +71,7 @@ def _open_store(path: str):
     created and reported empty; a PATH that cannot be a store (a
     regular file without a sqlite suffix, say) raises UnusableStore."""
     from repro.store import OPEN_ERRORS, Store
+    from repro.store.backend import UnusableStore
 
     if not os.path.exists(path):
         raise FileNotFoundError(f"no store at {path}")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.cone import (
     ConeSolver,
+    MilpUndecided,
     coefficient_bound,
     dead_set,
     done_set,
@@ -194,6 +195,76 @@ class TestCoordinateBounds:
         solver = ConeSolver(stencil.vectors, backend="dfs")
         assert solver.solve(w) is None
         assert solver.stats["dfs_nodes"] < 50_000
+
+
+class TestMilpAnswers:
+    """The MILP backend says "not in the cone" only on a proof of
+    infeasibility; every other outcome raises :class:`MilpUndecided`."""
+
+    VECTORS = [(1, 0), (0, 1)]
+    TARGET = (2, 3)
+
+    def patch_milp(self, monkeypatch, **result):
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+
+        calls = []
+
+        def fake_milp(*args, **kwargs):
+            calls.append(kwargs)
+            return OptimizeResult(**result)
+
+        monkeypatch.setattr(scipy.optimize, "milp", fake_milp)
+        return calls
+
+    def test_a_limit_raises_naming_the_status(self, monkeypatch):
+        calls = self.patch_milp(
+            monkeypatch,
+            status=1,
+            success=False,
+            message="Time limit reached.",
+            x=None,
+        )
+        solver = ConeSolver(self.VECTORS, backend="milp")
+        with pytest.raises(MilpUndecided, match="status 1") as info:
+            solver.solve(self.TARGET)
+        assert info.value.status == 1
+        assert len(calls) == 1
+
+    def test_a_rounded_solution_failing_the_recheck_raises(self, monkeypatch):
+        self.patch_milp(
+            monkeypatch,
+            status=0,
+            success=True,
+            message="Optimization terminated successfully.",
+            x=[2.0, 2.4],  # rounds to (2, 2), not the target (2, 3)
+        )
+        solver = ConeSolver(self.VECTORS, backend="milp")
+        with pytest.raises(MilpUndecided, match="re-check") as info:
+            solver.solve(self.TARGET)
+        assert info.value.status == 0
+
+    def test_infeasible_still_answers_no(self, monkeypatch):
+        calls = self.patch_milp(
+            monkeypatch,
+            status=2,
+            success=False,
+            message="The problem is infeasible.",
+            x=None,
+        )
+        assert ConeSolver(self.VECTORS, backend="milp").solve(self.TARGET) is None
+        assert len(calls) == 1
+
+    def test_a_sound_solution_is_the_certificate(self, monkeypatch):
+        self.patch_milp(
+            monkeypatch,
+            status=0,
+            success=True,
+            message="Optimization terminated successfully.",
+            x=[2.0000001, 2.9999999],
+        )
+        got = ConeSolver(self.VECTORS, backend="milp").solve(self.TARGET)
+        assert got == {(1, 0): 2, (0, 1): 3}
 
 
 class TestRationalCone:

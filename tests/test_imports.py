@@ -68,20 +68,52 @@ print(json.dumps([len(packages), problems]))
 """
 
 
+#: ``repro --help``, its output swallowed.
+HELP = """
+import contextlib, io
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        main(['--help'])
+    except SystemExit:
+        pass
+"""
+
+
 class TestStartupImports:
     def test_help_loads_neither_numpy_nor_the_search(self):
-        loaded = modules_after(
-            "import contextlib, io\n"
-            "from repro.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    try:\n"
-            "        main(['--help'])\n"
-            "    except SystemExit:\n"
-            "        pass"
-        )
+        loaded = modules_after(HELP)
         assert "repro.cli" in loaded
         assert "numpy" not in loaded
         assert "repro.core.search" not in loaded
+
+    def test_help_loads_no_store_backend(self):
+        loaded = modules_after(HELP)
+        assert "repro.store.cli" in loaded
+        assert "repro.store.backend" not in loaded
+        assert "sqlite3" not in loaded
+
+    def test_a_warm_compile_loads_no_symbolic_prover(self, tmp_path):
+        # The uov-search key names the prover's version; a warm compile
+        # reads every stage from the store and runs no prover.
+        from repro.codes import get_spec
+        from repro.pipeline import ArtifactCache, compile_spec
+
+        options = dict(lint=True, codegen=True, engine="vectorized")
+        cold = compile_spec(
+            get_spec("stencil5"), cache=ArtifactCache(tmp_path), **options
+        )
+        assert not any(r.cached for r in cold.records)
+        loaded = modules_after(
+            "from repro.codes import get_spec\n"
+            "from repro.pipeline import ArtifactCache, compile_spec\n"
+            "result = compile_spec(get_spec('stencil5'), "
+            f"cache=ArtifactCache({str(tmp_path)!r}), **{options!r})\n"
+            "assert all(r.cached for r in result.records)"
+        )
+        assert "repro.pipeline.stages" in loaded
+        assert "repro.analysis.symcert" not in loaded
+        assert "repro.util.fm" not in loaded
 
     def test_the_build_module_loads_no_code_generator(self):
         loaded = modules_after("import repro.codegen.build")
