@@ -24,11 +24,10 @@ inner loop) or baked into unrolled copies (when it cycles).
 
 from __future__ import annotations
 
-import textwrap
 from typing import Mapping
 
 from repro.codegen.c_gen import shifted_indices
-from repro.codegen.unroll import unrollable_modulus
+from repro.codegen.unroll import unroll_offsets, unrollable_modulus
 from repro.codes.base import CodeVersion
 from repro.schedule.lex import InterchangedSchedule, LexicographicSchedule
 from repro.schedule.tiling import TiledSchedule
@@ -206,17 +205,17 @@ def _generate_unrolled(version, sizes, mapping, indices, bounds):
     (lo0, hi0), (lo1, hi1) = bounds
     g = mapping.gcd
     beta = mapping.class_row
-    step = beta[1] % g
+    period = unrollable_modulus(mapping, 1)
     outer_step = beta[0] % g
 
     header = [
         "def run(storage, ctx, combine, input_value):",
         f"    # {code.name} / {version.key}: lexicographic, "
-        f"mod removed by unrolling (period {g // __import__('math').gcd(g, step) if step else 1})",
+        f"mod removed by unrolling (period {period})",
         f"    for {a} in range({lo0}, {hi0 + 1}):",
     ]
 
-    if step == 0:
+    if period == 1:
         # Case A: class constant along the inner loop; hoist per row.
         # Per reference the class differs by a constant: hoist each.
         hoists = []
@@ -243,20 +242,19 @@ def _generate_unrolled(version, sizes, mapping, indices, bounds):
         raise NotImplementedError(
             "modterm depends on both loops; generic generation keeps the mod"
         )
-    # Case B: unroll the inner loop by the period.
-    import math as _math
-
-    period = g // _math.gcd(g, step)
+    # Case B: unroll the inner loop by the period.  The class of each
+    # reference in copy k; the outer index adds nothing (outer_step is 0).
+    per_reference = [
+        unroll_offsets(mapping, 1, (-d[0], lo1 - d[1]))
+        for d in code.source_distances + ((0, 0),)
+    ]
     lines = list(header)
     main_hi = lo1 + ((hi1 - lo1 + 1) // period) * period - 1
     lines.append(
         f"        for {b} in range({lo1}, {main_hi + 1}, {period}):"
     )
     for k in range(period):
-        classes = []
-        for d in code.source_distances + ((0, 0),):
-            cls = (beta[1] * (lo1 + k - d[1]) - beta[0] * d[0]) % g
-            classes.append(cls)
+        classes = [offsets[k] for offsets in per_reference]
         body = _unrolled_body(
             version, mapping, indices, bounds, classes, shift_inner=k
         )

@@ -20,7 +20,7 @@ keeps every output bit-identical:
   pad 1 @ 0.0).
 - ``row-or-constant``: positions below the loop's lower bound on
   ``axis`` read one constant (column 0); others read an initialised
-  line (simple2d's row 0).
+  line (simple2d's row 0), clamped into it at its ends.
 - ``zero-borders``: every boundary read returns 0.0, with distinct
   row/column border addresses (PSM's local-alignment borders).
 
@@ -140,6 +140,9 @@ def _row_or_constant(params: Mapping, bounds: BoundsFn, ndim: int) -> InputBindi
     axis = _axis_of(params, ndim)
     constant = float(params.get("constant", 0.0))
 
+    # Below the lower bound a position reads the constant (offset 0);
+    # any other reads row0 at the position clamped into row0, on every
+    # path, and its offset is that same cell's index.
     def make_context(sizes, seed):
         rng = np.random.default_rng(seed)
         lo, hi = bounds(sizes)[axis]
@@ -149,24 +152,24 @@ def _row_or_constant(params: Mapping, bounds: BoundsFn, ndim: int) -> InputBindi
         j = p[axis]
         if j < ctx["input_lo"]:
             return constant  # below the bound: one constant in every entry
-        return float(ctx["row0"][j])
+        row0 = ctx["row0"]
+        return float(row0[min(max(j, 0), len(row0) - 1)])
 
     def input_offset(p, sizes):
-        lo = bounds(sizes)[axis][0]
+        lo, hi = bounds(sizes)[axis]
         j = p[axis]
-        return 0 if j < lo else j
+        return 0 if j < lo else min(max(j, 0), hi)
 
     def input_values_batch(p, ctx):
         j = p[axis]
         row0 = ctx["row0"]
         lo = ctx["input_lo"]
-        # np.where evaluates both arms, so clamp j for the gather.
         return np.where(j < lo, constant, row0[np.clip(j, 0, len(row0) - 1)])
 
     def input_offsets_batch(p, sizes):
-        lo = bounds(sizes)[axis][0]
+        lo, hi = bounds(sizes)[axis]
         j = p[axis]
-        return np.where(j < lo, 0, j)
+        return np.where(j < lo, 0, np.clip(j, 0, hi))
 
     return InputBindings(
         kind="row-or-constant",

@@ -8,21 +8,29 @@ kernel keeps the same state and the same counters as
 oracle and as the path on machines without a compiler:
 
 - set-associative true-LRU L1 and L2 (each set's keys most recent
-  first, so a lookup scans at most the associativity; the shipped
-  machines have at most 4 ways and 64 TLB entries);
+  first, moved to the front in one pass that stops at the hit; the
+  shipped machines have at most 4 ways and 64 TLB entries);
 - a fully-associative LRU TLB over page numbers;
 - the resident-page LRU with its first-touch (minor fault), refault and
   writeback stalls, in page-indexed arrays that grow on demand.
 
+The C source is only that hot loop.  :class:`KernelHierarchy` owns every
+byte it touches: the set keys and fills and the page arrays are NumPy
+arrays, the counters live in a ctypes mirror of the C struct (its size
+checked against the kernel's ``hier_size`` at load), Python grows the
+page arrays, and a block the kernel cannot play is refused before any C
+runs.  The kernel allocates nothing and includes no ``stdlib.h``.
+
 The contract is exactness: after the same accesses, :meth:`
 KernelHierarchy.stats` equals the oracle's ``stats()`` field for field,
-and ``minor_faults`` equals its ``minor_faults``
+``minor_faults`` equals its ``minor_faults``, and every set, the TLB
+and the resident-page list hold the oracle's keys in the oracle's order
 (``tests/native/test_hierarchy_kernel.py`` checks every code × version
 on full, scaled and memory-starved machines).  State persists across
-blocks.  Stall sums are int64.  The kernel refuses a block holding a
-negative line number (C's ``/`` and ``%`` truncate where Python's
-floor), leaving its state untouched, and the caller falls back to the
-oracle.
+blocks.  Stall sums are int64.  A block holding a negative line number
+(C's ``/`` and ``%`` truncate where Python's floor) or a page number of
+:data:`MAX_PAGES` or more is refused with :class:`UnsupportedTrace` and
+the state untouched, and the caller falls back to the oracle.
 
 The C source lives in this ``.py`` file on purpose: the engine
 fingerprint (:mod:`repro.store.fingerprint`) hashes ``*.py`` only, so a
@@ -35,7 +43,6 @@ loaded library is memoised per process and per toolchain fingerprint.
 from __future__ import annotations
 
 import ctypes
-import weakref
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from repro.machine.hierarchy import AccessStats, MemoryHierarchy
 
 __all__ = [
     "KERNEL_SOURCE",
+    "MAX_PAGES",
     "KernelHierarchy",
     "UnsupportedTrace",
     "load_kernel",
@@ -51,12 +59,6 @@ __all__ = [
 
 KERNEL_SOURCE = r"""
 #include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
-
-/* Largest page number the page arrays grow to; beyond it the kernel
-   refuses the block and the caller uses the Python hierarchy. */
-#define MAX_PAGES ((int64_t)1 << 26)
 
 enum { UNTOUCHED = 0, RESIDENT = 1, EVICTED = 2 };
 
@@ -76,41 +78,33 @@ typedef struct {
     int64_t fault_stall, minor_fault_stall, writeback_stall;
     int64_t accesses, page_faults, minor_faults, writebacks, stall_cycles;
     /* Resident pages: a list through prev/next, most recent at head. */
-    int64_t pages; /* length of prev, next and state */
     int64_t *prev, *next;
     unsigned char *state;
     int64_t head, tail, resident;
 } hier_t;
 
-static int lru_init(lru_t *c, int64_t sets, int64_t ways) {
-    c->sets = sets;
-    c->ways = ways;
-    c->mask = (sets & (sets - 1)) == 0 ? sets - 1 : -1;
-    c->misses = 0;
-    c->keys = malloc((size_t)(sets * ways) * sizeof(int64_t));
-    c->fill = calloc((size_t)sets, sizeof(int64_t));
-    return c->keys != NULL && c->fill != NULL;
-}
+int64_t hier_size(void) { return sizeof(hier_t); }
 
-/* Touch `key`; 1 on a hit.  A miss inserts it as most recent, dropping
-   the least recent key of a full set. */
+/* Touch `key`; 1 on a hit.  One pass, most recent first: `key` goes in
+   front and each key it passes moves one slot down, up to the hit's
+   slot.  On a miss the last key carried fills the free slot, or drops
+   out of a full set as its least recent key. */
 static inline int lru_access(lru_t *c, int64_t key) {
     int64_t set = c->mask >= 0 ? (key & c->mask) : key % c->sets;
     int64_t *k = c->keys + set * c->ways;
-    int64_t n = c->fill[set], i = 0;
-    int hit;
-    while (i < n && k[i] != key) i++;
-    hit = i < n;
-    if (!hit) {
-        c->misses++;
-        if (n < c->ways)
-            c->fill[set] = n + 1;
-        else
-            i = n - 1;
+    int64_t n = c->fill[set], i, carry = key, seen;
+    for (i = 0; i < n; i++) {
+        seen = k[i];
+        k[i] = carry;
+        if (seen == key) return 1;
+        carry = seen;
     }
-    for (; i > 0; i--) k[i] = k[i - 1];
-    k[0] = key;
-    return hit;
+    c->misses++;
+    if (n < c->ways) {
+        k[n] = carry;
+        c->fill[set] = n + 1;
+    }
+    return 0;
 }
 
 static void page_unlink(hier_t *h, int64_t p) {
@@ -158,109 +152,75 @@ static int64_t page_in(hier_t *h, int64_t page) {
     return stall;
 }
 
-static inline void access_line(hier_t *h, int64_t line) {
-    int64_t page = h->page_shift >= 0 ? line >> h->page_shift
-                                      : line / h->lines_per_page;
-    int64_t stall = 0;
-    h->accesses++;
-    if (!lru_access(&h->tlb, page)) stall += h->tlb_stall;
-    if (!lru_access(&h->l1, line)) {
-        if (lru_access(&h->l2, line))
-            stall += h->l2_stall;
-        else
-            stall += h->memory_stall + page_in(h, page);
-    }
-    h->stall_cycles += stall;
-}
-
-/* Grow the page arrays to hold `page`; 0 on success. */
-static int reserve_pages(hier_t *h, int64_t page) {
-    int64_t want = h->pages ? h->pages : 1024;
-    int64_t *prev, *next;
-    unsigned char *state;
-    if (page < h->pages) return 0;
-    if (page >= MAX_PAGES) return -1;
-    while (want <= page) want *= 2;
-    prev = realloc(h->prev, (size_t)want * sizeof(int64_t));
-    if (prev == NULL) return -1;
-    h->prev = prev;
-    next = realloc(h->next, (size_t)want * sizeof(int64_t));
-    if (next == NULL) return -1;
-    h->next = next;
-    state = realloc(h->state, (size_t)want);
-    if (state == NULL) return -1;
-    h->state = state;
-    memset(state + h->pages, UNTOUCHED, (size_t)(want - h->pages));
-    h->pages = want;
-    return 0;
-}
-
-void hier_free(hier_t *h) {
-    if (h == NULL) return;
-    free(h->l1.keys); free(h->l1.fill);
-    free(h->l2.keys); free(h->l2.fill);
-    free(h->tlb.keys); free(h->tlb.fill);
-    free(h->prev); free(h->next); free(h->state);
-    free(h);
-}
-
-/* p: l1 sets, l1 ways, l2 sets, l2 ways, tlb entries, lines per page,
-   memory pages, then the l2, memory, tlb, fault, minor-fault and
-   writeback stalls. */
-hier_t *hier_new(const int64_t *p) {
-    hier_t *h = calloc(1, sizeof(hier_t));
-    int64_t shift = 0;
-    if (h == NULL) return NULL;
-    if (!lru_init(&h->l1, p[0], p[1]) || !lru_init(&h->l2, p[2], p[3])
-        || !lru_init(&h->tlb, 1, p[4])) {
-        hier_free(h);
-        return NULL;
-    }
-    h->lines_per_page = p[5];
-    while (((int64_t)1 << shift) < p[5]) shift++;
-    h->page_shift = ((int64_t)1 << shift) == p[5] ? shift : -1;
-    h->memory_pages = p[6];
-    h->l2_stall = p[7];
-    h->memory_stall = p[8];
-    h->tlb_stall = p[9];
-    h->fault_stall = p[10];
-    h->minor_fault_stall = p[11];
-    h->writeback_stall = p[12];
-    h->head = h->tail = -1;
-    return h;
-}
-
-/* Play n lines.  Returns 0, or -1 (a negative line) / -2 (a page
-   beyond MAX_PAGES or out of memory) with the state untouched. */
-int hier_feed(hier_t *h, const int64_t *lines, int64_t n) {
-    int64_t i, top = 0;
+/* Play n lines: each non-negative, its page inside the page arrays. */
+void hier_feed(hier_t *h, const int64_t *lines, int64_t n) {
+    int64_t i, line, page, stall;
     for (i = 0; i < n; i++) {
-        if (lines[i] < 0) return -1;
-        if (lines[i] > top) top = lines[i];
+        line = lines[i];
+        page = h->page_shift >= 0 ? line >> h->page_shift
+                                  : line / h->lines_per_page;
+        stall = 0;
+        h->accesses++;
+        if (!lru_access(&h->tlb, page)) stall += h->tlb_stall;
+        if (!lru_access(&h->l1, line)) {
+            if (lru_access(&h->l2, line))
+                stall += h->l2_stall;
+            else
+                stall += h->memory_stall + page_in(h, page);
+        }
+        h->stall_cycles += stall;
     }
-    if (n > 0 && reserve_pages(h, top / h->lines_per_page) != 0) return -2;
-    for (i = 0; i < n; i++) access_line(h, lines[i]);
-    return 0;
-}
-
-/* accesses, l1/l2/tlb misses, page faults, writebacks, stall cycles,
-   minor faults. */
-void hier_stats(const hier_t *h, int64_t *out) {
-    out[0] = h->accesses;
-    out[1] = h->l1.misses;
-    out[2] = h->l2.misses;
-    out[3] = h->tlb.misses;
-    out[4] = h->page_faults;
-    out[5] = h->writebacks;
-    out[6] = h->stall_cycles;
-    out[7] = h->minor_faults;
 }
 """
+
+#: Page numbers the page arrays grow to hold (``1 << 26`` pages is 1.1
+#: GiB of arrays); a block reaching beyond is refused.
+MAX_PAGES = 1 << 26
+
+#: Page arrays start at this many pages and double from there.
+_FIRST_PAGES = 1024
 
 
 class UnsupportedTrace(ValueError):
     """A block the kernel refuses (negative line, or a page number too
     large for its page arrays); the oracle handles any trace."""
+
+
+class _Lru(ctypes.Structure):
+    _fields_ = [
+        ("sets", ctypes.c_int64),
+        ("ways", ctypes.c_int64),
+        ("mask", ctypes.c_int64),
+        ("keys", ctypes.c_void_p),
+        ("fill", ctypes.c_void_p),
+        ("misses", ctypes.c_int64),
+    ]
+
+
+class _State(ctypes.Structure):
+    """The C ``hier_t``, field for field."""
+
+    _fields_ = [
+        ("l1", _Lru),
+        ("l2", _Lru),
+        ("tlb", _Lru),
+        *(
+            (name, ctypes.c_int64)
+            for name in (
+                "lines_per_page", "page_shift", "memory_pages",
+                "l2_stall", "memory_stall", "tlb_stall",
+                "fault_stall", "minor_fault_stall", "writeback_stall",
+                "accesses", "page_faults", "minor_faults", "writebacks",
+                "stall_cycles",
+            )
+        ),
+        ("prev", ctypes.c_void_p),
+        ("next", ctypes.c_void_p),
+        ("state", ctypes.c_void_p),
+        ("head", ctypes.c_int64),
+        ("tail", ctypes.c_int64),
+        ("resident", ctypes.c_int64),
+    ]
 
 
 #: Toolchain fingerprint → loaded library, or the failure to replay.
@@ -305,79 +265,124 @@ def load_kernel() -> ctypes.CDLL:
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    void_p, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.hier_new.restype = void_p
-    lib.hier_new.argtypes = [void_p]
-    lib.hier_free.restype = None
-    lib.hier_free.argtypes = [void_p]
-    lib.hier_feed.restype = ctypes.c_int
-    lib.hier_feed.argtypes = [void_p, void_p, i64]
-    lib.hier_stats.restype = None
-    lib.hier_stats.argtypes = [void_p, void_p]
+    """Set the kernel's signatures; a struct the mirror does not match
+    fails the load (``load-failed``), as a missing symbol would."""
+    from repro.codegen.build import NativeUnavailable
+
+    lib.hier_size.restype = ctypes.c_int64
+    lib.hier_size.argtypes = []
+    lib.hier_feed.restype = None
+    lib.hier_feed.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    if lib.hier_size() != ctypes.sizeof(_State):
+        raise NativeUnavailable(
+            "load-failed",
+            f"hierarchy kernel: hier_t is {lib.hier_size()} bytes, its "
+            f"ctypes mirror {ctypes.sizeof(_State)}",
+        )
     return lib
 
 
 class KernelHierarchy:
-    """The state and counters of ``hierarchy``, kept by the C kernel.
+    """The state and counters of ``hierarchy``, played by the C kernel.
 
     Starts empty, like the fresh ``hierarchy`` it copies its geometry
     and stalls from (which it never touches).  :meth:`feed` plays a
     block of line numbers; :meth:`stats`, :attr:`stall_cycles` and
     :attr:`minor_faults` then read as the oracle's would after the
-    same accesses.
+    same accesses.  The state is NumPy arrays this object owns: per
+    level ``(sets, ways)`` keys, most recent first, and per-set fills;
+    per page ``prev``/``next`` links and a state byte.
     """
 
     def __init__(self, lib: ctypes.CDLL, hierarchy: MemoryHierarchy):
-        params = np.array(
-            [
-                hierarchy.l1.num_sets,
-                hierarchy.l1.associativity,
-                hierarchy.l2.num_sets,
-                hierarchy.l2.associativity,
-                hierarchy.tlb.entries,
-                hierarchy.page_bytes // hierarchy.line_bytes,
-                hierarchy.memory_pages,
-                hierarchy.l2_stall,
-                hierarchy.memory_stall,
-                hierarchy.tlb_stall,
-                hierarchy.fault_stall,
-                hierarchy.minor_fault_stall,
-                hierarchy.writeback_stall,
-            ],
-            dtype=np.int64,
+        self._hier_feed = lib.hier_feed
+        s = self._state = _State()
+        self._address = ctypes.addressof(s)
+        self._keys: dict[str, np.ndarray] = {}
+        self._fill: dict[str, np.ndarray] = {}
+        for name, sets, ways in (
+            ("l1", hierarchy.l1.num_sets, hierarchy.l1.associativity),
+            ("l2", hierarchy.l2.num_sets, hierarchy.l2.associativity),
+            ("tlb", 1, hierarchy.tlb.entries),
+        ):
+            keys = self._keys[name] = np.zeros((sets, ways), dtype=np.int64)
+            fill = self._fill[name] = np.zeros(sets, dtype=np.int64)
+            level = getattr(s, name)
+            level.sets, level.ways = sets, ways
+            level.mask = sets - 1 if sets & (sets - 1) == 0 else -1
+            level.keys, level.fill = keys.ctypes.data, fill.ctypes.data
+        per_page = hierarchy.page_bytes // hierarchy.line_bytes
+        self._lines_per_page = per_page
+        s.lines_per_page = per_page
+        s.page_shift = (
+            per_page.bit_length() - 1 if per_page & (per_page - 1) == 0 else -1
         )
-        handle = lib.hier_new(params.ctypes.data)
-        if not handle:
-            raise MemoryError("hierarchy kernel: cannot allocate caches")
-        self._lib = lib
-        self._handle = handle
-        weakref.finalize(self, lib.hier_free, handle)
+        s.memory_pages = hierarchy.memory_pages
+        s.l2_stall = hierarchy.l2_stall
+        s.memory_stall = hierarchy.memory_stall
+        s.tlb_stall = hierarchy.tlb_stall
+        s.fault_stall = hierarchy.fault_stall
+        s.minor_fault_stall = hierarchy.minor_fault_stall
+        s.writeback_stall = hierarchy.writeback_stall
+        s.head = s.tail = -1
+        self._prev = np.empty(0, dtype=np.int64)
+        self._next = np.empty(0, dtype=np.int64)
+        self._page_state = np.empty(0, dtype=np.uint8)
 
     def feed(self, lines: np.ndarray) -> None:
         """Play one block of line numbers through the hierarchy."""
         block = np.ascontiguousarray(lines, dtype=np.int64)
-        status = self._lib.hier_feed(
-            self._handle, block.ctypes.data, block.size
-        )
-        if status == -1:
-            raise UnsupportedTrace("negative line number in the trace")
-        if status:
-            raise UnsupportedTrace(
-                "page number beyond the kernel's page arrays, or out of memory"
-            )
+        if block.size:
+            if block.min() < 0:
+                raise UnsupportedTrace("negative line number in the trace")
+            top = int(block.max()) // self._lines_per_page
+            if top >= self._page_state.size:
+                self._grow_pages(top)
+        self._hier_feed(self._address, block.ctypes.data, block.size)
 
-    def _counters(self) -> np.ndarray:
-        out = np.zeros(8, dtype=np.int64)
-        self._lib.hier_stats(self._handle, out.ctypes.data)
-        return out
+    def _grow_pages(self, page: int) -> None:
+        """Page arrays that hold ``page``, doubled from the current size;
+        raises :class:`UnsupportedTrace` with the state untouched."""
+        if page >= MAX_PAGES:
+            raise UnsupportedTrace(
+                f"page {page} beyond the kernel's {MAX_PAGES} page arrays"
+            )
+        pages = max(self._page_state.size, _FIRST_PAGES)
+        while pages <= page:
+            pages *= 2
+        try:
+            prev = np.empty(pages, dtype=np.int64)
+            next_ = np.empty(pages, dtype=np.int64)
+            state = np.zeros(pages, dtype=np.uint8)  # 0 is UNTOUCHED
+        except MemoryError as exc:
+            raise UnsupportedTrace(
+                f"out of memory for {pages} pages of page arrays"
+            ) from exc
+        old = self._page_state.size
+        prev[:old], next_[:old], state[:old] = (
+            self._prev, self._next, self._page_state
+        )
+        self._prev, self._next, self._page_state = prev, next_, state
+        s = self._state
+        s.prev, s.next = prev.ctypes.data, next_.ctypes.data
+        s.state = state.ctypes.data
 
     def stats(self) -> AccessStats:
-        return AccessStats(*(int(v) for v in self._counters()[:7]))
+        s = self._state
+        return AccessStats(
+            accesses=s.accesses,
+            l1_misses=s.l1.misses,
+            l2_misses=s.l2.misses,
+            tlb_misses=s.tlb.misses,
+            page_faults=s.page_faults,
+            writebacks=s.writebacks,
+            stall_cycles=s.stall_cycles,
+        )
 
     @property
     def stall_cycles(self) -> int:
-        return int(self._counters()[6])
+        return self._state.stall_cycles
 
     @property
     def minor_faults(self) -> int:
-        return int(self._counters()[7])
+        return self._state.minor_faults

@@ -255,6 +255,44 @@ class TestMilpAnswers:
         assert ConeSolver(self.VECTORS, backend="milp").solve(self.TARGET) is None
         assert len(calls) == 1
 
+    SOLVE_ERROR = dict(
+        status=4, success=False, message="(HiGHS Status 4: Solve error)",
+        x=None,
+    )
+
+    def patch_milp_results(self, monkeypatch, *results):
+        """milp answering ``results`` in turn; returns its calls' kwargs."""
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+
+        calls = []
+
+        def fake_milp(*args, **kwargs):
+            calls.append(kwargs)
+            return OptimizeResult(**results[len(calls) - 1])
+
+        monkeypatch.setattr(scipy.optimize, "milp", fake_milp)
+        return calls
+
+    def test_a_solve_error_is_retried_without_presolve(self, monkeypatch):
+        calls = self.patch_milp_results(
+            monkeypatch,
+            self.SOLVE_ERROR,
+            dict(status=2, success=False,
+                 message="The problem is infeasible.", x=None),
+        )
+        assert ConeSolver(self.VECTORS, backend="milp").solve(self.TARGET) is None
+        assert [c["options"] for c in calls] == [{}, {"presolve": False}]
+
+    def test_a_second_solve_error_raises(self, monkeypatch):
+        calls = self.patch_milp_results(
+            monkeypatch, self.SOLVE_ERROR, self.SOLVE_ERROR
+        )
+        solver = ConeSolver(self.VECTORS, backend="milp")
+        with pytest.raises(MilpUndecided, match="status 4"):
+            solver.solve(self.TARGET)
+        assert len(calls) == 2
+
     def test_a_sound_solution_is_the_certificate(self, monkeypatch):
         self.patch_milp(
             monkeypatch,

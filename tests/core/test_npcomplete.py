@@ -65,6 +65,16 @@ class TestReduction:
             values
         )
 
+    @pytest.mark.parametrize(
+        "values", [[2, 3, 3], [4, 6, 6], [3, 5, 5, 5], [3, 5, 6, 6]]
+    )
+    def test_membership_where_presolve_fails(self, values):
+        # HiGHS' presolve ends these reductions in a solve error; the
+        # milp backend must still decide them, as "no".
+        stencil, w = reduction_from_partition(values)
+        assert is_uov(w, stencil, backend="milp") is False
+        assert not partition_solvable(values)
+
     def test_witness_builds_cone_certificate(self):
         values = [3, 5, 2, 4]
         witness = partition_brute_force(values)

@@ -1,17 +1,22 @@
 """The C hierarchy kernel against its oracle, the Python MemoryHierarchy.
 
 Every counter of :class:`~repro.machine.hierarchy.AccessStats` (plus
-minor faults) must be equal after the same accesses: for every code ×
-version on full, scaled and memory-starved machines over two passes,
-and on synthetic traces aimed at one mechanism each.  Without a
-toolchain, ``simulate`` must return the same numbers from the oracle and
-say so with a ``no-toolchain`` degradation.
+minor faults) and the whole state must be equal after the same
+accesses: each L1 and L2 set's keys and the TLB's pages, most recent
+first, and the resident-page list from head to tail.  That holds for
+every code × version on full, scaled and memory-starved machines over
+two passes, and on synthetic traces aimed at one mechanism each.
+Without a toolchain, ``simulate`` must return the same numbers from the
+oracle and say so with a ``no-toolchain`` degradation.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,8 +36,10 @@ from repro.execution.trace import line_blocks, line_trace
 from repro.machine import ALPHA_21164, PENTIUM_PRO, ULTRA_2
 from repro.machine.cache import Cache
 from repro.machine.hierarchy import MemoryHierarchy
+from repro.machine import hierarchy_kernel as kernel_mod
 from repro.machine.hierarchy_kernel import (
     KERNEL_SOURCE,
+    MAX_PAGES,
     KernelHierarchy,
     UnsupportedTrace,
     load_kernel,
@@ -66,6 +73,62 @@ def _machines():
 
 def _counters(h) -> tuple:
     return h.stats(), h.minor_faults
+
+
+def _oracle_state(oracle: MemoryHierarchy) -> dict:
+    """The oracle's state: per level, each set's key count and all keys,
+    set by set and most recent first (its dicts are oldest first); the
+    resident pages, most recent first; the pages ever touched."""
+
+    def level(sets):
+        return [len(s) for s in sets], [k for s in sets for k in reversed(s)]
+
+    return {
+        "l1": level(oracle.l1._sets),
+        "l2": level(oracle.l2._sets),
+        "tlb": level([oracle.tlb._resident]),
+        "pages": list(reversed(oracle._resident_pages)),
+        "touched": sorted(oracle._ever_touched),
+    }
+
+
+def _kernel_state(kernel: KernelHierarchy) -> dict:
+    """The kernel's NumPy-held state, in :func:`_oracle_state`'s form.
+
+    The resident list is walked from head to tail; walking it back from
+    the tail, its resident count and the page states must agree."""
+
+    def level(name):
+        keys, fill = kernel._keys[name], kernel._fill[name]
+        used = np.arange(keys.shape[1]) < fill[:, None]
+        return fill.tolist(), keys[used].tolist()
+
+    links = kernel._state
+    forward, page = [], links.head
+    while page >= 0:
+        forward.append(page)
+        page = int(kernel._next[page])
+    backward, page = [], links.tail
+    while page >= 0:
+        backward.append(page)
+        page = int(kernel._prev[page])
+    assert backward == forward[::-1]
+    assert links.resident == len(forward)
+    resident = np.flatnonzero(kernel._page_state == 1)  # 1 is RESIDENT
+    assert resident.tolist() == sorted(forward)
+    return {
+        "l1": level("l1"),
+        "l2": level("l2"),
+        "tlb": level("tlb"),
+        "pages": forward,
+        "touched": np.flatnonzero(kernel._page_state).tolist(),
+    }
+
+
+def _assert_twins(kernel, oracle, *context) -> None:
+    """Equal counters and equal state."""
+    assert _counters(kernel) == _counters(oracle), context
+    assert _kernel_state(kernel) == _oracle_state(oracle), context
 
 
 @pytest.fixture
@@ -152,9 +215,7 @@ class TestDifferential:
                     oracle.access_line(line)
                 for block in blocks:
                     kernel.feed(block)
-                assert _counters(kernel) == _counters(oracle), (
-                    machine.name, done
-                )
+                _assert_twins(kernel, oracle, machine.name, done)
 
     def test_simulate_matches_the_oracle_with_passes(self):
         version = get_versions("stencil5")["ov"]
@@ -174,7 +235,7 @@ class TestSynthetic:
         oracle, kernel = _both(kernel_lib, _tiny(l1_ways=0, l2_ways=0))
         assert oracle.l1.num_sets == oracle.l2.num_sets == 1
         _feed_both(oracle, kernel, lines)
-        assert _counters(kernel) == _counters(oracle)
+        _assert_twins(kernel, oracle)
         assert oracle.page_faults > 0
 
     def test_set_associative_non_power_of_two_sets(self, kernel_lib):
@@ -186,7 +247,7 @@ class TestSynthetic:
         assert oracle.l1.num_sets == 3
         lines = np.random.default_rng(1).integers(0, 2000, size=4000)
         _feed_both(oracle, kernel, lines)
-        assert _counters(kernel) == _counters(oracle)
+        _assert_twins(kernel, oracle)
 
     def test_tlb_thrash(self, kernel_lib):
         # A cyclic sweep over one more page than the TLB holds misses
@@ -194,7 +255,7 @@ class TestSynthetic:
         oracle, kernel = _both(kernel_lib, _tiny(tlb_entries=4, pages=64))
         lines = [page * 128 for page in range(5)] * 20
         _feed_both(oracle, kernel, lines)
-        assert _counters(kernel) == _counters(oracle)
+        _assert_twins(kernel, oracle)
         assert kernel.stats().tlb_misses == len(lines)
 
     def test_refault_after_eviction(self, kernel_lib):
@@ -203,18 +264,18 @@ class TestSynthetic:
         lines = [page * 128 for page in range(5)] + [1]
         _feed_both(oracle, kernel, lines)
         stats = kernel.stats()
-        assert _counters(kernel) == _counters(oracle)
+        _assert_twins(kernel, oracle)
         assert kernel.minor_faults == 5
         assert (stats.page_faults, stats.writebacks) == (1, 2)
 
     def test_empty_and_one_element_blocks(self, kernel_lib):
         oracle, kernel = _both(kernel_lib, _tiny())
         kernel.feed(np.empty(0, dtype=np.int64))
-        assert _counters(kernel) == _counters(oracle)
+        _assert_twins(kernel, oracle)
         _feed_both(oracle, kernel, [42])
         kernel.feed(np.empty(0, dtype=np.int64))
         _feed_both(oracle, kernel, [42])
-        assert _counters(kernel) == _counters(oracle)
+        _assert_twins(kernel, oracle)
         assert kernel.stats().accesses == 2
 
     def test_block_size_never_matters(self, kernel_lib):
@@ -228,16 +289,81 @@ class TestSynthetic:
             kernel = KernelHierarchy(kernel_lib, machine.build_hierarchy())
             for start in range(0, lines.size, size):
                 kernel.feed(lines[start : start + size])
-            results.append(_counters(kernel))
+            results.append((_counters(kernel), _kernel_state(kernel)))
         assert results[0] == results[1] == results[2]
+
+    def test_pages_of_a_non_power_of_two_line_count(self, kernel_lib):
+        # 3072-byte pages over 32-byte lines: 96 lines a page, so the
+        # kernel divides instead of shifting.
+        def args():
+            return dict(_tiny()(), tlb=TLB("TLB", 4, 3072),
+                        memory_bytes=4 * 3072)
+
+        oracle, kernel = _both(kernel_lib, args)
+        assert kernel._state.page_shift == -1
+        rng = np.random.default_rng(11)
+        wide = rng.integers(0, 96 * 40, size=3000)
+        _feed_both(oracle, kernel, np.where(rng.random(3000) < 0.6,
+                                            wide % 200, wide))
+        version = get_versions("stencil5")["ov"]
+        for block in line_blocks(version, SIZES["stencil5"], 32):
+            _feed_both(oracle, kernel, block)
+        _assert_twins(kernel, oracle)
+        assert oracle.page_faults > 0 and oracle.writebacks > 0
+
+    def test_page_arrays_grow_keeping_the_list(self, kernel_lib):
+        # Pages far apart, a new line each, through four frames: each
+        # jump past the arrays' end doubles them under a live resident
+        # list.
+        oracle, kernel = _both(kernel_lib, _tiny(pages=4))
+        pages = [1, 5000, 1, 3, 70000, 5000, 2, 9, 1, 300000, 3, 70000]
+        _feed_both(oracle, kernel,
+                   [page * 128 + i for i, page in enumerate(pages)])
+        _assert_twins(kernel, oracle)
+        assert kernel._page_state.size == 1 << 19
+        assert oracle.page_faults > 0
 
     def test_negative_line_is_refused_with_state_untouched(self, kernel_lib):
         oracle, kernel = _both(kernel_lib, _tiny())
         _feed_both(oracle, kernel, [3, 700, 3])
-        before = _counters(kernel)
-        with pytest.raises(UnsupportedTrace):
+        with pytest.raises(UnsupportedTrace, match="negative"):
             kernel.feed(np.array([5, -1, 6], dtype=np.int64))
-        assert _counters(kernel) == before
+        _assert_twins(kernel, oracle)
+
+    def test_page_beyond_max_pages_is_refused_with_state_untouched(
+        self, kernel_lib
+    ):
+        oracle, kernel = _both(kernel_lib, _tiny())
+        _feed_both(oracle, kernel, [3, 700, 3])
+        pages = kernel._page_state.size
+        with pytest.raises(UnsupportedTrace, match="beyond"):
+            kernel.feed(np.array([5, MAX_PAGES * 128, 6], dtype=np.int64))
+        _assert_twins(kernel, oracle)
+        assert kernel._page_state.size == pages
+        # The block just below the limit plays on (without growing the
+        # arrays to 2**26 pages: the top line stays on a small page).
+        _feed_both(oracle, kernel, [5, 128 * 1023 + 127, 6])
+        _assert_twins(kernel, oracle)
+
+    def test_a_failed_allocation_is_refused_with_state_untouched(
+        self, kernel_lib, monkeypatch
+    ):
+        class NoMemory:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                raise MemoryError
+
+        oracle, kernel = _both(kernel_lib, _tiny())
+        _feed_both(oracle, kernel, [3, 700, 3])
+        monkeypatch.setattr(kernel_mod, "np", NoMemory())
+        with pytest.raises(UnsupportedTrace, match="out of memory"):
+            kernel.feed(np.array([5, 5000 * 128, 6], dtype=np.int64))
+        monkeypatch.undo()
+        _assert_twins(kernel, oracle)
+        _feed_both(oracle, kernel, [5, 5000 * 128, 6])
+        _assert_twins(kernel, oracle)
 
     def test_simulate_falls_back_on_a_negative_line(self, monkeypatch):
         trace = [np.array([4, 9000, 4], dtype=np.int64),
@@ -253,6 +379,30 @@ class TestSynthetic:
         assert got.stats == oracle.stats()
         after = _counter("resilience.degradations.unsupported-trace")
         assert after == before + 1
+
+
+class TestKernelSource:
+    def test_the_kernel_allocates_nothing(self):
+        assert re.findall(r"#include\s*<([^>]+)>", KERNEL_SOURCE) == [
+            "stdint.h"
+        ]
+        assert not re.search(r"\b(malloc|calloc|realloc|free)\s*\(",
+                             KERNEL_SOURCE)
+
+    def test_a_struct_mirror_mismatch_fails_the_load(self):
+        def fn(value=None):
+            def call():
+                return value
+            return call
+
+        wrong = ctypes.sizeof(kernel_mod._State) + 8
+        lib = SimpleNamespace(hier_size=fn(wrong), hier_feed=fn())
+        with pytest.raises(NativeUnavailable, match="load-failed"):
+            kernel_mod._bind(lib)
+
+    @requires_cc
+    def test_the_struct_mirror_matches(self, kernel_lib):
+        assert kernel_lib.hier_size() == ctypes.sizeof(kernel_mod._State)
 
 
 class TestFallbackLadder:
@@ -332,4 +482,4 @@ class TestFallbackLadder:
         assert so_path.exists()
         oracle, kernel = _both(lib, _tiny())
         _feed_both(oracle, kernel, [1, 2, 900, 1])
-        assert _counters(kernel) == _counters(oracle)
+        _assert_twins(kernel, oracle)

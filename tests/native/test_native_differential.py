@@ -7,6 +7,7 @@ to be odd / non-power-of-two so flattened indexing and halo geometry
 get no accidental alignment help.
 """
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,12 @@ from repro.execution import (
     execute_vectorized,
     verify_versions,
 )
-from repro.frontend import StencilSpec, make_versions, synthesize_code
+from repro.frontend import (
+    StencilSpec,
+    make_versions,
+    spec_version,
+    synthesize_code,
+)
 
 from tests.native.conftest import requires_cc
 
@@ -37,6 +43,22 @@ ODD_SIZES = {
     make_simple2d: {"n": 5, "m": 7},
     make_jacobi: {"T": 3, "L": 11},
 }
+
+
+def past_the_high_end(distances, expr):
+    """A relax3-shaped spec whose (1, -1) reads past the high end of its
+    ``row-or-constant`` input line."""
+    return StencilSpec.from_json({
+        "name": "past-the-high-end",
+        "indices": ["i", "j"],
+        "bounds": [[1, "n"], [1, "m"]],
+        "distances": distances,
+        "combine": {"kind": "expr", "expr": expr},
+        "inputs": {"kind": "row-or-constant", "axis": 1, "constant": 0.5},
+        "sizes": {"n": 4, "m": 5},
+        "mapping": "natural",
+        "schedule": "lex",
+    })
 
 
 def version_cases():
@@ -84,6 +106,30 @@ class TestNativeDifferential:
         assert native.engine_used == "native"
         reference = execute(version, sizes)
         assert np.array_equal(native.storage, reference.storage)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # The vectorized engine falls back to the interpreter here...
+            past_the_high_end([[1, 0], [1, -1], [0, 1]],
+                              "max(0.3*v0 + 0.3*v1 + 0.4*v2, 0.1)"),
+            # ...and gathers in row batches here.
+            past_the_high_end([[1, 0], [1, -1]], "0.3*v0 + 0.7*v1"),
+        ],
+        ids=["relax3-shaped", "row-batched"],
+    )
+    def test_row_or_constant_past_the_high_end(self, spec, so_cache):
+        # Every engine reads the input cell clamped into the line.
+        version = spec_version(synthesize_code(spec))
+        sizes = dict(spec.sizes)
+        native = execute_native(version, sizes, cache_dir=so_cache)
+        assert native.engine_used == "native"
+        scalar = execute(version, sizes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vector = execute_vectorized(version, sizes)
+        assert np.array_equal(native.storage, scalar.storage)
+        assert np.array_equal(native.storage, vector.storage)
 
     def test_seeded_inputs_flow_through_halo(self, so_cache):
         # psm's context (weight table, random strings) is seed-dependent;
